@@ -2,9 +2,9 @@
 
 Univariate coefficient kernels (exponentials, logarithms, Bernoulli and
 Todd numbers), binomial expansions of variable differences, substitution
-of series into formal variables, exponential dilation, and the pinned
-convolution routines that multiply a series by doubly infinite
-delta-type kernels which the generic product ruleset rightly refuses.
+of series into formal variables, and the pinned convolution routines
+that multiply a series by doubly infinite delta-type kernels which the
+generic product ruleset rightly refuses.
 
 Every routine preserves the window discipline: result boxes only cover
 coefficients fully determined by the input boxes, and result bands are
@@ -194,21 +194,6 @@ def binomial_difference(a_var: str, b_var: str, n: int, b_cap: int = 0) -> Serie
     return Series(sorted(wins, key=lambda w: w.name), data)
 
 
-# canonical name used by the check layer
-binom_expand = binomial_difference
-
-
-def delta_series(x: str, N: int) -> Series:
-    """The formal delta distribution, truncated: sum of x^n for |n| <= N.
-
-    Every integer exponent of the true object carries coefficient 1, so
-    the support band is all of Z and only the box is finite."""
-    if N < 0:
-        raise ValueError("window must be nonnegative")
-    win = VarWindow(x, -N, N, NEG_INF, POS_INF)
-    return Series([win], {(n,): Fraction(1) for n in range(-N, N + 1)})
-
-
 def log1m(t: str, order: int) -> Series:
     """log(1 - t) = -sum_{k>=1} t^k / k, complete up to t^order."""
     if order < 1:
@@ -381,10 +366,6 @@ def subst_exp_minus_one(f: Series, s: str, t: str, t_cap: int) -> Series:
     return substitute_valuation(f, s, t, em1_unit, t_cap)
 
 
-# canonical name used by the check layer
-subst_em1 = subst_exp_minus_one
-
-
 def subst_monomial(
     f: Series,
     s: str,
@@ -454,54 +435,6 @@ def subst_monomial(
     return out
 
 
-def subst_sum(
-    f: Series,
-    s: str,
-    parts: "Sequence[tuple[int, str]]",
-    caps: Mapping[str, int],
-) -> Series:
-    """Substitute s = sum(coeff * var), expanded multinomially.
-
-    f must hold only nonnegative powers of s.  ``caps`` bounds the
-    result box of every part variable; slices beyond the combined cap
-    cannot reach inside the capped boxes.
-    """
-    names = [v for _, v in parts]
-    if len(set(names)) != len(names) or not names:
-        raise VariableMismatchError("part variables must be distinct and nonempty")
-    names_out = sorted(set(f.variables) - {s} | set(names))
-    if _vanishes(f):
-        return Series.zero(names_out)
-    w = f.window(s)
-    if w.support_low < 0:
-        raise ValueError(f"negative powers of {s!r}; use a Laurent substitution")
-    budget = 0
-    for _, v in parts:
-        if v not in caps:
-            raise ValueError(f"part variable {v!r} needs a cap")
-        floor = _band_floor(f, v)
-        if floor == NEG_INF:
-            raise IllDefinedProductError(
-                f"part variable {v!r} is unbounded below in the input"
-            )
-        budget += max(0, caps[v] - int(floor))
-    k_lo = int(w.support_low)
-    k_hi = int(min(w.support_high, budget))
-    if k_lo > k_hi:
-        raise WindowInsufficientError("caps exclude every slice of the input")
-    _require_known_slices(f, s, k_lo, k_hi)
-    terms = []
-    for k in range(k_lo, k_hi + 1):
-        sl = f.slice_at(s, k)
-        terms.append(mul(sl, _sum_power(parts, k)))
-    out = aligned_sum(terms)
-    out = out.restrict({v: (NEG_INF, caps[v]) for v in names})
-    if w.support_high > k_hi:
-        for v in names:
-            out = widen_band(out, v, _band_floor(f, v), POS_INF)
-    return out
-
-
 def _compositions(k: int, m: int) -> "Iterable[tuple[int, ...]]":
     """All m-tuples of nonnegative integers summing to k."""
     if m == 1:
@@ -510,61 +443,6 @@ def _compositions(k: int, m: int) -> "Iterable[tuple[int, ...]]":
     for first in range(k + 1):
         for rest in _compositions(k - first, m - 1):
             yield (first,) + rest
-
-
-def _sum_power(parts: "Sequence[tuple[int, str]]", k: int) -> Series:
-    """(sum coeff*var)^k as a complete polynomial series."""
-    m = len(parts)
-    perm = sorted(range(m), key=lambda i: parts[i][1])
-    kfact = math.factorial(k)
-    data: "dict[tuple[int, ...], Fraction]" = {}
-    for js in _compositions(k, m):
-        c = Fraction(kfact)
-        for j in js:
-            c /= math.factorial(j)
-        for (coeff, _), j in zip(parts, js):
-            c *= Fraction(coeff) ** j
-        if c:
-            data[tuple(js[i] for i in perm)] = c
-    wins = [VarWindow(parts[i][1], NEG_INF, POS_INF) for i in perm]
-    return Series(wins, data)
-
-
-def subst_scaled_var(f: Series, s: str, t: str, scale: int) -> Series:
-    """Substitute s = scale * t, merging into the existing variable t."""
-    names_out = sorted(set(f.variables) - {s} | {t})
-    if _vanishes(f):
-        return Series.zero(names_out)
-    w = f.window(s)
-    if w.support_low < 0:
-        raise ValueError(f"negative powers of {s!r} are not supported here")
-    if t not in f.variables:
-        f = f.with_variables([t])
-    tw = f.window(t)
-    cands: "list[int]" = []
-    if tw.high != POS_INF and tw.support_low != NEG_INF:
-        cands.append(int(tw.high - tw.support_low))
-    if w.support_high != POS_INF:
-        cands.append(int(w.support_high))
-    if not cands:
-        raise IllDefinedProductError(
-            f"slices of {s!r} cannot be cut off against the box of {t!r}"
-        )
-    k_lo = int(w.support_low)
-    k_hi = min(cands)
-    if k_lo > k_hi:
-        raise WindowInsufficientError("target box excludes every slice of the input")
-    _require_known_slices(f, s, k_lo, k_hi)
-    terms = []
-    for k in range(k_lo, k_hi + 1):
-        sl = f.slice_at(s, k)
-        terms.append(sl.shift(t, k).scale(Fraction(scale) ** k))
-    out = aligned_sum(terms)
-    if w.support_high > k_hi:
-        # omitted slices start at t^(k_hi + 1 + floor) = one past the t box
-        out = out.restrict({t: (NEG_INF, tw.high)})
-        out = widen_band(out, t, int(tw.support_low) + k_hi + 1, POS_INF)
-    return out
 
 
 def subst_taylor_linear(
@@ -666,36 +544,6 @@ def taylor_shift(f: Series, var: str, t: str, sign: int, t_cap: int) -> Series:
 
 
 # ----------------------------------------------------------------------
-# Exponential dilation
-
-
-def dilate(f: Series, x: str, w: str, w_order: int) -> Series:
-    """Multiply the x^n slice of f by exp(n*w) truncated at w_order.
-
-    Unknown x-slices stay excluded by the unchanged x box, so the
-    result is complete wherever f was.
-    """
-    xw = f.window(x)
-    terms = []
-    for n, sl in f.slices(x).items():
-        terms.append(mul(sl, exp_series(w, w_order, n)).attach(x, n, xw))
-    # an empty frame keeps the windows honest when nothing is stored
-    frame_wins = list(f.windows())
-    if w in f.variables:
-        iw = f.window(w)
-        frame_wins = [
-            VarWindow(w, iw.low, min(iw.high, w_order), iw.support_low, iw.support_high)
-            if ww.name == w
-            else ww
-            for ww in frame_wins
-        ]
-    else:
-        frame_wins.append(VarWindow(w, NEG_INF, w_order, 0, POS_INF))
-    terms.append(Series(sorted(frame_wins, key=lambda ww: ww.name), {}))
-    return aligned_sum(terms)
-
-
-# ----------------------------------------------------------------------
 # Pinned delta-kernel products.  These kernels carry support along a
 # full diagonal line, so the per-variable window calculus cannot see
 # their internal correlation; instead every lattice piece is a fully
@@ -709,15 +557,12 @@ def delta_product(
     neg_var: str,
     box: Mapping[str, "tuple[int, int]"],
     n_sign: int = 1,
-    dilations: "Sequence[tuple[str, int, int, int]]" = (),
 ) -> Series:
     """f times sum_n n_sign^n (pos - neg)^n out^(-n-1), each difference
     power expanded in nonnegative powers of neg_var.
 
     One of out_var / pos_var must be absent from f so the kernel index
-    is pinned by the requested finite ``box``.  Every ``dilations``
-    entry (yvar, c_pos, c_neg, order) multiplies the (n, k) piece by
-    exp(yvar*(c_pos*(n-k) + c_neg*k)) truncated at yvar^order.
+    is pinned by the requested finite ``box``.
     """
     for nm in (out_var, pos_var, neg_var):
         if nm not in box:
@@ -752,54 +597,12 @@ def delta_product(
             if not c:
                 continue
             piece = monomial({out_var: -n - 1, pos_var: n - k, neg_var: k}, c)
-            for yvar, c_pos, c_neg, order in dilations:
-                piece = mul(
-                    piece, exp_series(yvar, order, c_pos * (n - k) + c_neg * k)
-                )
             terms.append(mul(piece, f, clip=clip))
     if not terms:
         raise ValueError("empty kernel range; widen the requested box")
     out = aligned_sum(terms)
     for nm in (out_var, pos_var, neg_var):
         out = widen_band(out, nm, NEG_INF, POS_INF)
-    for yvar, _, _, _ in dilations:
-        out = widen_band(out, yvar, 0, POS_INF)
-    return out
-
-
-def delta_ratio_product(
-    f: Series,
-    pos_var: str,
-    neg_var: str,
-    y_pos: str,
-    y_neg: str,
-    y_order: int,
-    box: Mapping[str, "tuple[int, int]"],
-) -> Series:
-    """f times sum_n exp(n*(y_pos - y_neg)) pos^n neg^(-n).
-
-    pos_var must be absent from f, pinning n to the requested pos box.
-    """
-    if pos_var in f.variables:
-        raise VariableMismatchError(
-            f"ratio kernel needs {pos_var!r} absent from the input"
-        )
-    if pos_var not in box:
-        raise ValueError(f"kernel variable {pos_var!r} needs a box entry")
-    clip = dict(box)
-    terms = []
-    for n in range(box[pos_var][0], box[pos_var][1] + 1):
-        piece = monomial({pos_var: n, neg_var: -n})
-        piece = mul(piece, exp_series(y_pos, y_order, n))
-        piece = mul(piece, exp_series(y_neg, y_order, -n))
-        terms.append(mul(piece, f, clip=clip))
-    if not terms:
-        raise ValueError("empty kernel range; widen the requested box")
-    out = aligned_sum(terms)
-    for nm in (pos_var, neg_var):
-        out = widen_band(out, nm, NEG_INF, POS_INF)
-    for nm in (y_pos, y_neg):
-        out = widen_band(out, nm, 0, POS_INF)
     return out
 
 
@@ -825,10 +628,6 @@ def inv_one_minus_exp(y_pos: str, y_neg: str, order: int) -> Series:
     out = widen_band(out, y_pos, NEG_INF, POS_INF)
     out = widen_band(out, y_neg, 0, POS_INF)
     return out
-
-
-# canonical name used by the check layer
-reg_inv_one_minus_exp = inv_one_minus_exp
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,9 @@
-"""Named check catalog and suite runner behind the command line.
+"""The check registry and the suite runner behind the command line.
 
-Each catalog id maps the shared run configuration (weight cap, exponent
-windows, per-variable orders, mode range, seed) to one CheckReport.
+Each catalog id is declared once in REGISTRY: the body that compares
+its identity, its parameters with their defaults, and the parameters
+that --y-order values fill.  run_check resolves the parameters, runs
+the body under reports.timed_check and returns one CheckReport.
 Grid-style entries fold a family of single checks into one report,
 prefixing every mismatch monomial with the grid point it came from.
 """
@@ -9,128 +11,81 @@ prefixing every mismatch monomial with the grid point it came from.
 from __future__ import annotations
 
 import random
-import time
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Any, Callable, Mapping
 
 from . import calculus as ca
+from . import voa
 from .fock import FockVector, basis_up_to, character_offset, graded_dim, h_apply
 from .quadratic import (
     bernoulli,
+    l_mode,
     lbar_mode,
-    modified_virasoro_check,
+    mode_bracket_diffs,
+    modvir_central,
     pure_monomial_check,
-    theorem1_check,
-    virasoro_check,
-    wick_check,
+    theorem1_diffs,
+    virasoro_central,
+    wick_diffs,
     zeta_neg,
 )
-from .reports import CheckReport, format_scalar, make_report, mismatch_entry
-from .voa import axioms_check, generator, jacobi_check, theorem_check
+from .reports import CheckReport, format_scalar, mismatch_entry, note_diff, timed_check
 
 F = Fraction
 
-CATALOG_IDS = (
-    "HEISENBERG",
-    "VIRASORO",
-    "MODVIR",
-    "BLOCH-MONOMIAL",
-    "ZETA-TABLE",
-    "GRADED-DIM",
-    "WICK",
-    "THEOREM1",
-    "AXIOMS",
-    "JACOBI",
-    "NEWJACOBI",
-    "COMM",
-    "GENJACOBI",
-    "GENCOMM",
-    "FOURTERM",
-    "SPECIALIZE",
-    "BRIDGE",
-    "RES-CHANGE",
-)
-
-SUITES = {
-    "core": ("HEISENBERG", "VIRASORO", "MODVIR", "GRADED-DIM"),
-    "zeta": ("ZETA-TABLE", "BLOCH-MONOMIAL"),
-    "all": CATALOG_IDS,
-}
+# verify flags that set the check parameter of the same name
+FLAGS = ("weight-cap", "x-window", "mode-range", "seed")
 
 
-def _get(overrides, key, default):
-    val = (overrides or {}).get(key)
-    return default if val is None else val
+@dataclass(frozen=True)
+class Check:
+    """One catalog entry.
 
+    body(params, mismatches) appends mismatch entries and may add derived
+    report fields to params.  A report's params are head (by default the
+    identity name) followed by defaults, overridden in place.  y_slots
+    names the parameters that --y-order values fill, in order; a list
+    parameter takes one value per entry."""
 
-def _y_list(overrides) -> "list[int]":
-    return list((overrides or {}).get("y-orders") or ())
+    body: Callable[[dict, list], None]
+    defaults: Mapping[str, Any]
+    y_slots: "tuple[str, ...]" = ()
+    head: "Mapping[str, Any] | None" = None
 
 
 # ----------------------------------------------------------------------
 # grid checks over the mode algebra
 
 
-def _run_heisenberg(overrides) -> CheckReport:
-    t0 = time.monotonic()
-    R = _get(overrides, "mode-range", 3)
-    W = _get(overrides, "weight-cap", 6)
-    mismatches: "list[dict]" = []
-    for v in basis_up_to(W):
+def _heisenberg(params, mismatches):
+    R = params["mode-range"]
+    for v in basis_up_to(params["weight-cap"]):
         for m in range(-R, R + 1):
             for n in range(-R, R + 1):
                 lhs = h_apply(m, h_apply(n, v)) - h_apply(n, h_apply(m, v))
                 rhs = v.scaled(m) if m + n == 0 else FockVector.zero()
-                if lhs != rhs:
-                    for parts, _ in (lhs - rhs).terms():
-                        mismatches.append(
-                            mismatch_entry(
-                                [m, n] + list(parts),
-                                lhs.coeff(parts),
-                                rhs.coeff(parts),
-                                v,
-                            )
-                        )
-    params = {"identity": "HEISENBERG", "mode-range": R, "weight-cap": W}
-    return make_report(
-        "HEISENBERG", params, mismatches, int((time.monotonic() - t0) * 1000)
-    )
+                note_diff(mismatches, [m, n], lhs, rhs, v)
 
 
-def _bracket_grid(check_id, single, R, W, extra) -> CheckReport:
-    t0 = time.monotonic()
-    mismatches: "list[dict]" = []
+def _bracket_grid(params, mismatches, mode, central):
+    R = params["mode-range"]
     for m in range(-R, R + 1):
         for n in range(-R, R + 1):
-            rep = single(m, n, W)
-            for entry in rep.mismatches:
-                e2 = dict(entry)
-                e2["monomial"] = [m, n] + list(entry["monomial"])
-                mismatches.append(e2)
-    mismatches.extend(extra())
-    params = {"identity": check_id, "mode-range": R, "weight-cap": W}
-    return make_report(check_id, params, mismatches, int((time.monotonic() - t0) * 1000))
+            mode_bracket_diffs(
+                mismatches, [m, n], m, n, params["weight-cap"], mode, central(m)
+            )
 
 
-def _run_virasoro(overrides) -> CheckReport:
-    R = _get(overrides, "mode-range", 3)
-    W = _get(overrides, "weight-cap", 8)
-    return _bracket_grid("VIRASORO", virasoro_check, R, W, lambda: [])
+def _virasoro(params, mismatches):
+    _bracket_grid(params, mismatches, l_mode, virasoro_central)
 
 
-def _run_modvir(overrides) -> CheckReport:
-    R = _get(overrides, "mode-range", 3)
-    W = _get(overrides, "weight-cap", 8)
-
-    def extra():
-        # the shifted zero mode has vacuum eigenvalue -1/24
-        vac = FockVector.vacuum()
-        got = lbar_mode(0, vac)
-        want = vac.scaled(F(-1, 24))
-        if got != want:
-            return [mismatch_entry([0], got.coeff(()), want.coeff(()), vac)]
-        return []
-
-    return _bracket_grid("MODVIR", modified_virasoro_check, R, W, extra)
+def _modvir(params, mismatches):
+    _bracket_grid(params, mismatches, lbar_mode, modvir_central)
+    # the shifted zero mode has vacuum eigenvalue -1/24
+    vac = FockVector.vacuum()
+    note_diff(mismatches, [0], lbar_mode(0, vac), vac.scaled(F(-1, 24)), vac)
 
 
 # ----------------------------------------------------------------------
@@ -158,12 +113,10 @@ _ZETA_ANCHORS = {
 }
 
 
-def _run_zeta_table(overrides) -> CheckReport:
-    t0 = time.monotonic()
-    K = max(2, _get(overrides, "mode-range", 12))
+def _zeta_table(params, mismatches):
+    K = params["mode-range"] = max(2, params["mode-range"])
     vac = FockVector.vacuum()
-    rows = []
-    mismatches: "list[dict]" = []
+    rows = params["rows"] = []
     for k in range(2, K + 1):
         b = bernoulli(k)
         z = zeta_neg(k)
@@ -174,19 +127,13 @@ def _run_zeta_table(overrides) -> CheckReport:
             mismatches.append(mismatch_entry([k, 1], z, _ZETA_ANCHORS[k], vac))
         if k % 2 == 1 and k > 1 and (b != 0 or z != 0):
             mismatches.append(mismatch_entry([k, 2], b if b else z, F(0), vac))
-    params = {"identity": "ZETA-TABLE", "max": K, "rows": rows}
-    return make_report(
-        "ZETA-TABLE", params, mismatches, int((time.monotonic() - t0) * 1000)
-    )
 
 
-def _run_bloch_monomial(overrides) -> CheckReport:
-    t0 = time.monotonic()
-    R = _get(overrides, "mode-range", 4)
-    modes = list(range(1, max(2, R) + 1))
+def _bloch_monomial(params, mismatches):
+    # the report lists the modes the mode-range selects
+    modes = params["modes"] = list(range(1, max(2, params.pop("mode-range")) + 1))
+    values = params["values"] = []
     vac = FockVector.vacuum()
-    mismatches: "list[dict]" = []
-    values = []
     for r in range(3):
         for s in range(3):
             try:
@@ -206,131 +153,41 @@ def _run_bloch_monomial(overrides) -> CheckReport:
                         mismatches.append(mismatch_entry([r, s, m], ratio, first, vac))
             if r == 0 and s == 0 and first != F(1, 12):
                 mismatches.append(mismatch_entry([0, 0, modes[0]], first, F(1, 12), vac))
-    params = {"identity": "BLOCH-MONOMIAL", "modes": modes, "values": values}
-    return make_report(
-        "BLOCH-MONOMIAL", params, mismatches, int((time.monotonic() - t0) * 1000)
-    )
 
 
-def _run_graded_dim(overrides) -> CheckReport:
-    t0 = time.monotonic()
-    N = _get(overrides, "weight-cap", 30)
+def _graded_dim(params, mismatches):
+    N = params["weight-cap"]
     vac = FockVector.vacuum()
     # coefficients of prod_k (1 - q^k)^(-1) by repeated geometric division
     coeffs = [1] + [0] * N
     for k in range(1, N + 1):
         for i in range(k, N + 1):
             coeffs[i] += coeffs[i - k]
-    mismatches: "list[dict]" = []
     for n in range(N + 1):
         got = graded_dim(n)
         if got != coeffs[n]:
             mismatches.append(mismatch_entry([n], got, coeffs[n], vac))
     if character_offset() != F(-1, 24):
         mismatches.append(mismatch_entry([-1], character_offset(), F(-1, 24), vac))
-    params = {"identity": "GRADED-DIM", "max-weight": N}
-    return make_report(
-        "GRADED-DIM", params, mismatches, int((time.monotonic() - t0) * 1000)
-    )
 
 
 # ----------------------------------------------------------------------
 # operator identity entries
 
 
-def _run_wick(overrides) -> CheckReport:
-    ys = _y_list(overrides)
-    return wick_check(
-        _get(overrides, "x-window", 2),
-        _get(overrides, "weight-cap", 3),
-        ys[0] if ys else 2,
-    )
-
-
-def _run_theorem1(overrides) -> CheckReport:
-    ys = _y_list(overrides)
-    if len(ys) == 1:
-        orders = (ys[0],) * 4
-    elif len(ys) >= 4:
-        orders = tuple(ys[:4])
-    else:
-        orders = (1, 1, 1, 1)
-    return theorem1_check(
-        orders, _get(overrides, "x-window", 2), _get(overrides, "weight-cap", 3)
-    )
-
-
-def _run_axioms(overrides) -> CheckReport:
-    return axioms_check(
-        weight_cap=_get(overrides, "weight-cap", 3),
-        window=_get(overrides, "x-window", 3),
-    )
-
-
-def _run_jacobi(overrides) -> CheckReport:
-    t0 = time.monotonic()
-    W = _get(overrides, "weight-cap", 2)
-    win = _get(overrides, "x-window", 2)
+def _jacobi(params, mismatches):
     omega = FockVector.basis((1, 1)).scaled(F(1, 2))
-    vectors = [generator(), omega]
-    mismatches: "list[dict]" = []
-    targets = basis_up_to(W)
+    vectors = [voa.generator(), omega]
     for ui, u in enumerate(vectors):
         for vi, v in enumerate(vectors):
-            for ti, t in enumerate(targets):
-                rep = jacobi_check(u, v, t, win)
-                for entry in rep.mismatches:
-                    e2 = dict(entry)
-                    e2["monomial"] = [ui, vi, ti] + list(entry["monomial"])
-                    mismatches.append(e2)
-    params = {
-        "identity": "JACOBI",
-        "vectors": ["current", "conformal"],
-        "windows": win,
-        "weight-cap": W,
-    }
-    return make_report("JACOBI", params, mismatches, int((time.monotonic() - t0) * 1000))
+            for ti, t in enumerate(basis_up_to(params["weight-cap"])):
+                voa.jacobi_diffs(mismatches, [ui, vi, ti], u, v, t, params["x-window"])
 
 
-def _theorem_overrides(check_id, overrides) -> dict:
-    p: dict = {}
-    wc = (overrides or {}).get("weight-cap")
-    if wc is not None:
-        p["weight-cap"] = wc
-    xw = (overrides or {}).get("x-window")
-    if xw is not None:
-        p["x-window"] = xw
-    ys = _y_list(overrides)
-    if ys:
-        if check_id == "COMM":
-            p["y-order"] = ys[0]
-        elif check_id in ("GENJACOBI", "GENCOMM", "FOURTERM"):
-            p["y-orders"] = ys[:2] if len(ys) >= 2 else [ys[0], ys[0]]
-            if check_id == "GENCOMM" and len(ys) >= 3:
-                p["y-order"] = ys[2]
-        elif check_id == "SPECIALIZE":
-            base = [1, 1, 1, 1]
-            base[: min(len(ys), 4)] = ys[:4]
-            p["y-orders"] = base
-        elif check_id == "BRIDGE":
-            p["y-order"] = ys[0]
-            if len(ys) >= 2:
-                p["w-order"] = ys[1]
-    if check_id == "BRIDGE":
-        mr = (overrides or {}).get("mode-range")
-        if mr is not None:
-            p["mode-range"] = mr
-    return p
-
-
-def _run_res_change(overrides) -> CheckReport:
-    t0 = time.monotonic()
-    seed = _get(overrides, "seed", 20406)
-    count = 50
+def _res_change(params, mismatches):
     vac = FockVector.vacuum()
-    rng = random.Random(seed)
-    mismatches: "list[dict]" = []
-    for i in range(count):
+    rng = random.Random(params["seed"])
+    for i in range(params["instances"]):
         depth = rng.randrange(1, 6)
         laurent = {}
         for a in range(-depth, rng.randrange(0, 4)):
@@ -344,42 +201,176 @@ def _run_res_change(overrides) -> CheckReport:
         if not ca.residue_change_check(laurent, unit):
             # boolean outcome: got False (0) where True (1) is required
             mismatches.append(mismatch_entry([i], 0, 1, vac))
-    params = {"identity": "RES-CHANGE", "instances": count, "seed": seed}
-    return make_report(
-        "RES-CHANGE", params, mismatches, int((time.monotonic() - t0) * 1000)
-    )
 
 
-_RUNNERS = {
-    "HEISENBERG": _run_heisenberg,
-    "VIRASORO": _run_virasoro,
-    "MODVIR": _run_modvir,
-    "BLOCH-MONOMIAL": _run_bloch_monomial,
-    "ZETA-TABLE": _run_zeta_table,
-    "GRADED-DIM": _run_graded_dim,
-    "WICK": _run_wick,
-    "THEOREM1": _run_theorem1,
-    "AXIOMS": _run_axioms,
-    "JACOBI": _run_jacobi,
-    "RES-CHANGE": _run_res_change,
+# The exponential-substitution entries keep their parameters in sorted
+# key order, which is the order of their report params.
+_G = voa.generator()
+_PAIRS = {"u1": _G, "u2": _G, "v1": _G, "v2": _G}
+
+REGISTRY: "dict[str, Check]" = {
+    "HEISENBERG": Check(_heisenberg, {"mode-range": 3, "weight-cap": 6}),
+    "VIRASORO": Check(_virasoro, {"mode-range": 3, "weight-cap": 8}),
+    "MODVIR": Check(_modvir, {"mode-range": 3, "weight-cap": 8}),
+    "BLOCH-MONOMIAL": Check(_bloch_monomial, {"mode-range": 4}),
+    "ZETA-TABLE": Check(_zeta_table, {"mode-range": 12}),
+    "GRADED-DIM": Check(_graded_dim, {"weight-cap": 30}),
+    "WICK": Check(
+        wick_diffs, {"x-window": 2, "weight-cap": 3, "y-order": 2}, ("y-order",)
+    ),
+    "THEOREM1": Check(
+        theorem1_diffs,
+        {"y-orders": [1, 1, 1, 1], "x-window": 2, "weight-cap": 3},
+        ("y-orders",),
+    ),
+    "AXIOMS": Check(
+        voa.axioms_diffs,
+        {"weight-cap": 3, "x-window": 3},
+        head={"axioms": list(voa._AXIOMS)},
+    ),
+    "JACOBI": Check(
+        _jacobi,
+        {"x-window": 2, "weight-cap": 2},
+        head={"identity": "JACOBI", "vectors": ["current", "conformal"]},
+    ),
+    "NEWJACOBI": Check(
+        voa.newjacobi_diffs, {"u": _G, "v": _G, "weight-cap": 3, "x-window": 2}
+    ),
+    "COMM": Check(
+        voa.comm_diffs,
+        {"u": _G, "v": _G, "weight-cap": 3, "x-window": 3, "y-order": 3},
+        ("y-order",),
+    ),
+    "GENJACOBI": Check(
+        voa.genjacobi_diffs,
+        {
+            **_PAIRS,
+            "w-orders": [1, 1],
+            "weight-cap": 2,
+            "x-window": 2,
+            "y-orders": [1, 1],
+        },
+        ("y-orders",),
+    ),
+    "GENCOMM": Check(
+        voa.gencomm_diffs,
+        {
+            **_PAIRS,
+            "w-orders": [1, 1],
+            "weight-cap": 2,
+            "x-window": 2,
+            "y-order": 2,
+            "y-orders": [1, 1],
+        },
+        ("y-orders", "y-order"),
+    ),
+    "FOURTERM": Check(
+        voa.fourterm_diffs,
+        {
+            "inner-orders": [2, 2, 2],
+            **_PAIRS,
+            "weight-cap": 2,
+            "x-window": 2,
+            "y-orders": [1, 1],
+        },
+        ("y-orders",),
+    ),
+    "SPECIALIZE": Check(
+        voa.specialize_diffs,
+        {"weight-cap": 4, "x-window": 2, "y-order": 3, "y-orders": [1, 1, 1, 1]},
+        ("y-orders",),
+    ),
+    "BRIDGE": Check(
+        voa.bridge_diffs,
+        {"mode-range": 2, "w-order": 2, "weight-cap": 3, "y-order": 2},
+        ("y-order", "w-order"),
+    ),
+    "RES-CHANGE": Check(_res_change, {"instances": 50, "seed": 20406}),
+}
+
+CATALOG_IDS = tuple(REGISTRY)
+
+SUITES = {
+    "core": ("HEISENBERG", "VIRASORO", "MODVIR", "GRADED-DIM"),
+    "zeta": ("ZETA-TABLE", "BLOCH-MONOMIAL"),
+    "all": CATALOG_IDS,
 }
 
 
-def run_check(check_id: str, overrides=None) -> CheckReport:
-    """One catalog entry under the shared configuration."""
-    if check_id in _RUNNERS:
-        return _RUNNERS[check_id](overrides)
-    if check_id in CATALOG_IDS:
-        return theorem_check(check_id, _theorem_overrides(check_id, overrides))
-    raise ValueError(f"unknown check id {check_id!r}")
+def run_check(check_id: str, params: "Mapping[str, Any] | None" = None) -> CheckReport:
+    """One catalog check, with parameters overridden by name."""
+    entry = REGISTRY.get(check_id)
+    if entry is None:
+        raise ValueError(f"unknown check id {check_id!r}")
+    params = dict(params or {})
+    unknown = sorted(set(params) - set(entry.defaults))
+    if unknown:
+        raise ValueError(f"unknown parameter(s) {', '.join(unknown)} for {check_id}")
+    head = {"identity": check_id} if entry.head is None else entry.head
+    return timed_check(check_id, {**head, **entry.defaults, **params}, entry.body)
 
 
-def run_suite(selection: "str | None", overrides=None) -> "list[CheckReport]":
-    """Reports for a suite name or a single check id, in catalog order."""
+def _y_room(entry: Check) -> int:
+    return sum(
+        len(entry.defaults[k]) if isinstance(entry.defaults[k], list) else 1
+        for k in entry.y_slots
+    )
+
+
+def _flag_params(check_id: str, flags: "Mapping[str, Any]") -> dict:
+    """The parameters of one check set by verify flags.
+
+    A flag in FLAGS sets the parameter of its name when the check has
+    one.  k --y-order values fill the first k y slots of the check."""
+    entry = REGISTRY[check_id]
+    params = {k: v for k, v in flags.items() if k in FLAGS and k in entry.defaults}
+    values = list(flags.get("y-order") or ())
+    for key in entry.y_slots:
+        default = entry.defaults[key]
+        if isinstance(default, list):
+            taken, values = values[: len(default)], values[len(default) :]
+            if taken:
+                params[key] = taken + default[len(taken) :]
+        elif values:
+            params[key] = values.pop(0)
+    return params
+
+
+def _require_accepted(ids: "tuple[str, ...]", flags: "Mapping[str, Any]") -> None:
+    """Reject a flag, or a --y-order value, that no selected check takes."""
+    names = ", ".join(ids) or "an empty selection"
+    problems = []
+    for flag, value in flags.items():
+        if flag == "y-order":
+            room = max((_y_room(REGISTRY[c]) for c in ids), default=0)
+            if room == 0:
+                problems.append(f"--y-order is not accepted by {names}")
+            elif len(value) > room:
+                problems.append(
+                    f"--y-order takes at most {room} value(s) for {names}, got {len(value)}"
+                )
+        elif flag not in FLAGS or not any(flag in REGISTRY[c].defaults for c in ids):
+            problems.append(f"--{flag} is not accepted by {names}")
+    if problems:
+        raise ValueError("; ".join(problems))
+
+
+def run_suite(
+    selection: "str | None", flags: "Mapping[str, Any] | None" = None
+) -> "list[CheckReport]":
+    """Reports for a suite name or a single check id, in catalog order.
+
+    flags maps verify flag names to their values ("y-order" to a list of
+    values); ValueError is raised before any check runs when a flag is
+    taken by none of the selected checks."""
     if not selection:
-        return []
-    if selection in SUITES:
-        return [run_check(cid, overrides) for cid in SUITES[selection]]
-    if selection in CATALOG_IDS:
-        return [run_check(selection, overrides)]
-    raise ValueError(f"unknown suite or check id {selection!r}")
+        ids: "tuple[str, ...]" = ()
+    elif selection in SUITES:
+        ids = SUITES[selection]
+    elif selection in REGISTRY:
+        ids = (selection,)
+    else:
+        raise ValueError(f"unknown suite or check id {selection!r}")
+    flags = flags or {}
+    _require_accepted(ids, flags)
+    return [run_check(cid, _flag_params(cid, flags)) for cid in ids]

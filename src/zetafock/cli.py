@@ -48,14 +48,16 @@ class RunConfig:
     fmt: str = "json-lines"
     out: "str | None" = None
 
-    def overrides(self) -> dict:
-        return {
+    def flags(self) -> dict:
+        """The check flags that were set, by flag name."""
+        values = {
             "weight-cap": self.weight_cap,
             "x-window": self.x_window,
-            "y-orders": self.y_orders or None,
+            "y-order": self.y_orders or None,
             "mode-range": self.mode_range,
             "seed": self.seed,
         }
+        return {k: v for k, v in values.items() if v is not None}
 
 
 def _positive(key: str, value: int) -> int:
@@ -150,7 +152,7 @@ def _emit(text: str, out: "str | None") -> None:
 def _cmd_verify(args) -> int:
     cfg = _config_from_sources(args)
     try:
-        reports = run_suite(cfg.selection, cfg.overrides())
+        reports = run_suite(cfg.selection, cfg.flags())
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     _emit(render_reports(reports, cfg.fmt), cfg.out)

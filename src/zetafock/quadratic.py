@@ -29,7 +29,6 @@ All arithmetic is exact; failures are reported, never tolerated.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -37,7 +36,7 @@ from typing import Iterable
 
 from . import calculus as ca
 from .fock import FockVector, basis_up_to, h_apply, partitions_of
-from .reports import CheckReport, make_report, mismatch_entry
+from .reports import CheckReport, mismatch_entry, note_diff, timed_check
 from .series import NEG_INF, POS_INF, Series, VarWindow, diff_on_box
 
 F = Fraction
@@ -54,12 +53,17 @@ __all__ = [
     "lbar_r",
     "gen_quadratic_coeff",
     "mixed_reg_constant",
+    "mode_bracket_diffs",
+    "virasoro_central",
+    "modvir_central",
     "virasoro_check",
     "modified_virasoro_check",
     "central_term",
     "pure_monomial_check",
     "wick_check",
+    "wick_diffs",
     "theorem1_check",
+    "theorem1_diffs",
     "dilated_bracket_lhs",
 ]
 
@@ -214,22 +218,8 @@ def gen_quadratic_coeff(
     plus the mixed regularizing constant at n = 0 when requested."""
     if a < 0 or b < 0:
         raise ValueError("orders must be nonnegative")
-    acc: dict[tuple[int, ...], Fraction] = {}
-    for parts, c in v._terms.items():
-        bound = sum(parts) + abs(n)
-        for j in range(-bound, bound + 1):
-            k = n - j
-            if j == 0 or k == 0:
-                continue
-            wgt = (-j) ** a * (-k) ** b
-            pv = _pair_on_basis(j, k, parts) if j >= k else _pair_on_basis(k, j, parts)
-            for p2, c2 in pv._terms.items():
-                t = acc.get(p2, F(0)) + c2 * c * wgt
-                if t:
-                    acc[p2] = t
-                else:
-                    del acc[p2]
-    out = FockVector(acc).scaled(F(1, 2 * _fact(a) * _fact(b)))
+    sign = F((-1) ** (a + b), _fact(a) * _fact(b))
+    out = quad_apply(QuadraticOpSpec(a, b, n, False), v).scaled(sign)
     if regularized and n == 0:
         out = out + v.scaled(mixed_reg_constant(a, b))
     return out
@@ -239,40 +229,46 @@ def gen_quadratic_coeff(
 # Bracket checks on the mode level
 
 
-def _mode_bracket_report(
-    check_id: str,
-    m: int,
-    n: int,
-    W: int,
-    mode,
-    central: Fraction,
-) -> CheckReport:
-    t0 = time.monotonic()
-    mismatches: list[dict] = []
+def mode_bracket_diffs(
+    mismatches: list, prefix: list, m: int, n: int, W: int, mode, central: Fraction
+) -> None:
+    """[mode(m), mode(n)] = (m-n) mode(m+n) + central delta_{m+n,0} on
+    every basis state of weight <= W."""
     for v in basis_up_to(W):
         lhs = mode(m, mode(n, v)) - mode(n, mode(m, v))
         rhs = mode(m + n, v).scaled(m - n)
         if m + n == 0:
             rhs = rhs + v.scaled(central)
-        if lhs != rhs:
-            diff = lhs - rhs
-            for parts, _ in diff.terms():
-                mismatches.append(
-                    mismatch_entry(parts, lhs.coeff(parts), rhs.coeff(parts), v)
-                )
+        note_diff(mismatches, prefix, lhs, rhs, v)
+
+
+def virasoro_central(m: int) -> Fraction:
+    """Central term (m^3 - m)/12 of the Virasoro bracket."""
+    return F(m**3 - m, 12)
+
+
+def modvir_central(m: int) -> Fraction:
+    """Central term m^3/12 of the bracket of the shifted modes."""
+    return F(m**3, 12)
+
+
+def _mode_bracket_report(
+    check_id: str, m: int, n: int, W: int, mode, central: Fraction
+) -> CheckReport:
     params = {"identity": check_id, "m": m, "n": n, "weight-cap": W}
-    elapsed = int((time.monotonic() - t0) * 1000)
-    return make_report(check_id, params, mismatches, elapsed)
+    return timed_check(
+        check_id, params, lambda p, mm: mode_bracket_diffs(mm, [], m, n, W, mode, central)
+    )
 
 
 def virasoro_check(m: int, n: int, W: int) -> CheckReport:
     """[L(m), L(n)] = (m-n) L(m+n) + (1/12)(m^3 - m) delta_{m+n,0}."""
-    return _mode_bracket_report("VIRASORO", m, n, W, l_mode, F(m**3 - m, 12))
+    return _mode_bracket_report("VIRASORO", m, n, W, l_mode, virasoro_central(m))
 
 
 def modified_virasoro_check(m: int, n: int, W: int) -> CheckReport:
     """Shifted modes: [Lb(m), Lb(n)] = (m-n) Lb(m+n) + (1/12) m^3 delta."""
-    return _mode_bracket_report("MODVIR", m, n, W, lbar_mode, F(m**3, 12))
+    return _mode_bracket_report("MODVIR", m, n, W, lbar_mode, modvir_central(m))
 
 
 # ----------------------------------------------------------------------
@@ -396,6 +392,13 @@ def _dilated_geometric(N: int, y_order: int) -> Series:
 
 
 def wick_check(N: int, W: int, y_order: int = 2) -> CheckReport:
+    """Product of two mode generating functions vs normal order + kernel
+    (see wick_diffs)."""
+    params = {"identity": "WICK", "x-window": N, "weight-cap": W, "y-order": y_order}
+    return timed_check("WICK", params, wick_diffs)
+
+
+def wick_diffs(params: dict, mismatches: list) -> None:
     """Product of two mode generating functions vs normal order + kernel.
 
     Checks, on every basis state of weight <= W and all mode exponents
@@ -406,9 +409,7 @@ def wick_check(N: int, W: int, y_order: int = 2) -> CheckReport:
     kernel e^(k(y2-y1)) on the contraction.  Also checks the kernel
     identities: applying x2 d/dx2 to the dilated geometric series
     agrees with applying -d/dy1."""
-    t0 = time.monotonic()
-    mismatches: list[dict] = []
-
+    N, W, y_order = params["x-window"], params["weight-cap"], params["y-order"]
     geo = _dilated_geometric(N, y_order)
     lhs_kernel = geo.euler_derivative("x2")
     rhs_kernel = geo.derivative("y1").scale(-1)
@@ -441,31 +442,8 @@ def wick_check(N: int, W: int, y_order: int = 2) -> CheckReport:
                             rhs = rhs + v.scaled(
                                 F(contraction * (-a) ** c * a**d, _fact(c) * _fact(d))
                             )
-                        if lhs != rhs:
-                            diff = lhs - rhs
-                            for parts, _ in diff.terms():
-                                mismatches.append(
-                                    mismatch_entry(
-                                        [-a, -b, c, d],
-                                        lhs.coeff(parts),
-                                        rhs.coeff(parts),
-                                        v,
-                                    )
-                                )
-                if plain_lhs != plain_rhs:
-                    diff = plain_lhs - plain_rhs
-                    for parts, _ in diff.terms():
-                        mismatches.append(
-                            mismatch_entry(
-                                [-a, -b],
-                                plain_lhs.coeff(parts),
-                                plain_rhs.coeff(parts),
-                                v,
-                            )
-                        )
-    params = {"identity": "WICK", "x-window": N, "weight-cap": W, "y-order": y_order}
-    elapsed = int((time.monotonic() - t0) * 1000)
-    return make_report("WICK", params, mismatches, elapsed)
+                        note_diff(mismatches, [-a, -b, c, d], lhs, rhs, v)
+                note_diff(mismatches, [-a, -b], plain_lhs, plain_rhs, v)
 
 
 # ----------------------------------------------------------------------
@@ -693,9 +671,20 @@ def theorem1_check(
     orders up to y_orders.  The zero-order dilation slice is additionally
     cross-checked against the shifted Virasoro bracket computed by
     quad_apply, so a transcription error in either engine cannot hide."""
-    t0 = time.monotonic()
-    o1, o2, o3, o4 = y_orders
-    caps = (o1, o2, o3, o4)
+    params = {
+        "identity": "THEOREM1",
+        "y-orders": list(y_orders),
+        "x-window": N,
+        "weight-cap": W,
+    }
+    return timed_check("THEOREM1", params, theorem1_diffs)
+
+
+def theorem1_diffs(params: dict, mismatches: list) -> None:
+    """Body of theorem1_check; a cell failing both comparisons is listed
+    twice, the second time against the mode-level bracket."""
+    caps = tuple(params["y-orders"])
+    N, W = params["x-window"], params["weight-cap"]
     nm1, nm2, nm3, nm4 = (c + 1 for c in caps)
     nmono = nm1 * nm2 * nm3 * nm4
     denom = [
@@ -713,15 +702,6 @@ def theorem1_check(
         for a4 in range(nm4)
     ]
     scalar_cache = {n: _scalar_sector(n, caps) for n in range(-N, N + 1)}
-
-    mismatches: list[dict] = []
-    recorded: set = set()
-
-    def record(key, lhs_val, rhs_val, target):
-        if key in recorded or len(mismatches) >= 200:
-            return
-        recorded.add(key)
-        mismatches.append(mismatch_entry(list(key[0]), lhs_val, rhs_val, target))
 
     for v in basis_up_to(W):
         parts0 = next(iter(v._terms))
@@ -785,7 +765,7 @@ def theorem1_check(
                         if p == parts0:
                             rv = rv + extra
                         if lv != rv:
-                            record((e + mono, p), lv, rv, v)
+                            mismatches.append(mismatch_entry(e + mono + p, lv, rv, v))
         # ---- zero-order slice against the mode-level bracket engine
         for n1 in range(-N, N + 1):
             for n2 in range(-N, N + 1):
@@ -795,21 +775,4 @@ def theorem1_check(
                 expect = lbar_mode(n1 + n2, v).scaled(n1 - n2)
                 if n1 + n2 == 0:
                     expect = expect + v.scaled(F(n1**3, 12))
-                if slice_vec != expect:
-                    diff = slice_vec - expect
-                    for p, _ in diff.terms():
-                        record(
-                            ((-n1, -n2, 0, 0, 0, 0), p),
-                            slice_vec.coeff(p),
-                            expect.coeff(p),
-                            v,
-                        )
-
-    params = {
-        "identity": "THEOREM1",
-        "y-orders": list(y_orders),
-        "x-window": N,
-        "weight-cap": W,
-    }
-    elapsed = int((time.monotonic() - t0) * 1000)
-    return make_report("THEOREM1", params, mismatches, elapsed)
+                note_diff(mismatches, [-n1, -n2, 0, 0, 0, 0], slice_vec, expect, v)

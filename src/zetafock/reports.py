@@ -11,15 +11,20 @@ configuration, so volatile fields (elapsed time) stay out of it.
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from .fock import FockVector
+from .series import WindowInsufficientError
 
 STATUS_PASS = "pass"
 STATUS_FAIL = "fail"
 STATUS_WINDOW = "window-insufficient"
+
+# most mismatch entries a report lists; the total is kept in its params
+MISMATCH_CAP = 200
 
 
 def format_scalar(value: Fraction | int) -> str:
@@ -38,15 +43,6 @@ def serialize_vector(v: FockVector) -> list[dict[str, Any]]:
     ]
 
 
-def serialize_series_terms(terms: Iterable[tuple[tuple[int, ...], Fraction]]) -> list[dict[str, Any]]:
-    """Laurent data as {exponents, value} rows in sorted exponent order."""
-    rows = sorted(terms, key=lambda item: item[0])
-    return [
-        {"exponents": list(exps), "value": format_scalar(val)}
-        for exps, val in rows
-    ]
-
-
 def mismatch_entry(
     monomial: Sequence[int],
     lhs: Fraction | int,
@@ -60,6 +56,27 @@ def mismatch_entry(
         "rhs": format_scalar(rhs),
         "target": serialize_vector(target),
     }
+
+
+def note_diff(
+    mismatches: list[dict[str, Any]],
+    prefix: Sequence[int],
+    lhs: "FockVector | None",
+    rhs: "FockVector | None",
+    target: FockVector,
+) -> None:
+    """Append one entry per basis state where two vectors differ.
+
+    The entry's monomial is prefix followed by the parts of that basis
+    state; None stands for the zero vector (a cell absent from a series)."""
+    lhs = lhs or FockVector.zero()
+    rhs = rhs or FockVector.zero()
+    if lhs == rhs:
+        return
+    for parts, _ in (lhs - rhs).terms():
+        mismatches.append(
+            mismatch_entry(list(prefix) + list(parts), lhs.coeff(parts), rhs.coeff(parts), target)
+        )
 
 
 @dataclass
@@ -101,6 +118,35 @@ def make_report(
     else:
         status = STATUS_PASS
     return CheckReport(check_id, params, status, mismatches, elapsed_ms)
+
+
+def timed_check(
+    check_id: str,
+    params: dict[str, Any],
+    body: Callable[[dict[str, Any], list[dict[str, Any]]], None],
+) -> CheckReport:
+    """Run body(params, mismatches) and report it.
+
+    The body appends mismatch entries and may add derived fields to
+    params.  An insufficient window ends the check with that status;
+    FockVector params are serialized; a mismatch list longer than
+    MISMATCH_CAP is cut and its full length kept as mismatches-total."""
+    t0 = time.monotonic()
+    mismatches: list[dict[str, Any]] = []
+    window_error = None
+    try:
+        body(params, mismatches)
+    except WindowInsufficientError as exc:
+        mismatches, window_error = [], str(exc)
+    shown = {
+        k: serialize_vector(v) if isinstance(v, FockVector) else v
+        for k, v in params.items()
+    }
+    if len(mismatches) > MISMATCH_CAP:
+        shown["mismatches-total"] = len(mismatches)
+        mismatches = mismatches[:MISMATCH_CAP]
+    elapsed = int((time.monotonic() - t0) * 1000)
+    return make_report(check_id, shown, mismatches, elapsed, window_error)
 
 
 def _json_default(obj: Any) -> Any:

@@ -453,26 +453,6 @@ class Series:
         }
         return Series._raw(_normalize_bands(wins_t, data), data)
 
-    def with_band(self, name: str, low: "int | float", high: "int | float") -> "Series":
-        """Tighten one support band on the caller's authority.
-
-        Used where a construction knows more than the generic calculus,
-        e.g. operator applications whose modes vanish beyond a weight
-        bound.  Stored terms must respect the asserted band.
-        """
-        i = self._index(name)
-        for exps in self._coeffs:
-            if not (low <= exps[i] <= high):
-                raise ValueError(
-                    f"stored exponent {exps[i]} of {name!r} violates "
-                    f"asserted band [{low}, {high}]"
-                )
-        wins = tuple(
-            VarWindow(nm, ww.low, ww.high, low, high) if nm == name else ww
-            for nm, ww in ((n, self._wins[n]) for n in self._names)
-        )
-        return Series._raw(_normalize_bands(wins, self._coeffs), dict(self._coeffs))
-
     def with_variables(self, names: Iterable[str]) -> "Series":
         """Adjoin variables in which this series is genuinely constant
         (full box, support band {0})."""
@@ -512,22 +492,6 @@ class Series:
             for w in self.windows()
         )
         return Series(wins, dict(self._coeffs))
-
-    def drop_variable(self, name: str) -> "Series":
-        """Remove a variable in which every stored exponent is 0.
-
-        Requires full knowledge at exponent 0 in that variable."""
-        i = self._index(name)
-        w = self._wins[name]
-        if not w.contains(0) and w.in_band(0):
-            raise WindowInsufficientError(f"coefficient of {name}^0 not known")
-        data = {}
-        for exps, val in self._coeffs.items():
-            if exps[i] != 0:
-                raise ValueError(f"series depends on {name!r}; cannot drop")
-            data[exps[:i] + exps[i + 1 :]] = val
-        wins = tuple(self._wins[n] for n in self._names if n != name)
-        return Series._raw(wins, data)
 
     def slice_at(self, name: str, e: int) -> "Series":
         """Coefficient of ``name``^e as a series in the other variables."""

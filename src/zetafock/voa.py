@@ -5,43 +5,39 @@ derivative fields of the single generating current; vertex_mode extracts
 its modes exactly.  On top of that sit the weight-shifted fields
 (x_mode), the exponential-coordinate bracket (y_bracket_apply), the
 defining axioms, the classical three-delta identity (jacobi_check) and
-the exponential-substitution identities reached from it (theorem_check).
+the exponential-substitution identities reached from it.
 
 Every check compares finitely many coefficients of an identity applied
-to a target vector, exactly over Fraction, and returns a CheckReport.
+to a target vector, exactly over Fraction.  The *_diffs functions are
+check bodies: they append mismatch entries for reports.timed_check.
 """
 
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping
 
 from . import calculus as ca
 from .fock import (
     FockVector,
     basis_up_to,
+    make_partition,
     weight,
     weight_components,
 )
-from .fock import h_apply
-from .reports import CheckReport, make_report, mismatch_entry, serialize_vector
+from .quadratic import dilated_bracket_lhs, gen_quadratic_coeff
+from .reports import CheckReport, note_diff, timed_check
 from .series import (
     NEG_INF,
     POS_INF,
     Series,
     VarWindow,
-    WindowInsufficientError,
     diff_on_box,
     mul,
 )
 
 F = Fraction
-
-MISMATCH_CAP = 200
 
 
 def generator() -> FockVector:
@@ -53,33 +49,12 @@ def _omega() -> FockVector:
     return FockVector.basis((1, 1)).scaled(F(1, 2))
 
 
-@dataclass(frozen=True)
-class VoaConfig:
-    """Structure constants of the rank-one free-boson algebra."""
-
-    rank: Fraction = F(1)
-    vacuum: FockVector = field(default_factory=FockVector.vacuum)
-    omega: FockVector = field(default_factory=_omega)
-
-
 def _wt_max(v: FockVector) -> int:
     return max((weight(p) for p, _ in v.terms()), default=0)
 
 
 # ----------------------------------------------------------------------
 # Modes of the free fields
-
-
-def _tuples_with_sum(count: int, total: int, lo: int, hi: int):
-    """Integer tuples of the given length summing to total, entries in [lo, hi]."""
-    if count == 0:
-        if total == 0:
-            yield ()
-        return
-    rest = count - 1
-    for m in range(max(lo, total - rest * hi), min(hi, total - rest * lo) + 1):
-        for tail in _tuples_with_sum(rest, total - m, lo, hi):
-            yield (m,) + tail
 
 
 @lru_cache(maxsize=None)
@@ -93,32 +68,43 @@ def _mode_on_basis(
     the x^(-n-1) coefficient is a sum over current-mode tuples (m_i)
     with sum(m_i) = n + 1 - sum(n_i), each weighted by a product of
     binomial coefficients C(-m_i-1, n_i-1).
+
+    The tuples are built one factor at a time.  A factor either
+    annihilates a part m > 0 still present in the target, or creates a
+    part p = -m >= n_i (below that its binomial vanishes); normal order
+    applies every creator after every annihilator, so a state is the
+    remaining target parts, the created parts and the running mode sum,
+    with an integer coefficient.
     """
     if not u_parts:
         return FockVector.basis(v_parts) if n == -1 else FockVector.zero()
-    wv = sum(v_parts)
     total = n + 1 - sum(u_parts)
-    # annihilators are bounded by the target weight and the remaining
-    # factors are pinned by the fixed total, so the tuple set is finite
-    out = FockVector.zero()
-    for ms in _tuples_with_sum(len(u_parts), total, total - wv, wv):
-        if 0 in ms:
-            continue
-        c = F(1)
-        for m, ni in zip(ms, u_parts):
-            c *= ca.binom(-m - 1, ni - 1)
-            if not c:
-                break
-        if not c:
-            continue
-        vec = FockVector.basis(v_parts)
-        for m in sorted(ms, reverse=True):
-            vec = h_apply(m, vec)
-            if not vec:
-                break
-        if vec:
-            out = out + vec.scaled(c)
-    return out
+    # created weight = annihilated weight - total <= weight(v) - total
+    room = sum(v_parts) - total
+    states = {(make_partition(v_parts), (), 0): 1}
+    for ni in u_parts:
+        k = ni - 1
+        sign = -1 if k % 2 else 1
+        step: "dict[tuple, int]" = {}
+        for (rest, made, s), c in states.items():
+            for m in set(rest):
+                # h(m) removes one copy of m, times m * multiplicity;
+                # C(-m-1, k) = (-1)^k C(m+k, k)
+                left = list(rest)
+                left.remove(m)
+                key = (tuple(left), made, s + m)
+                gain = sign * math.comb(m + k, k) * m * rest.count(m)
+                step[key] = step.get(key, 0) + c * gain
+            for p in range(ni, room - sum(made) + 1):
+                key = (rest, make_partition(made + (p,)), s - p)
+                step[key] = step.get(key, 0) + c * math.comb(p - 1, k)
+        states = step
+    out: "dict[tuple[int, ...], int]" = {}
+    for (rest, made, s), c in states.items():
+        if s == total:
+            key = make_partition(rest + made)
+            out[key] = out.get(key, 0) + c
+    return FockVector({key: F(c) for key, c in out.items()})
 
 
 def vertex_mode(u: FockVector, n: int, v: FockVector) -> FockVector:
@@ -169,7 +155,7 @@ def y_bracket_apply(u: FockVector, v: FockVector, y_order: int) -> Series:
             if img:
                 coeffs[(e,)] = img
         g = Series([win], coeffs)
-        g = ca.subst_em1(g, "x", "y", y_order)
+        g = ca.subst_exp_minus_one(g, "x", "y", y_order)
         if wu:
             g = mul(g, ca.exp_series("y", y_order + wu + wt_v, wu))
         terms.append(g.restrict({"y": (NEG_INF, y_order)}))
@@ -199,74 +185,56 @@ _AXIOMS = (
 )
 
 
-def _note_diff(mismatches, lhs, rhs, target, prefix=()):
-    if lhs == rhs:
-        return
-    diff = lhs - rhs
-    for parts, _ in diff.terms():
-        if len(mismatches) >= MISMATCH_CAP:
-            return
-        mismatches.append(
-            mismatch_entry(
-                list(prefix) + list(parts), lhs.coeff(parts), rhs.coeff(parts), target
-            )
-        )
-
-
 def axiom_check(axiom: str, weight_cap: int = 3, window: int = 3) -> CheckReport:
     """Verify one defining property of the field map on the graded basis."""
-    if axiom not in _AXIOMS:
-        raise ValueError(f"unknown axiom {axiom!r}")
-    t0 = time.monotonic()
-    mismatches: "list[dict]" = []
-    states = basis_up_to(weight_cap)
-    vac = FockVector.vacuum()
-    omega = _omega()
-    if axiom == "lower-truncation":
-        for u in states:
-            for v in states:
-                bound = _wt_max(u) + _wt_max(v) - 1
-                for n in range(bound + 1, bound + window + 1):
-                    _note_diff(
-                        mismatches, vertex_mode(u, n, v), FockVector.zero(), v, [n]
-                    )
-    elif axiom == "vacuum":
-        for v in states:
-            for n in range(-window - 1, window + 1):
-                want = v if n == -1 else FockVector.zero()
-                _note_diff(mismatches, vertex_mode(vac, n, v), want, v, [n])
-    elif axiom == "creation":
-        for v in states:
-            for n in range(0, window + 1):
-                _note_diff(
-                    mismatches, vertex_mode(v, n, vac), FockVector.zero(), v, [n]
-                )
-            _note_diff(mismatches, vertex_mode(v, -1, vac), v, v, [-1])
-    elif axiom == "L(-1)-derivative":
-        for v in states:
-            lv = vertex_mode(omega, 0, v)
-            for t in states:
-                for n in range(-window, window + 1):
-                    lhs = vertex_mode(lv, n, t)
-                    rhs = vertex_mode(v, n - 1, t).scaled(-n)
-                    _note_diff(mismatches, lhs, rhs, t, [n])
-    else:
-        for v in states:
-            lhs = vertex_mode(omega, 1, v)
-            _note_diff(mismatches, lhs, v.scaled(_wt_max(v)), v)
-    params = {"axiom": axiom, "weight-cap": weight_cap, "window": window}
-    return make_report("AXIOMS", params, mismatches, int((time.monotonic() - t0) * 1000))
+    params = {"axioms": [axiom], "weight-cap": weight_cap, "x-window": window}
+    return timed_check("AXIOMS", params, axioms_diffs)
 
 
 def axioms_check(weight_cap: int = 3, window: int = 3) -> CheckReport:
     """All five axioms in one report."""
-    t0 = time.monotonic()
-    mismatches: "list[dict]" = []
-    for axiom in _AXIOMS:
-        sub = axiom_check(axiom, weight_cap, window)
-        mismatches.extend(sub.mismatches[: MISMATCH_CAP - len(mismatches)])
-    params = {"axioms": list(_AXIOMS), "weight-cap": weight_cap, "window": window}
-    return make_report("AXIOMS", params, mismatches, int((time.monotonic() - t0) * 1000))
+    params = {"axioms": list(_AXIOMS), "weight-cap": weight_cap, "x-window": window}
+    return timed_check("AXIOMS", params, axioms_diffs)
+
+
+def axioms_diffs(params: dict, mismatches: list) -> None:
+    """Each listed axiom on the basis of weight <= weight-cap, over mode
+    windows of width x-window."""
+    window = params["x-window"]
+    states = basis_up_to(params["weight-cap"])
+    vac = FockVector.vacuum()
+    omega = _omega()
+    zero = FockVector.zero()
+    for axiom in params["axioms"]:
+        if axiom == "lower-truncation":
+            for u in states:
+                for v in states:
+                    bound = _wt_max(u) + _wt_max(v) - 1
+                    for n in range(bound + 1, bound + window + 1):
+                        note_diff(mismatches, [n], vertex_mode(u, n, v), zero, v)
+        elif axiom == "vacuum":
+            for v in states:
+                for n in range(-window - 1, window + 1):
+                    want = v if n == -1 else zero
+                    note_diff(mismatches, [n], vertex_mode(vac, n, v), want, v)
+        elif axiom == "creation":
+            for v in states:
+                for n in range(0, window + 1):
+                    note_diff(mismatches, [n], vertex_mode(v, n, vac), zero, v)
+                note_diff(mismatches, [-1], vertex_mode(v, -1, vac), v, v)
+        elif axiom == "L(-1)-derivative":
+            for v in states:
+                lv = vertex_mode(omega, 0, v)
+                for t in states:
+                    for n in range(-window, window + 1):
+                        lhs = vertex_mode(lv, n, t)
+                        rhs = vertex_mode(v, n - 1, t).scaled(-n)
+                        note_diff(mismatches, [n], lhs, rhs, t)
+        elif axiom == "L(0)-grading":
+            for v in states:
+                note_diff(mismatches, [], vertex_mode(omega, 1, v), v.scaled(_wt_max(v)), v)
+        else:
+            raise ValueError(f"unknown axiom {axiom!r}")
 
 
 # ----------------------------------------------------------------------
@@ -352,33 +320,6 @@ def _log_pow_coeffs(n: int, order: int) -> "tuple[Fraction, ...]":
     return tuple(out.get(e, F(0)) for e in range(order + 1))
 
 
-def _dilated_delta_product(f, out_var, pos_var, neg_var, box, n_sign):
-    """f times sum_n n_sign^n e^{n log(1 - neg/pos)} pos^n out^{-n-1}.
-
-    The exponential of the logarithmic substitution is expanded from
-    _log_pow_coeffs; the kernel index n is pinned by the out box.
-    Pieces whose positive-slot exponent overshoots the box contribute
-    nothing inside it and are skipped, as in the plain delta kernel."""
-    out_lo, out_hi = box[out_var]
-    k_cap = box[neg_var][1] - int(f.window(neg_var).support_low)
-    pos_w = f.window(pos_var)
-    pos_room = box[pos_var][1] - int(min(pos_w.support_low, box[pos_var][1]))
-    clip = dict(box)
-    terms = []
-    for n in range(-out_hi - 1, -out_lo):
-        table = _log_pow_coeffs(n, k_cap)
-        for k in range(max(0, n - pos_room), k_cap + 1):
-            c = table[k] * F(n_sign) ** n
-            if not c:
-                continue
-            piece = ca.monomial({out_var: -n - 1, pos_var: n - k, neg_var: k}, c)
-            terms.append(mul(piece, f, clip=clip))
-    out = ca.aligned_sum(terms)
-    for nm in (out_var, pos_var, neg_var):
-        out = ca.widen_band(out, nm, NEG_INF, POS_INF)
-    return out
-
-
 # ----------------------------------------------------------------------
 # Classical three-delta identity
 
@@ -386,43 +327,31 @@ def _dilated_delta_product(f, out_var, pos_var, neg_var, box, n_sign):
 def jacobi_check(u: FockVector, v: FockVector, target: FockVector, windows: int) -> CheckReport:
     """The three-delta identity applied to target, compared on the cube
     of x0/x1/x2 exponents bounded by windows."""
-    t0 = time.monotonic()
-    w = windows
+    params = {"identity": "JACOBI", "u": u, "v": v, "target": target, "x-window": windows}
+    return timed_check(
+        "JACOBI", params, lambda p, mm: jacobi_diffs(mm, [], u, v, target, windows)
+    )
+
+
+def jacobi_diffs(mismatches, prefix, u, v, target, w) -> None:
+    """Mismatches of the three-delta identity, monomial prefix + (x0, x1, x2)."""
     wt_t = _wt_max(target)
     wt_uv = _wt_max(u) + _wt_max(v)
-    params = {
-        "identity": "JACOBI",
-        "u": serialize_vector(u),
-        "v": serialize_vector(v),
-        "target": serialize_vector(target),
-        "window": w,
-    }
     cube = {"x0": (-w, w), "x1": (-w, w), "x2": (-w, w)}
-    k_cap = w + wt_uv + wt_t
     obox = (-(wt_uv + wt_t + w), 3 * w + 1 + wt_uv + wt_t)
     ibox = (-(wt_uv + wt_t), w)
-    try:
-        g1 = _y_pair_series(u, "x1", v, "x2", target, obox, ibox)
-        t1 = ca.delta_product(g1, "x0", "x1", "x2", cube)
-        g2 = _y_pair_series(v, "x2", u, "x1", target, obox, ibox)
-        t2 = ca.delta_product(g2, "x0", "x2", "x1", cube, n_sign=-1)
-        lhs = t1 - t2
-        # inner field first, then the outer field in x2 against target
-        inner = _y_series(u, "x0", v, (-wt_uv, w))
-        g3 = _y_on_series(
-            inner, "x2", target, (-(wt_uv + wt_t + w), 3 * w + wt_uv + 1)
-        )
-        rhs = ca.delta_product(g3, "x2", "x1", "x0", cube)
-        diffs = diff_on_box(lhs, rhs, cube)
-    except WindowInsufficientError as exc:
-        return make_report(
-            "JACOBI", params, [], int((time.monotonic() - t0) * 1000), window_error=str(exc)
-        )
-    mismatches: "list[dict]" = []
-    for exps, va, vb in diffs:
+    g1 = _y_pair_series(u, "x1", v, "x2", target, obox, ibox)
+    t1 = ca.delta_product(g1, "x0", "x1", "x2", cube)
+    g2 = _y_pair_series(v, "x2", u, "x1", target, obox, ibox)
+    t2 = ca.delta_product(g2, "x0", "x2", "x1", cube, n_sign=-1)
+    lhs = t1 - t2
+    # inner field first, then the outer field in x2 against target
+    inner = _y_series(u, "x0", v, (-wt_uv, w))
+    g3 = _y_on_series(inner, "x2", target, (-(wt_uv + wt_t + w), 3 * w + wt_uv + 1))
+    rhs = ca.delta_product(g3, "x2", "x1", "x0", cube)
+    for exps, va, vb in diff_on_box(lhs, rhs, cube):
         mono = [exps["x0"], exps["x1"], exps["x2"]]
-        _note_diff(mismatches, _as_vec(va), _as_vec(vb), target, mono)
-    return make_report("JACOBI", params, mismatches, int((time.monotonic() - t0) * 1000))
+        note_diff(mismatches, list(prefix) + mono, va, vb, target)
 
 
 def _y_series(u: FockVector, xvar: str, v: FockVector, box) -> Series:
@@ -500,13 +429,13 @@ def _newjacobi_sides(u, v, target, win, x1_pad: int = 0):
     g1 = _ordered_pair_series(
         u, "x1", v, "x2", target, (-(wt_t + w), b_hi + w + 1 + k_cap), (-wt_t, w)
     )
-    t1 = _dilated_delta_product(g1, "x0", "x1", "x2", cube, 1)
+    t1 = ca.delta_product(g1, "x0", "x1", "x2", cube)
     g2 = _ordered_pair_series(
         v, "x2", u, "x1", target,
         (-(wt_t + b_hi), 2 * w + 1 + (b_hi + wt_t)),
         (-wt_t, b_hi),
     )
-    t2 = _dilated_delta_product(g2, "x0", "x2", "x1", cube, -1)
+    t2 = ca.delta_product(g2, "x0", "x2", "x1", cube, n_sign=-1)
     lhs = t1 - t2
     # right side: the bracket field composed through the logarithmic
     # change of variable in s = x0/x1, then the ratio delta kernel
@@ -572,16 +501,6 @@ def _comm_sides(u, v, target, win, y_order):
     return lhs, rhs
 
 
-def _vector_cell_mismatches(mismatches, mono, va, vb, target):
-    a = _as_vec(va)
-    b = _as_vec(vb)
-    diff = a - b
-    for parts, _ in diff.terms():
-        if len(mismatches) >= MISMATCH_CAP:
-            return
-        mismatches.append(mismatch_entry(list(mono), a.coeff(parts), b.coeff(parts), target))
-
-
 def _residue_weights(depth: int) -> "dict[int, Fraction]":
     """Residue transport weights of the substitution x0 = x1*(1 - e^y):
     the x0^a slice contributes [y^{-1-a}] of (-1)^(a+1) em1_unit(y)^a e^y."""
@@ -601,73 +520,53 @@ def residue_link_check(
     """Residue in x0 of the exponential-delta identity vs the commutator
     identity: the x0^(-1) slice, the change-of-variable evaluation of the
     same residue, and the residue-kernel right side must all agree."""
-    t0 = time.monotonic()
+    params = {"identity": "RES-LINK", "u": u, "v": v, "target": target, "x-window": win}
+    return timed_check("RES-LINK", params, residue_link_diffs)
+
+
+def residue_link_diffs(params: dict, mismatches: list) -> None:
+    u, v, target, win = params["u"], params["v"], params["target"], params["x-window"]
     wt_uv = _wt_max(u) + _wt_max(v)
-    params = {
-        "identity": "RES-LINK",
-        "u": serialize_vector(u),
-        "v": serialize_vector(v),
-        "target": serialize_vector(target),
-        "window": win,
-    }
-    mismatches: "list[dict]" = []
-    try:
-        nj_lhs, nj_rhs = _newjacobi_sides(u, v, target, win, x1_pad=wt_uv)
-        c_lhs, c_rhs = _comm_sides(u, v, target, win, wt_uv + 1)
-        rho = _residue_weights(wt_uv)
-        for b in range(-win, win + 1):
-            for c in range(-win, win + 1):
-                direct = _as_vec(nj_rhs.coefficient({"x0": -1, "x1": b, "x2": c}))
-                via = FockVector.zero()
-                for a, r in rho.items():
-                    if r:
-                        cell = _as_vec(
-                            nj_rhs.coefficient({"x0": a, "x1": b - a - 1, "x2": c})
-                        )
-                        via = via + cell.scaled(r)
-                comm = _as_vec(c_rhs.coefficient({"x1": b, "x2": c}))
-                left_slice = _as_vec(nj_lhs.coefficient({"x0": -1, "x1": b, "x2": c}))
-                left_comm = _as_vec(c_lhs.coefficient({"x1": b, "x2": c}))
-                _vector_cell_mismatches(mismatches, [b, c, 0], direct, via, target)
-                _vector_cell_mismatches(mismatches, [b, c, 1], via, comm, target)
-                _vector_cell_mismatches(mismatches, [b, c, 2], left_slice, left_comm, target)
-    except WindowInsufficientError as exc:
-        return make_report(
-            "RES-LINK", params, [], int((time.monotonic() - t0) * 1000), window_error=str(exc)
-        )
-    return make_report("RES-LINK", params, mismatches, int((time.monotonic() - t0) * 1000))
+    nj_lhs, nj_rhs = _newjacobi_sides(u, v, target, win, x1_pad=wt_uv)
+    c_lhs, c_rhs = _comm_sides(u, v, target, win, wt_uv + 1)
+    rho = _residue_weights(wt_uv)
+    for b in range(-win, win + 1):
+        for c in range(-win, win + 1):
+            direct = nj_rhs.coefficient({"x0": -1, "x1": b, "x2": c})
+            via = FockVector.zero()
+            for a, r in rho.items():
+                if r:
+                    cell = _as_vec(nj_rhs.coefficient({"x0": a, "x1": b - a - 1, "x2": c}))
+                    via = via + cell.scaled(r)
+            comm = c_rhs.coefficient({"x1": b, "x2": c})
+            left_slice = nj_lhs.coefficient({"x0": -1, "x1": b, "x2": c})
+            left_comm = c_lhs.coefficient({"x1": b, "x2": c})
+            note_diff(mismatches, [b, c, 0], direct, via, target)
+            note_diff(mismatches, [b, c, 1], via, comm, target)
+            note_diff(mismatches, [b, c, 2], left_slice, left_comm, target)
 
 
 # ----------------------------------------------------------------------
-# Theorem catalog
+# Named identity bodies, registered in the catalog
 
 
-def _default_targets(params) -> "list[FockVector]":
-    target = params.get("target")
-    if target is not None:
-        return [target]
-    return basis_up_to(params["weight-cap"])
-
-
-def _check_newjacobi(params, mismatches):
+def newjacobi_diffs(params: dict, mismatches: list) -> None:
     w = params["x-window"]
     cube = {"x0": (-w, w), "x1": (-w, w), "x2": (-w, w)}
-    for target in _default_targets(params):
+    for target in basis_up_to(params["weight-cap"]):
         lhs, rhs = _newjacobi_sides(params["u"], params["v"], target, w)
         for exps, va, vb in diff_on_box(lhs, rhs, cube):
             mono = [exps["x0"], exps["x1"], exps["x2"]]
-            _vector_cell_mismatches(mismatches, mono, va, vb, target)
+            note_diff(mismatches, mono, va, vb, target)
 
 
-def _check_comm(params, mismatches):
+def comm_diffs(params: dict, mismatches: list) -> None:
     w = params["x-window"]
     box = {"x1": (-w, w), "x2": (-w, w)}
-    for target in _default_targets(params):
+    for target in basis_up_to(params["weight-cap"]):
         lhs, rhs = _comm_sides(params["u"], params["v"], target, w, params["y-order"])
         for exps, va, vb in diff_on_box(lhs, rhs, box):
-            _vector_cell_mismatches(
-                mismatches, [exps["x1"], exps["x2"]], va, vb, target
-            )
+            note_diff(mismatches, [exps["x1"], exps["x2"]], va, vb, target)
 
 
 def _transported_mismatches(mismatches, diffs, w_orders, target, prefix):
@@ -685,18 +584,18 @@ def _transported_mismatches(mismatches, diffs, w_orders, target, prefix):
                 if not fac:
                     continue
                 mono = list(prefix) + [g1, g2] + [exps[k] for k in sorted(exps)]
-                _vector_cell_mismatches(
+                note_diff(
                     mismatches, mono, _as_vec(va).scaled(fac), _as_vec(vb).scaled(fac), target
                 )
 
 
-def _check_genjacobi(params, mismatches):
+def genjacobi_diffs(params: dict, mismatches: list) -> None:
     w = params["x-window"]
     o1, o2 = params["y-orders"]
     cube = {"x0": (-w, w), "x1": (-w, w), "x2": (-w, w)}
     uslices = _bracket_slices(params["u1"], params["v1"], o1)
     vslices = _bracket_slices(params["u2"], params["v2"], o2)
-    for target in _default_targets(params):
+    for target in basis_up_to(params["weight-cap"]):
         for alpha, ua in sorted(uslices.items()):
             for beta, vb in sorted(vslices.items()):
                 lhs, rhs = _newjacobi_sides(ua, vb, target, w)
@@ -706,13 +605,13 @@ def _check_genjacobi(params, mismatches):
                 )
 
 
-def _check_gencomm(params, mismatches):
+def gencomm_diffs(params: dict, mismatches: list) -> None:
     w = params["x-window"]
     o1, o2 = params["y-orders"]
     box = {"x1": (-w, w), "x2": (-w, w)}
     uslices = _bracket_slices(params["u1"], params["v1"], o1)
     vslices = _bracket_slices(params["u2"], params["v2"], o2)
-    for target in _default_targets(params):
+    for target in basis_up_to(params["weight-cap"]):
         for alpha, ua in sorted(uslices.items()):
             for beta, vb in sorted(vslices.items()):
                 lhs, rhs = _comm_sides(ua, vb, target, w, params["y-order"])
@@ -722,25 +621,13 @@ def _check_gencomm(params, mismatches):
                 )
 
 
-def _bracket_on_series(u: FockVector, g: Series, yvar: str, order: int) -> Series:
-    """Bracket field of u in a fresh variable, applied coefficientwise."""
+def _bracket_on_series(g: Series, yvar: str, order: int, u=None, v=None) -> Series:
+    """Bracket field y_bracket_apply(u, v) in a fresh variable, applied
+    coefficientwise: each coefficient of g fills the slot left None."""
     pieces = []
     for exps, vec in g.terms():
-        br = y_bracket_apply(u, vec, order).rename({"y": yvar})
-        pieces.append(mul(br, ca.monomial(dict(zip(g.variables, exps)))))
-    if not pieces:
-        wins = list(g.windows()) + [VarWindow(yvar, NEG_INF, order, 0, POS_INF)]
-        return Series(wins, {})
-    out = ca.aligned_sum(pieces)
-    out = _inherit_claims(out, g)
-    return out.restrict({yvar: (NEG_INF, order)})
-
-
-def _bracket_series_arg(g: Series, v: FockVector, yvar: str, order: int) -> Series:
-    """Bracket field with a series-valued first slot, applied to v."""
-    pieces = []
-    for exps, vec in g.terms():
-        br = y_bracket_apply(vec, v, order).rename({"y": yvar})
+        br = y_bracket_apply(vec if u is None else u, vec if v is None else v, order)
+        br = br.rename({"y": yvar})
         pieces.append(mul(br, ca.monomial(dict(zip(g.variables, exps)))))
     if not pieces:
         wins = list(g.windows()) + [VarWindow(yvar, NEG_INF, order, 0, POS_INF)]
@@ -804,23 +691,23 @@ def _fourterm_chains(u1, v1, u2, v2, orders, levels):
 
     r1 = y_bracket_apply(v1, v2, l1).rename({"y": "t1"})
     r3 = _bracket_on_series(
-        u2, _bracket_on_series(u1, r1, "y1", o1 + max(dv - 1, 0)), "y2", o2
+        _bracket_on_series(r1, "y1", o1 + max(dv - 1, 0), u=u1), "y2", o2, u=u2
     )
 
     q1 = y_bracket_apply(u1, v2, l1).rename({"y": "t2"})
-    q2 = _negate_var(_bracket_on_series(v1, q1, "__z", o1 + max(du - 1, 0)), "__z", "y1")
-    q3 = _bracket_on_series(u2, q2, "y2", o2)
+    q2 = _negate_var(_bracket_on_series(q1, "__z", o1 + max(du - 1, 0), u=v1), "__z", "y1")
+    q3 = _bracket_on_series(q2, "y2", o2, u=u2)
 
     s1 = y_bracket_apply(u2, v1, l2).rename({"y": "t3"})
-    s2 = _bracket_on_series(u1, s1, "y1", o1)
-    s3 = _bracket_series_arg(s2, v2, "y2", o2 + max(_wt_max(u2) + _wt_max(v1) - 1, 0))
+    s2 = _bracket_on_series(s1, "y1", o1, u=u1)
+    s3 = _bracket_on_series(s2, "y2", o2 + max(_wt_max(u2) + _wt_max(v1) - 1, 0), v=v2)
 
     p1 = y_bracket_apply(u2, u1, l3).rename({"y": "t4"})
-    p2 = _bracket_series_arg(p1, v1, "y1", o1)
+    p2 = _bracket_on_series(p1, "y1", o1, v=v1)
     cap_a = o1 + _pole_depth(p2, "y1")
     cap_b = max(dt4 - 1, 0)
     z_hi = o2 + cap_a + cap_b
-    p3 = _bracket_series_arg(p2, v2, "__z", z_hi)
+    p3 = _bracket_on_series(p2, "__z", z_hi, v=v2)
 
     return {
         "a": r3,
@@ -868,7 +755,7 @@ def _fourterm_rhs(chains, target, b, m):
     return out.restrict(ybox)
 
 
-def _check_fourterm(params, mismatches):
+def fourterm_diffs(params: dict, mismatches: list) -> None:
     u1, v1, u2, v2 = params["u1"], params["v1"], params["u2"], params["v2"]
     o1, o2 = params["y-orders"]
     w = params["x-window"]
@@ -878,7 +765,7 @@ def _check_fourterm(params, mismatches):
     vslices = _bracket_slices(u2, v2, o2)
     chains = _fourterm_chains(u1, v1, u2, v2, (o1, o2), tuple(params["inner-orders"]))
     box = {"y1": (-d1, o1), "y2": (-d2, o2)}
-    for target in _default_targets(params):
+    for target in basis_up_to(params["weight-cap"]):
         for b in range(-w, w + 1):
             for c in range(-w, w + 1):
                 data = {}
@@ -899,21 +786,19 @@ def _check_fourterm(params, mismatches):
                 rhs = _fourterm_rhs(chains, target, b, -b - c)
                 for exps, va, vb in diff_on_box(lhs, rhs, box):
                     mono = [b, c, exps["y1"], exps["y2"]]
-                    _vector_cell_mismatches(mismatches, mono, va, vb, target)
+                    note_diff(mismatches, mono, va, vb, target)
 
 
-def _check_bridge(params, mismatches):
+def bridge_diffs(params: dict, mismatches: list) -> None:
     """Doubly dilated regularized pair field vs the weight-shifted field
     of the bracket of the generator with itself."""
-    from .quadratic import gen_quadratic_coeff
-
     y_cap = params["y-order"]
     w_cap = params["w-order"]
     n_rng = params["mode-range"]
     g = generator()
     slices = _bracket_slices(g, g, y_cap + w_cap)
     gprime = _pole_scalar_coeffs()
-    for target in _default_targets(params):
+    for target in basis_up_to(params["weight-cap"]):
         for n in range(-n_rng, n_rng + 1):
             xw = {q: x_mode(vec, n, target) for q, vec in slices.items()}
             for a in range(-2, y_cap + 1):
@@ -933,7 +818,7 @@ def _check_bridge(params, mismatches):
                         fac *= F((-n) ** (bb - k), math.factorial(bb - k))
                         if fac:
                             rhs = rhs + vec.scaled(fac)
-                    _vector_cell_mismatches(mismatches, [a, bb, n], lhs, rhs, target)
+                    note_diff(mismatches, [a, bb, n], lhs, rhs, target)
 
 
 def _pole_scalar_coeffs() -> "dict[int, Fraction]":
@@ -943,11 +828,9 @@ def _pole_scalar_coeffs() -> "dict[int, Fraction]":
     return {-2: -(-1) * G[0], -1: F(0)}
 
 
-def _check_specialize(params, mismatches):
+def specialize_diffs(params: dict, mismatches: list) -> None:
     """The general commutator identity at four copies of the generator,
     dilations restored, against the dilated-pair bracket engine."""
-    from .quadratic import dilated_bracket_lhs
-
     oy1, ow1, oy2, ow2 = params["y-orders"]
     w = params["x-window"]
     caps = (oy1 + ow1, ow1, oy2 + ow2, ow2)
@@ -955,7 +838,7 @@ def _check_specialize(params, mismatches):
     uslices = _bracket_slices(g, g, oy1)
     vslices = _bracket_slices(g, g, oy2)
     box = {"x1": (-w, w), "x2": (-w, w)}
-    for target in _default_targets(params):
+    for target in basis_up_to(params["weight-cap"]):
         table = dilated_bracket_lhs(target, w, caps)
         for alpha in sorted(uslices):
             ua = uslices[alpha]
@@ -963,7 +846,7 @@ def _check_specialize(params, mismatches):
                 vb = vslices[beta]
                 lhs, rhs = _comm_sides(ua, vb, target, w, params["y-order"])
                 for exps, va, vv in diff_on_box(lhs, rhs, box):
-                    _vector_cell_mismatches(
+                    note_diff(
                         mismatches, [alpha, beta, exps["x1"], exps["x2"]], va, vv, target
                     )
                 if alpha < 0 or beta < 0:
@@ -972,7 +855,7 @@ def _check_specialize(params, mismatches):
                     for b in range(-w, w + 1):
                         for c in range(-w, w + 1):
                             cell = _as_vec(lhs.coefficient({"x1": b, "x2": c}))
-                            _vector_cell_mismatches(
+                            note_diff(
                                 mismatches,
                                 [alpha, beta, b, c],
                                 cell,
@@ -1003,94 +886,10 @@ def _check_specialize(params, mismatches):
                                 # scaled before comparing
                                 fac = F(b**g1, math.factorial(g1))
                                 fac *= F(c**g2, math.factorial(g2))
-                                _vector_cell_mismatches(
+                                note_diff(
                                     mismatches,
                                     [alpha, g1, beta, g2, b, c],
                                     cell.scaled(fac),
                                     pred.scaled(4),
                                     target,
                                 )
-
-
-_THEOREM_IDS = (
-    "NEWJACOBI",
-    "COMM",
-    "GENJACOBI",
-    "GENCOMM",
-    "FOURTERM",
-    "SPECIALIZE",
-    "BRIDGE",
-)
-
-
-def _theorem_defaults(check_id: str) -> dict:
-    g = generator()
-    if check_id == "NEWJACOBI":
-        return {"u": g, "v": g, "x-window": 2, "weight-cap": 3}
-    if check_id == "COMM":
-        return {"u": g, "v": g, "x-window": 3, "y-order": 3, "weight-cap": 3}
-    if check_id == "GENJACOBI":
-        return {
-            "u1": g, "v1": g, "u2": g, "v2": g,
-            "y-orders": [1, 1], "w-orders": [1, 1],
-            "x-window": 2, "weight-cap": 2,
-        }
-    if check_id == "GENCOMM":
-        return {
-            "u1": g, "v1": g, "u2": g, "v2": g,
-            "y-orders": [1, 1], "w-orders": [1, 1], "y-order": 2,
-            "x-window": 2, "weight-cap": 2,
-        }
-    if check_id == "FOURTERM":
-        return {
-            "u1": g, "v1": g, "u2": g, "v2": g,
-            "y-orders": [1, 1], "inner-orders": [2, 2, 2],
-            "x-window": 2, "weight-cap": 2,
-        }
-    if check_id == "SPECIALIZE":
-        return {"y-orders": [1, 1, 1, 1], "y-order": 3, "x-window": 2, "weight-cap": 4}
-    if check_id == "BRIDGE":
-        return {"y-order": 2, "w-order": 2, "mode-range": 2, "weight-cap": 3}
-    raise ValueError(f"unknown theorem id {check_id!r}")
-
-
-_THEOREM_BODIES = {
-    "NEWJACOBI": _check_newjacobi,
-    "COMM": _check_comm,
-    "GENJACOBI": _check_genjacobi,
-    "GENCOMM": _check_gencomm,
-    "FOURTERM": _check_fourterm,
-    "SPECIALIZE": _check_specialize,
-    "BRIDGE": _check_bridge,
-}
-
-
-def theorem_check(check_id: str, params: "Mapping | None" = None) -> CheckReport:
-    """Verify one named identity coefficientwise on its finite window."""
-    if check_id not in _THEOREM_IDS:
-        raise ValueError(f"unknown theorem id {check_id!r}")
-    t0 = time.monotonic()
-    merged = _theorem_defaults(check_id)
-    if params:
-        for k, v in params.items():
-            if k not in merged and k != "target":
-                raise ValueError(f"unknown parameter {k!r} for {check_id}")
-            merged[k] = v
-    report_params = {"identity": check_id}
-    for k in sorted(merged):
-        val = merged[k]
-        report_params[k] = serialize_vector(val) if isinstance(val, FockVector) else val
-    mismatches: "list[dict]" = []
-    try:
-        _THEOREM_BODIES[check_id](merged, mismatches)
-    except WindowInsufficientError as exc:
-        return make_report(
-            check_id,
-            report_params,
-            [],
-            int((time.monotonic() - t0) * 1000),
-            window_error=str(exc),
-        )
-    return make_report(
-        check_id, report_params, mismatches, int((time.monotonic() - t0) * 1000)
-    )

@@ -136,7 +136,7 @@ def test_criterion_07_bracket_identities():
     ]
     ok = True
     for cid, params in runs:
-        ok = ok and voa.theorem_check(cid, params).passed
+        ok = ok and catalog.run_check(cid, params).passed
     for u in (GEN, OMEGA):
         for tgt in basis_up_to(4):
             ok = ok and voa.residue_link_check(u, GEN, tgt, 3).passed
@@ -144,7 +144,7 @@ def test_criterion_07_bracket_identities():
 
 
 def test_criterion_08_specialization():
-    rep = voa.theorem_check("SPECIALIZE", {})
+    rep = catalog.run_check("SPECIALIZE", {})
     assert _line(8, rep.passed, "commutator formula specialized to the dilated bracket")
 
 

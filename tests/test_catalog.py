@@ -1,0 +1,79 @@
+"""Catalog registry tests.
+
+Every catalog id runs once through the command line at small flags and
+must reproduce, byte for byte, the json-lines record stored in
+catalog_golden.jsonl.  That file was written by the implementation that
+preceded the registry, with the renamed parameter keys (AXIOMS window,
+JACOBI windows, ZETA-TABLE max, GRADED-DIM max-weight) mapped to the
+flag names that set them; regenerate it only for an intended change of
+report content.  The mismatch cap is checked on a deliberately broken
+oscillator action.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+import pytest
+
+from zetafock import catalog, cli, reports
+from zetafock.fock import h_apply
+
+GOLDEN = {
+    json.loads(line)["check-id"]: line
+    for line in Path(__file__).with_name("catalog_golden.jsonl")
+    .read_text()
+    .splitlines(keepends=True)
+}
+
+RUNS = [
+    ["HEISENBERG", "--weight-cap", "3", "--mode-range", "2"],
+    ["VIRASORO", "--weight-cap", "4", "--mode-range", "2"],
+    ["MODVIR", "--weight-cap", "4", "--mode-range", "2"],
+    ["BLOCH-MONOMIAL", "--mode-range", "2"],
+    ["ZETA-TABLE", "--mode-range", "6"],
+    ["GRADED-DIM", "--weight-cap", "10"],
+    ["WICK", "--x-window", "1", "--weight-cap", "2", "--y-order", "1"],
+    ["THEOREM1", "--x-window", "1", "--weight-cap", "2"]
+    + ["--y-order", "1", "--y-order", "0", "--y-order", "1", "--y-order", "0"],
+    ["AXIOMS", "--weight-cap", "2", "--x-window", "2"],
+    ["JACOBI", "--weight-cap", "1", "--x-window", "1"],
+    ["NEWJACOBI", "--weight-cap", "1", "--x-window", "1"],
+    ["COMM", "--weight-cap", "2", "--x-window", "2", "--y-order", "2"],
+    ["GENJACOBI", "--weight-cap", "1", "--x-window", "1", "--y-order", "1", "--y-order", "0"],
+    ["GENCOMM", "--weight-cap", "1", "--x-window", "1"]
+    + ["--y-order", "1", "--y-order", "1", "--y-order", "2"],
+    ["FOURTERM", "--weight-cap", "1", "--x-window", "1", "--y-order", "1", "--y-order", "1"],
+    ["SPECIALIZE", "--weight-cap", "2", "--x-window", "1", "--y-order", "1", "--y-order", "0"],
+    ["BRIDGE", "--weight-cap", "2", "--mode-range", "1", "--y-order", "1", "--y-order", "1"],
+    ["RES-CHANGE", "--seed", "7"],
+]
+
+
+def test_runs_cover_the_catalog():
+    assert [argv[0] for argv in RUNS] == list(catalog.CATALOG_IDS)
+    assert list(GOLDEN) == list(catalog.CATALOG_IDS)
+
+
+@pytest.mark.parametrize("argv", RUNS, ids=lambda argv: argv[0])
+def test_report_matches_golden(argv, capsys):
+    code = cli.main(["verify"] + argv)
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == GOLDEN[argv[0]]
+
+
+def test_mismatch_cap_keeps_the_total(monkeypatch):
+    # a doubled oscillator action breaks every bracket with m + n = 0
+    monkeypatch.setattr(catalog, "h_apply", lambda n, v: h_apply(n, v).scaled(2))
+    rep = catalog.run_check("HEISENBERG", {"weight-cap": 8})
+    assert rep.status == "fail"
+    assert len(rep.mismatches) == reports.MISMATCH_CAP
+    total = rep.params["mismatches-total"]
+    assert total > reports.MISMATCH_CAP
+    monkeypatch.setattr(reports, "MISMATCH_CAP", total)
+    full = catalog.run_check("HEISENBERG", {"weight-cap": 8})
+    assert len(full.mismatches) == total
+    assert "mismatches-total" not in full.params
+    assert full.mismatches[: len(rep.mismatches)] == rep.mismatches

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from zetafock import cli
 from zetafock.catalog import SUITES
 from zetafock.reports import CheckReport
@@ -51,7 +53,7 @@ def test_single_check_selection(capsys):
     assert len(lines) == 1
     rec = json.loads(lines[0])
     assert rec["check-id"] == "GRADED-DIM"
-    assert rec["params"]["max-weight"] == 12
+    assert rec["params"]["weight-cap"] == 12
 
 
 def test_empty_selection_exits_zero(capsys):
@@ -81,7 +83,7 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     recs = [json.loads(ln) for ln in out.read_text().splitlines()]
     assert [r["check-id"] for r in recs] == list(SUITES["zeta"])
     # the flag wins over the file value 4
-    assert recs[0]["params"]["max"] == 2
+    assert recs[0]["params"]["mode-range"] == 2
     assert recs[1]["params"]["modes"] == [1, 2]
 
 
@@ -112,6 +114,49 @@ def test_y_order_flag_reaches_check(capsys):
     )
     assert code == 0
     assert json.loads(out)["params"]["y-order"] == 1
+
+
+def test_y_order_values_fill_the_first_slots(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("suite=THEOREM1\ny-order=1,2\n")
+    for argv in (
+        ["verify", "THEOREM1", "--y-order", "1", "--y-order", "2"],
+        ["verify", "--config", str(cfg)],
+    ):
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        assert json.loads(out)["params"]["y-orders"] == [1, 2, 1, 1]
+
+
+@pytest.mark.parametrize(
+    "flags, config, named",
+    [
+        (
+            ["VIRASORO", "--x-window", "9", "--y-order", "5"],
+            "suite=VIRASORO\nx-window=9\ny-order=5\n",
+            ["--x-window", "--y-order", "VIRASORO"],
+        ),
+        (
+            ["core", "--x-window", "3"],
+            "suite=core\nx-window=3\n",
+            ["--x-window", "HEISENBERG", "GRADED-DIM"],
+        ),
+        (
+            ["COMM", "--y-order", "1", "--y-order", "2"],
+            "suite=COMM\ny-order=1,2\n",
+            ["--y-order", "COMM"],
+        ),
+    ],
+)
+def test_inapplicable_flags_are_usage_errors(flags, config, named, tmp_path, capsys):
+    code, out, err = run(["verify"] + flags, capsys)
+    assert code == 2
+    assert out == ""
+    for word in named:
+        assert word in err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    assert run(["verify", "--config", str(cfg)], capsys) == (2, "", err)
 
 
 def test_exit_one_on_failure_and_window_status(capsys):

@@ -66,7 +66,7 @@ def test_reg_constants():
 def test_mixed_reg_constant_against_series_kernel():
     # same numbers out of the generic series machinery: coefficient of
     # y1^a y2^b in -(1/2) d/dy1 of the expanded contraction kernel
-    K = ca.reg_inv_one_minus_exp("y1", "y2", 8)
+    K = ca.inv_one_minus_exp("y1", "y2", 8)
     dK = K.derivative("y1")
     for a in range(4):
         for b in range(4):
@@ -207,6 +207,27 @@ def test_gen_quadratic_coeff_consistency():
                 want = q.quad_apply(q.QuadraticOpSpec(r, r, n, True), v)
                 assert got.scaled(math.factorial(r) ** 2) == want
             assert q.gen_quadratic_coeff(0, 0, n, v) == q.l_mode(n, v)
+
+
+def test_gen_quadratic_coeff_against_mode_sum():
+    # gen_quadratic_coeff is computed through quad_apply; this oracle sums
+    # (1/2) (-j)^a (-k)^b / (a! b!) :h(j)h(k): over j + k = n directly
+    for v in basis_up_to(3):
+        for n in range(-3, 4):
+            bound = 3 + abs(n)
+            for a in range(3):
+                for b in range(3):
+                    want = FockVector.zero()
+                    for j in range(-bound, bound + 1):
+                        k = n - j
+                        if j and k:
+                            c = F((-j) ** a * (-k) ** b, 2 * math.factorial(a) * math.factorial(b))
+                            want = want + q.pair_apply(j, k, v).scaled(c)
+                    assert q.gen_quadratic_coeff(a, b, n, v) == want, (v, n, a, b)
+                    if n == 0:
+                        want = want + v.scaled(q.mixed_reg_constant(a, b))
+                    got = q.gen_quadratic_coeff(a, b, n, v, regularized=True)
+                    assert got == want, (v, n, a, b)
 
 
 def test_gen_quadratic_coeff_mixed_example():

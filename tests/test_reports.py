@@ -32,14 +32,6 @@ def test_serialize_vector_sorted_by_weight():
     ]
 
 
-def test_serialize_series_terms():
-    rows = rp.serialize_series_terms([((1, 0), F(2)), ((-1, 2), F(1, 3))])
-    assert rows == [
-        {"exponents": [-1, 2], "value": "1/3"},
-        {"exponents": [1, 0], "value": "2"},
-    ]
-
-
 def test_status_rules():
     ok = rp.make_report("X", {}, [])
     assert ok.status == "pass" and ok.passed

@@ -272,12 +272,6 @@ def test_rename_and_drop():
     g = geom("x", 3).rename({"x": "t"})
     assert g.variables == ("t",)
     assert win(g, "t") == (NEG_INF, 3, 0, POS_INF)
-    c = Series([VarWindow.full("x")], {(0,): Fraction(4)})
-    assert c.drop_variable("x").coefficient({}) == 4
-    with pytest.raises(ValueError):
-        poly("x", {1: 1}).drop_variable("x")
-    with pytest.raises(WindowInsufficientError):
-        Series([VarWindow("x", 2, 5)], {(2,): Fraction(1)}).drop_variable("x")
 
 
 def test_with_variables_adjoins_constants():
@@ -288,15 +282,6 @@ def test_with_variables_adjoins_constants():
     assert f.coefficient({"x": 1, "y": 3}) == 0
     with pytest.raises(VariableMismatchError):
         f.with_variables(["x"])
-
-
-def test_with_band_asserts_caller_knowledge():
-    d = Series([VarWindow.box("x", 4)], {(k,): Fraction(1) for k in range(-2, 5)})
-    assert win(d, "x") == (-4, 4, NEG_INF, POS_INF)
-    t = d.with_band("x", -2, POS_INF)
-    assert win(t, "x") == (-4, 4, -2, POS_INF)
-    with pytest.raises(ValueError):
-        d.with_band("x", 0, POS_INF)
 
 
 def test_restrict():

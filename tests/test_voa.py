@@ -9,6 +9,7 @@ degenerations that tie the checks to one another.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -16,9 +17,11 @@ from fractions import Fraction
 import pytest
 
 from zetafock import calculus as ca
+from zetafock import catalog
 from zetafock import quadratic as q
 from zetafock import voa
 from zetafock.fock import FockVector, basis_up_to, h_apply, weight
+from zetafock.reports import note_diff
 
 F = Fraction
 
@@ -67,6 +70,32 @@ def test_derivative_state_modes():
     for v in basis_up_to(5):
         for n in range(-5, 6):
             assert voa.vertex_mode(u, n, v) == h_apply(n - 1, v).scaled(-n)
+
+
+def test_modes_match_mode_tuple_sum():
+    # oracle: the x^(-n-1) coefficient of the normal-ordered product,
+    # summed over every current-mode tuple (m_i) in a box wide enough to
+    # hold all nonzero terms, annihilators applied first
+    for u in basis_up_to(3)[1:]:
+        (u_parts, _), = u.terms()
+        for v in basis_up_to(4):
+            wv = weight(next(iter(v.terms()))[0])
+            for n in range(-weight(u_parts) - 2, weight(u_parts) + wv + 1):
+                total = n + 1 - weight(u_parts)
+                span = range(total - wv, wv + 1)
+                want = FockVector.zero()
+                for head in itertools.product(span, repeat=len(u_parts) - 1):
+                    ms = head + (total - sum(head),)
+                    if ms[-1] not in span or 0 in ms:
+                        continue
+                    c = F(1)
+                    for m, ni in zip(ms, u_parts):
+                        c *= ca.binom(-m - 1, ni - 1)
+                    vec = v
+                    for m in sorted(ms, reverse=True):
+                        vec = h_apply(m, vec)
+                    want = want + vec.scaled(c)
+                assert voa.vertex_mode(u, n, v) == want, (u, n, v)
 
 
 def test_mode_weight_law_and_linearity_seeded():
@@ -123,7 +152,7 @@ def test_axiom_check_rejects_unknown_name():
 
 def test_mismatch_recording_shape():
     mm = []
-    voa._vector_cell_mismatches(mm, [1, 2], VAC, VAC.scaled(F(2)), VAC)
+    note_diff(mm, [1, 2], VAC, VAC.scaled(F(2)), VAC)
     assert mm[0]["monomial"] == [1, 2]
     assert mm[0]["lhs"] == "1"
     assert mm[0]["rhs"] == "2"
@@ -194,32 +223,32 @@ def test_comm_heisenberg_oracle():
 
 
 def test_newjacobi_and_comm_pass():
-    assert voa.theorem_check("NEWJACOBI", {"x-window": 1, "weight-cap": 2}).passed
-    assert voa.theorem_check("COMM", {"x-window": 2, "y-order": 2, "weight-cap": 2}).passed
+    assert catalog.run_check("NEWJACOBI", {"x-window": 1, "weight-cap": 2}).passed
+    assert catalog.run_check("COMM", {"x-window": 2, "y-order": 2, "weight-cap": 2}).passed
 
 
 def test_gen_identities_pass_small():
     small = {"x-window": 1, "weight-cap": 1}
-    assert voa.theorem_check("GENJACOBI", small).passed
-    assert voa.theorem_check("GENCOMM", small).passed
-    assert voa.theorem_check("FOURTERM", small).passed
+    assert catalog.run_check("GENJACOBI", small).passed
+    assert catalog.run_check("GENCOMM", small).passed
+    assert catalog.run_check("FOURTERM", small).passed
 
 
 def test_genjacobi_degenerates_to_newjacobi():
     # at bracket order zero against the vacuum the slice tables collapse
     # to the plain inputs, so the general identity IS the plain one
     assert voa._bracket_slices(GEN, VAC, 0) == {0: GEN}
-    rep = voa.theorem_check(
+    rep = catalog.run_check(
         "GENJACOBI",
         {"v1": VAC, "v2": VAC, "y-orders": [0, 0], "w-orders": [0, 0],
          "x-window": 2, "weight-cap": 2},
     )
     assert rep.passed
-    assert voa.theorem_check("NEWJACOBI", {"x-window": 2, "weight-cap": 2}).passed
+    assert catalog.run_check("NEWJACOBI", {"x-window": 2, "weight-cap": 2}).passed
 
 
 def test_bridge_passes_and_vacuum_scalar():
-    assert voa.theorem_check("BRIDGE", {"weight-cap": 2}).passed
+    assert catalog.run_check("BRIDGE", {"weight-cap": 2}).passed
     # order y^1 w^1 at mode zero on the vacuum: the regularized pair
     # side is -1/120, and the bracket side reduces to the scalar part
     # of slice 2, namely -2 * 1/240
@@ -231,7 +260,7 @@ def test_bridge_passes_and_vacuum_scalar():
 
 
 def test_specialize_passes_small():
-    assert voa.theorem_check("SPECIALIZE", {"weight-cap": 2}).passed
+    assert catalog.run_check("SPECIALIZE", {"weight-cap": 2}).passed
 
 
 def test_residue_link_small():
@@ -244,13 +273,13 @@ def test_residue_link_small():
 
 def test_theorem_check_rejects_bad_input():
     with pytest.raises(ValueError):
-        voa.theorem_check("NOSUCH")
+        catalog.run_check("NOSUCH")
     with pytest.raises(ValueError):
-        voa.theorem_check("COMM", {"z-window": 2})
+        catalog.run_check("COMM", {"z-window": 2})
 
 
 def test_theorem_report_serializes_vectors():
-    rep = voa.theorem_check("NEWJACOBI", {"x-window": 1, "weight-cap": 1})
+    rep = catalog.run_check("NEWJACOBI", {"x-window": 1, "weight-cap": 1})
     assert rep.params["identity"] == "NEWJACOBI"
     assert rep.params["u"] == [{"parts": [1], "coeff": "1"}]
     assert rep.params["x-window"] == 1
