@@ -371,11 +371,8 @@ def subst_monomial(
     s: str,
     shifts: Mapping[str, int],
     caps: Mapping[str, int],
-    exp_scales: "Sequence[tuple[str, int]]" = (),
-    exp_order: int = 0,
 ) -> Series:
-    """Substitute s = prod(var^mult) * prod(exp(scale*w)) with the
-    exponential factors truncated at exp_order.
+    """Substitute s = prod(var^mult).
 
     ``caps`` bounds the result box of at least one positive-mult shift
     variable; the slice cutoff is derived from those caps, and omitted
@@ -383,9 +380,7 @@ def subst_monomial(
     """
     if not shifts or any(m == 0 for m in shifts.values()):
         raise ValueError("monomial substitution needs nonzero shift multipliers")
-    names_out = sorted(
-        set(f.variables) - {s} | set(shifts) | {wv for wv, _ in exp_scales}
-    )
+    names_out = sorted(set(f.variables) - {s} | set(shifts))
     if _vanishes(f):
         return Series.zero(names_out)
     w = f.window(s)
@@ -416,8 +411,6 @@ def subst_monomial(
             sl = sl.with_variables(missing)
         for v, m in shifts.items():
             sl = sl.shift(v, k * m)
-        for wv, sc in exp_scales:
-            sl = mul(sl, exp_series(wv, exp_order, k * sc))
         terms.append(sl)
     out = aligned_sum(terms)
     out = out.restrict(
@@ -430,18 +423,18 @@ def subst_monomial(
             else:
                 ceil0 = 0 if v not in f.variables else f.window(v).support_high
                 out = widen_band(out, v, NEG_INF, ceil0 + k_min * m)
-        for wv, _ in exp_scales:
-            out = widen_band(out, wv, 0, POS_INF)
     return out
 
 
-def _compositions(k: int, m: int) -> "Iterable[tuple[int, ...]]":
-    """All m-tuples of nonnegative integers summing to k."""
-    if m == 1:
-        yield (k,)
+def _compositions(k: int, caps: "Sequence[int]") -> "Iterable[tuple[int, ...]]":
+    """All tuples of nonnegative integers summing to k whose entry i is
+    at most caps[i]."""
+    if not caps:
+        if k == 0:
+            yield ()
         return
-    for first in range(k + 1):
-        for rest in _compositions(k - first, m - 1):
+    for first in range(min(k, caps[0]) + 1):
+        for rest in _compositions(k - first, caps[1:]):
             yield (first,) + rest
 
 
@@ -457,7 +450,10 @@ def subst_taylor_linear(
     Slices may be Laurent: s^a maps to sum_j binom(a, j) base^(a-j) P^j
     with P the linear part.  base and the part variables must be fresh.
     The truncation j <= sum(caps) is complete inside the capped part
-    boxes, and unknown slices above the s box cap the base box.
+    boxes, and unknown slices above the s box cap the base box.  Terms
+    outside that result box are never kept: no part exponent above its
+    cap is formed, and each slice product is clipped to the box and
+    added to the running sum as it is built.
     """
     fresh = [base] + [v for _, v in parts]
     if len(set(fresh)) != len(fresh):
@@ -487,19 +483,23 @@ def subst_taylor_linear(
     if a_lo > a_hi:
         raise WindowInsufficientError("the s box excludes every slice of the input")
     _require_known_slices(f, s, a_lo, a_hi)
-    m = len(parts)
-    vars_all = fresh
-    perm = sorted(range(m + 1), key=lambda i: vars_all[i])
-    terms = []
+    box: "dict[str, tuple[int | float, int | float]]" = {
+        v: (NEG_INF, caps[v]) for _, v in parts
+    }
+    if not complete:
+        box[base] = (NEG_INF, a_hi - j_cap)
+    part_caps = [caps[v] for _, v in parts]
+    perm = sorted(range(len(fresh)), key=lambda i: fresh[i])
+    wins = [VarWindow(fresh[i], NEG_INF, POS_INF) for i in perm]
+    out = None
     for a in range(a_lo, a_hi + 1):
-        sl = f.slice_at(s, a)
         data: "dict[tuple[int, ...], Fraction]" = {}
         for j in range(j_cap + 1):
             cj = binom(a, j)
             if not cj:
                 continue
             jfact = math.factorial(j)
-            for js in _compositions(j, m) if m else [()]:
+            for js in _compositions(j, part_caps):
                 c = cj * jfact
                 for jj in js:
                     c /= math.factorial(jj)
@@ -513,16 +513,9 @@ def subst_taylor_linear(
                         data[key] = prev
                     elif key in data:
                         del data[key]
-        wins = [VarWindow(vars_all[i], NEG_INF, POS_INF) for i in perm]
-        piece = Series(wins, data)
-        terms.append(mul(sl, piece))
-    out = aligned_sum(terms)
-    box: "dict[str, tuple[int | float, int | float]]" = {
-        v: (NEG_INF, caps[v]) for _, v in parts
-    }
-    if not complete:
-        box[base] = (NEG_INF, a_hi - j_cap)
-    out = out.restrict(box)
+        prod = mul(f.slice_at(s, a), Series(wins, data), clip=box)
+        out = prod if out is None else out + prod
+    out = out.restrict(box)  # a provably zero slice product skips the clip
     for _, v in parts:
         out = widen_band(out, v, 0, POS_INF)
     out = widen_band(out, base, NEG_INF, a_hi if complete else POS_INF)

@@ -523,20 +523,6 @@ class Series:
             for e, data in grouped.items()
         }
 
-    def attach(self, name: str, e: int, window: VarWindow) -> "Series":
-        """Inverse of :meth:`slice_at`: multiply by ``name``^e and adjoin."""
-        if name in self._wins:
-            raise VariableMismatchError(f"variable {name!r} already present")
-        if not (window.contains(e) and window.in_band(e)):
-            raise ValueError("attached exponent outside its window")
-        wins = sorted(list(self.windows()) + [window], key=lambda w: w.name)
-        pos = [w.name for w in wins].index(name)
-        data = {}
-        for exps, val in self._coeffs.items():
-            data[exps[:pos] + (e,) + exps[pos:]] = val
-        wins_t = _normalize_bands(tuple(wins), data)
-        return Series._raw(wins_t, data)
-
     # ------------------------------------------------------------------
     # Calculus on exponents
 

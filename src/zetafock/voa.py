@@ -718,22 +718,38 @@ def _fourterm_chains(u1, v1, u2, v2, orders, levels):
     }
 
 
-def _fourterm_rhs(chains, target, b, m):
+def _fourterm_rhs(chains, b):
+    """Right side of the four-term identity at kernel exponent b, before
+    the mode map: a series in y1, y2 with vector coefficients.
+
+    Every step after the chains (products with scalar exponentials,
+    Taylor shifts, monomial substitutions, residues, restrictions) is
+    linear with scalar coefficients, so it commutes with the
+    coefficientwise map x_mode(., m, target), which is linear in its
+    first slot; fourterm_diffs applies that map last, per cell.
+    The truncation orders below grow with pole depths read off the
+    bands (_mul_exp, _shift_merge_residue).  The map keeps every window
+    and only drops coefficients, and bands shrink to the surviving
+    data, so a mapped chain's pole depths are at most the unmapped
+    ones: orders read here are at least as high as per-target ones, and
+    every term the per-target pipeline kept is kept.  The t4
+    substitution offsets its cap by the depth, so it too keeps at
+    least the slices a per-target run kept."""
     o1, o2 = chains["orders"]
     ybox = {"y1": (NEG_INF, o1), "y2": (NEG_INF, o2)}
 
     # first term: innermost bracket in t1, y1 shifted upward by t1
-    core = _mul_exp(_map_mode(chains["a"], m, target), "t1", -b, 0)
+    core = _mul_exp(chains["a"], "t1", -b, 0)
     term_a = _shift_merge_residue(core, "y1", "t1", 1).restrict(ybox)
 
     # second term: innermost bracket in t2, reversed middle bracket in -y1
     q3, y1_hi = chains["b"]
-    core = _mul_exp(_map_mode(q3, m, target), "y1", b, y1_hi)
+    core = _mul_exp(q3, "y1", b, y1_hi)
     term_b = _shift_merge_residue(core, "y1", "t2", -1).restrict(ybox)
 
     # third term: nested first slot, outer bracket in y2 shifted by -t3
     s3, y2_hi = chains["c"]
-    core = _mul_exp(_map_mode(s3, m, target), "y2", -b, y2_hi)
+    core = _mul_exp(s3, "y2", -b, y2_hi)
     term_c = _shift_merge_residue(core, "y2", "t3", -1).restrict(ybox)
 
     # fourth term: doubly nested first slot, outer bracket evaluated at
@@ -742,7 +758,7 @@ def _fourterm_rhs(chains, target, b, m):
     # exp(b*(y1 - y2 + t4)) is exp(-b*z) on the nose, multiplied in
     # before the substitution)
     p3, cap_a, cap_b, z_hi = chains["d"]
-    core = _mul_exp(_map_mode(p3, m, target), "__z", -b, z_hi)
+    core = _mul_exp(p3, "__z", -b, z_hi)
     g = ca.subst_taylor_linear(
         core, "__z", "y2", [(-1, "__a"), (-1, "__b")],
         {"__a": cap_a, "__b": cap_b},
@@ -756,6 +772,10 @@ def _fourterm_rhs(chains, target, b, m):
 
 
 def fourterm_diffs(params: dict, mismatches: list) -> None:
+    """Commutator of two bracket fields against the four-term right side
+    on every (target, b, c) cell.  The right side depends on the target
+    and on c only through the final mode map x_mode(., -b - c, target),
+    so it is built once per b (see _fourterm_rhs) and mapped per cell."""
     u1, v1, u2, v2 = params["u1"], params["v1"], params["u2"], params["v2"]
     o1, o2 = params["y-orders"]
     w = params["x-window"]
@@ -764,6 +784,7 @@ def fourterm_diffs(params: dict, mismatches: list) -> None:
     uslices = _bracket_slices(u1, v1, o1)
     vslices = _bracket_slices(u2, v2, o2)
     chains = _fourterm_chains(u1, v1, u2, v2, (o1, o2), tuple(params["inner-orders"]))
+    rhs_by_b = {b: _fourterm_rhs(chains, b) for b in range(-w, w + 1)}
     box = {"y1": (-d1, o1), "y2": (-d2, o2)}
     for target in basis_up_to(params["weight-cap"]):
         for b in range(-w, w + 1):
@@ -783,7 +804,7 @@ def fourterm_diffs(params: dict, mismatches: list) -> None:
                     ],
                     data,
                 )
-                rhs = _fourterm_rhs(chains, target, b, -b - c)
+                rhs = _map_mode(rhs_by_b[b], -b - c, target)
                 for exps, va, vb in diff_on_box(lhs, rhs, box):
                     mono = [b, c, exps["y1"], exps["y2"]]
                     note_diff(mismatches, mono, va, vb, target)

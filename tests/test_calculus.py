@@ -250,15 +250,12 @@ def test_substitute_valuation_rejects_unbounded_laurent():
         ca.substitute_valuation(f, "s", "t", ca.em1_unit, 4)
 
 
-def test_subst_monomial_ratio_with_exp_factor():
+def test_subst_monomial_ratio():
     f = fk("s", {0: 1, 1: 1, 2: 1})
-    g = ca.subst_monomial(
-        f, "s", {"x0": 1, "x1": -1}, {"x0": 2}, exp_scales=[("w", -1)], exp_order=3
-    )
-    assert g.coefficient({"x0": 0, "x1": 0, "w": 0}) == 1
-    assert g.coefficient({"x0": 1, "x1": -1, "w": 0}) == 1
-    assert g.coefficient({"x0": 1, "x1": -1, "w": 1}) == -1
-    assert g.coefficient({"x0": 2, "x1": -2, "w": 2}) == 2
+    g = ca.subst_monomial(f, "s", {"x0": 1, "x1": -1}, {"x0": 2})
+    assert g.coefficient({"x0": 0, "x1": 0}) == 1
+    assert g.coefficient({"x0": 1, "x1": -1}) == 1
+    assert g.coefficient({"x0": 2, "x1": -2}) == 1
     w0 = g.window("x0")
     assert (w0.support_low, w0.support_high) == (0, 2)
 
@@ -289,6 +286,57 @@ def test_subst_taylor_linear_caps_base_for_unknown_slices():
     assert g.window("b").high == 0  # 2 - j_cap
     assert g.window("b").support_high == POS_INF
     assert g.coefficient({"b": 0, "u": 2}) == 3 * ca.binom(2, 2)
+
+
+def _gen_binom(k: int, n: int) -> Fraction:
+    """k(k-1)...(k-n+1)/n! for any integer k, built factor by factor."""
+    out = F(1)
+    for t in range(n):
+        out = out * (k - t) / (t + 1)
+    return out
+
+
+def test_subst_taylor_linear_two_parts_vs_binomial_oracle_seeded():
+    # s = base - a - b with unequal caps, so compositions pruned at one
+    # part's cap still feed the other; every cell of the capped box is
+    # compared with (base + P)^k = sum_n C(k, n) base^(k-n) P^n and
+    # P^n = sum_i C(n, i) (-a)^i (-b)^(n-i), slice by slice
+    rng = random.Random(4410)
+    caps = {"a": 1, "b": 3}
+    j_cap = caps["a"] + caps["b"]
+    for trial in range(12):
+        data = {}
+        for k in range(rng.randrange(-3, 1), rng.randrange(1, 4)):
+            for e in range(2):
+                if rng.random() < 0.7:
+                    data[(k, e)] = F(rng.randrange(-4, 5))
+        data = {key: c for key, c in data.items() if c} or {(-2, 1): F(3)}
+        f = Series([VarWindow("s", NEG_INF, POS_INF), VarWindow("x", NEG_INF, POS_INF)], data)
+        g = ca.subst_taylor_linear(f, "s", "base", [(-1, "a"), (-1, "b")], caps)
+        assert (g.window("a").high, g.window("b").high) == (1, 3)
+        ks = [k for k, _ in data]
+        box = {
+            "a": (0, 1),
+            "b": (0, 3),
+            "base": (min(ks) - j_cap, max(ks)),
+            "x": (0, 1),
+        }
+        assert g.known_on(box), trial
+        want: "dict[tuple[int, ...], Fraction]" = {}
+        for (k, e), c in data.items():
+            for n in range(j_cap + 1):
+                for i in range(n + 1):
+                    key = (i, n - i, k - n, e)
+                    term = c * _gen_binom(k, n) * _gen_binom(n, i) * (-1) ** n
+                    want[key] = want.get(key, F(0)) + term
+        for ea in range(2):
+            for eb in range(4):
+                for eb0 in range(box["base"][0], box["base"][1] + 1):
+                    for ex in range(2):
+                        got = g.coefficient({"a": ea, "b": eb, "base": eb0, "x": ex})
+                        assert got == want.get((ea, eb, eb0, ex), 0), (
+                            trial, ea, eb, eb0, ex
+                        )
 
 
 def test_taylor_shift_matches_binomial_formula_seeded():

@@ -234,6 +234,34 @@ def test_gen_identities_pass_small():
     assert catalog.run_check("FOURTERM", small).passed
 
 
+@pytest.mark.parametrize("key", ["a", "b", "c", "d"])
+def test_fourterm_fails_with_a_doubled_rhs_chain(monkeypatch, key):
+    # the right side is built once per kernel exponent and mapped onto
+    # each target last; doubling any one of its four chains must still
+    # be seen on some (target, b, c) cell
+    real = voa._fourterm_chains
+
+    def doubled(*args):
+        chains = dict(real(*args))
+        entry = chains[key]
+        if isinstance(entry, tuple):
+            chains[key] = (entry[0].scale(2),) + entry[1:]
+        else:
+            chains[key] = entry.scale(2)
+        return chains
+
+    monkeypatch.setattr(voa, "_fourterm_chains", doubled)
+    rep = catalog.run_check("FOURTERM", {"weight-cap": 1, "x-window": 1})
+    assert rep.status == "fail"
+    assert rep.mismatches
+
+
+@pytest.mark.parametrize("slot", ["u1", "v2"])
+def test_fourterm_passes_with_conformal_vector(slot):
+    params = {slot: voa._omega(), "weight-cap": 1, "x-window": 1}
+    assert catalog.run_check("FOURTERM", params).passed
+
+
 def test_genjacobi_degenerates_to_newjacobi():
     # at bracket order zero against the vacuum the slice tables collapse
     # to the plain inputs, so the general identity IS the plain one
