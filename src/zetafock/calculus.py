@@ -202,11 +202,6 @@ def log1m(t: str, order: int) -> Series:
     return Series([win], {(k,): Fraction(-1, k) for k in range(1, order + 1)})
 
 
-def residue(f: Series, x: str) -> Series:
-    """Coefficient of x^(-1) as a series in the remaining variables."""
-    return f.residue(x)
-
-
 # ----------------------------------------------------------------------
 # Window plumbing helpers
 

@@ -11,23 +11,15 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
 
-from .catalog import CATALOG_IDS, SUITES, run_suite
+from .catalog import CATALOG_IDS, FLAGS, SUITES, run_suite
 from .fock import graded_dim
 from .quadratic import bernoulli, zeta_neg
 from .reports import format_scalar, render_reports
 
-_CONFIG_KEYS = (
-    "suite",
-    "weight-cap",
-    "x-window",
-    "y-order",
-    "mode-range",
-    "seed",
-    "format",
-    "out",
-)
+# verify settings: the suite, the check flags, and the output options;
+# each is a config key and, apart from suite, a --flag of the same name
+_KEYS = ("suite", *FLAGS, "y-order", "format", "out")
 _FORMATS = ("json-lines", "table")
 
 
@@ -35,52 +27,28 @@ class UsageError(Exception):
     pass
 
 
-@dataclass
-class RunConfig:
-    """Resolved verify-run settings; None fields fall back to per-check defaults."""
-
-    selection: "str | None" = None
-    weight_cap: "int | None" = None
-    x_window: "int | None" = None
-    y_orders: "list[int]" = field(default_factory=list)
-    mode_range: "int | None" = None
-    seed: "int | None" = None
-    fmt: str = "json-lines"
-    out: "str | None" = None
-
-    def flags(self) -> dict:
-        """The check flags that were set, by flag name."""
-        values = {
-            "weight-cap": self.weight_cap,
-            "x-window": self.x_window,
-            "y-order": self.y_orders or None,
-            "mode-range": self.mode_range,
-            "seed": self.seed,
-        }
-        return {k: v for k, v in values.items() if v is not None}
-
-
-def _positive(key: str, value: int) -> int:
-    if value < 1:
-        raise UsageError(f"{key} must be positive, got {value}")
+def _parse_int(key: str, text: str, least: "int | None") -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise UsageError(f"{key} expects an integer, got {text!r}") from None
+    if least is not None and value < least:
+        raise UsageError(f"{key} must be at least {least}, got {value}")
     return value
 
 
-def _parse_int(key: str, text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise UsageError(f"{key} expects an integer, got {text!r}") from None
-
-
 def _load_config(path: str) -> dict:
-    """Flat key=value file; blank lines and # comments ignored."""
+    """Flat key=value file; blank lines and # comments ignored.
+
+    y-order takes comma-separated values.  A repeated key or an empty
+    y-order entry is an error, since either would drop a value."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}") from None
     data: dict = {}
+    line_of: dict = {}
     for ln, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -89,56 +57,35 @@ def _load_config(path: str) -> dict:
             raise UsageError(f"{path}:{ln}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _KEYS:
             raise UsageError(f"{path}:{ln}: unknown config key {key!r}")
+        if key in line_of:
+            raise UsageError(
+                f"{path}:{ln}: config key {key!r} repeats line {line_of[key]}"
+            )
+        line_of[key] = ln
+        if key == "y-order":
+            value = [p.strip() for p in value.split(",")]
+            if "" in value:
+                raise UsageError(f"{path}:{ln}: empty y-order entry in {line!r}")
         data[key] = value
     return data
 
 
-def _config_from_sources(args) -> RunConfig:
-    cfg = RunConfig()
-    if args.config:
-        data = _load_config(args.config)
-        if "suite" in data:
-            cfg.selection = data["suite"]
-        if "weight-cap" in data:
-            cfg.weight_cap = _positive("weight-cap", _parse_int("weight-cap", data["weight-cap"]))
-        if "x-window" in data:
-            cfg.x_window = _positive("x-window", _parse_int("x-window", data["x-window"]))
-        if "y-order" in data:
-            parts = [p for p in data["y-order"].split(",") if p.strip()]
-            cfg.y_orders = [_parse_int("y-order", p) for p in parts]
-        if "mode-range" in data:
-            cfg.mode_range = _positive("mode-range", _parse_int("mode-range", data["mode-range"]))
-        if "seed" in data:
-            cfg.seed = _parse_int("seed", data["seed"])
-        if "format" in data:
-            if data["format"] not in _FORMATS:
-                raise UsageError(f"unknown format {data['format']!r}")
-            cfg.fmt = data["format"]
-        if "out" in data:
-            cfg.out = data["out"]
-    # command-line flags override the file
-    if args.selection is not None:
-        cfg.selection = args.selection
-    if args.weight_cap is not None:
-        cfg.weight_cap = _positive("weight-cap", args.weight_cap)
-    if args.x_window is not None:
-        cfg.x_window = _positive("x-window", args.x_window)
-    if args.y_order:
-        cfg.y_orders = list(args.y_order)
-    if args.mode_range is not None:
-        cfg.mode_range = _positive("mode-range", args.mode_range)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.format is not None:
-        cfg.fmt = args.format
-    if args.out is not None:
-        cfg.out = args.out
-    for order in cfg.y_orders:
-        if order < 0:
-            raise UsageError(f"y-order must be nonnegative, got {order}")
-    return cfg
+def _settings(args) -> dict:
+    """The config file's values overlaid by the command line's, each
+    parsed and checked once, whichever source gave it."""
+    given = {k: v for k, v in vars(args).items() if k in _KEYS and v is not None}
+    raw = {**(_load_config(args.config) if args.config else {}), **given}
+    out = dict(raw)
+    for flag, least in FLAGS.items():
+        if flag in raw:
+            out[flag] = _parse_int(flag, raw[flag], least)
+    if "y-order" in raw:
+        out["y-order"] = [_parse_int("y-order", t, 0) for t in raw["y-order"]]
+    if out.setdefault("format", _FORMATS[0]) not in _FORMATS:
+        raise UsageError(f"unknown format {out['format']!r}")
+    return out
 
 
 def _emit(text: str, out: "str | None") -> None:
@@ -150,12 +97,13 @@ def _emit(text: str, out: "str | None") -> None:
 
 
 def _cmd_verify(args) -> int:
-    cfg = _config_from_sources(args)
+    cfg = _settings(args)
+    flags = {k: cfg[k] for k in (*FLAGS, "y-order") if k in cfg}
     try:
-        reports = run_suite(cfg.selection, cfg.flags())
+        reports = run_suite(cfg.get("suite"), flags)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    _emit(render_reports(reports, cfg.fmt), cfg.out)
+    _emit(render_reports(reports, cfg["format"]), cfg.get("out"))
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -189,23 +137,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run a suite or a single check")
     ver.add_argument(
-        "selection",
+        "suite",
         nargs="?",
         default=None,
+        metavar="selection",
         help=f"suite ({', '.join(SUITES)}) or check id ({', '.join(CATALOG_IDS)})",
     )
-    ver.add_argument("--weight-cap", type=int, default=None)
-    ver.add_argument("--x-window", type=int, default=None)
+    for flag in FLAGS:
+        ver.add_argument(f"--{flag}", dest=flag, metavar="N", default=None)
     ver.add_argument(
         "--y-order",
-        type=int,
+        dest="y-order",
+        metavar="N",
         action="append",
         default=None,
         help="series order per auxiliary variable; repeat for several variables",
     )
-    ver.add_argument("--mode-range", type=int, default=None)
-    ver.add_argument("--seed", type=int, default=None)
-    ver.add_argument("--format", choices=_FORMATS, default=None)
+    ver.add_argument("--format", default=None, help=" or ".join(_FORMATS))
     ver.add_argument("--out", default=None, help="write the report here instead of stdout")
     ver.add_argument("--config", default=None, help="flat key=value settings file")
     ver.set_defaults(func=_cmd_verify)

@@ -36,7 +36,7 @@ from typing import Iterable
 
 from . import calculus as ca
 from .fock import FockVector, basis_up_to, h_apply, partitions_of
-from .reports import CheckReport, mismatch_entry, note_diff, timed_check
+from .reports import mismatch_entry, note_diff
 from .series import NEG_INF, POS_INF, Series, VarWindow, diff_on_box
 
 F = Fraction
@@ -56,13 +56,9 @@ __all__ = [
     "mode_bracket_diffs",
     "virasoro_central",
     "modvir_central",
-    "virasoro_check",
-    "modified_virasoro_check",
     "central_term",
     "pure_monomial_check",
-    "wick_check",
     "wick_diffs",
-    "theorem1_check",
     "theorem1_diffs",
     "dilated_bracket_lhs",
 ]
@@ -252,25 +248,6 @@ def modvir_central(m: int) -> Fraction:
     return F(m**3, 12)
 
 
-def _mode_bracket_report(
-    check_id: str, m: int, n: int, W: int, mode, central: Fraction
-) -> CheckReport:
-    params = {"identity": check_id, "m": m, "n": n, "weight-cap": W}
-    return timed_check(
-        check_id, params, lambda p, mm: mode_bracket_diffs(mm, [], m, n, W, mode, central)
-    )
-
-
-def virasoro_check(m: int, n: int, W: int) -> CheckReport:
-    """[L(m), L(n)] = (m-n) L(m+n) + (1/12)(m^3 - m) delta_{m+n,0}."""
-    return _mode_bracket_report("VIRASORO", m, n, W, l_mode, virasoro_central(m))
-
-
-def modified_virasoro_check(m: int, n: int, W: int) -> CheckReport:
-    """Shifted modes: [Lb(m), Lb(n)] = (m-n) Lb(m+n) + (1/12) m^3 delta."""
-    return _mode_bracket_report("MODVIR", m, n, W, lbar_mode, modvir_central(m))
-
-
 # ----------------------------------------------------------------------
 # Identity-component extraction for mixed regularized brackets
 
@@ -389,13 +366,6 @@ def _dilated_geometric(N: int, y_order: int) -> Series:
                 if val:
                     data[(-k, k, c, d)] = val
     return Series(wins, data)
-
-
-def wick_check(N: int, W: int, y_order: int = 2) -> CheckReport:
-    """Product of two mode generating functions vs normal order + kernel
-    (see wick_diffs)."""
-    params = {"identity": "WICK", "x-window": N, "weight-cap": W, "y-order": y_order}
-    return timed_check("WICK", params, wick_diffs)
 
 
 def wick_diffs(params: dict, mismatches: list) -> None:
@@ -661,27 +631,15 @@ def dilated_bracket_lhs(
     return out
 
 
-def theorem1_check(
-    y_orders: "tuple[int, int, int, int]", N: int, W: int
-) -> CheckReport:
+def theorem1_diffs(params: dict, mismatches: list) -> None:
     """Commutator of two dilated quadratic fields vs its closed bracket form.
 
-    Verifies, for every partition basis state of weight <= W, every
-    coefficient with x1 and x2 exponents in [-N, N] and dilation-variable
-    orders up to y_orders.  The zero-order dilation slice is additionally
-    cross-checked against the shifted Virasoro bracket computed by
-    quad_apply, so a transcription error in either engine cannot hide."""
-    params = {
-        "identity": "THEOREM1",
-        "y-orders": list(y_orders),
-        "x-window": N,
-        "weight-cap": W,
-    }
-    return timed_check("THEOREM1", params, theorem1_diffs)
-
-
-def theorem1_diffs(params: dict, mismatches: list) -> None:
-    """Body of theorem1_check; a cell failing both comparisons is listed
+    Verifies, for every partition basis state of weight <= weight-cap,
+    every coefficient with x1 and x2 exponents in [-x-window, x-window]
+    and dilation-variable orders up to y-orders.  The zero-order
+    dilation slice is additionally cross-checked against the shifted
+    Virasoro bracket computed by quad_apply, so a transcription error in
+    either engine cannot hide; a cell failing both comparisons is listed
     twice, the second time against the mode-level bracket."""
     caps = tuple(params["y-orders"])
     N, W = params["x-window"], params["weight-cap"]

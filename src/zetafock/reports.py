@@ -1,8 +1,8 @@
 """Check outcome records and their deterministic serialization.
 
-Every verification routine in this package returns a CheckReport: the
-check id, the parameter block it ran with, a status, and the list of
-coefficient mismatches (empty on success).  Reports serialize to
+Every catalog check returns a CheckReport: the check id, the parameter
+block it ran with, a status, and the list of coefficient mismatches
+(empty on success).  Reports serialize to
 json-lines for machine use and to a aligned-column table for humans.
 The json-lines form is byte-identical across reruns with the same
 configuration, so volatile fields (elapsed time) stay out of it.
@@ -101,25 +101,6 @@ class CheckReport:
         }
 
 
-def make_report(
-    check_id: str,
-    params: dict[str, Any],
-    mismatches: list[dict[str, Any]],
-    elapsed_ms: int = 0,
-    window_error: str | None = None,
-) -> CheckReport:
-    """Assemble a report; status is pass iff no mismatches and no window error."""
-    if window_error is not None:
-        params = dict(params)
-        params["window-error"] = window_error
-        status = STATUS_WINDOW
-    elif mismatches:
-        status = STATUS_FAIL
-    else:
-        status = STATUS_PASS
-    return CheckReport(check_id, params, status, mismatches, elapsed_ms)
-
-
 def timed_check(
     check_id: str,
     params: dict[str, Any],
@@ -128,9 +109,11 @@ def timed_check(
     """Run body(params, mismatches) and report it.
 
     The body appends mismatch entries and may add derived fields to
-    params.  An insufficient window ends the check with that status;
-    FockVector params are serialized; a mismatch list longer than
-    MISMATCH_CAP is cut and its full length kept as mismatches-total."""
+    params.  The status is pass iff the body raised no
+    WindowInsufficientError and listed no mismatch; an insufficient
+    window discards the list and records window-error.  FockVector params
+    are serialized; a mismatch list longer than MISMATCH_CAP is cut and
+    its full length kept as mismatches-total."""
     t0 = time.monotonic()
     mismatches: list[dict[str, Any]] = []
     window_error = None
@@ -145,8 +128,13 @@ def timed_check(
     if len(mismatches) > MISMATCH_CAP:
         shown["mismatches-total"] = len(mismatches)
         mismatches = mismatches[:MISMATCH_CAP]
+    if window_error is not None:
+        shown["window-error"] = window_error
+        status = STATUS_WINDOW
+    else:
+        status = STATUS_FAIL if mismatches else STATUS_PASS
     elapsed = int((time.monotonic() - t0) * 1000)
-    return make_report(check_id, shown, mismatches, elapsed, window_error)
+    return CheckReport(check_id, shown, status, mismatches, elapsed)
 
 
 def _json_default(obj: Any) -> Any:

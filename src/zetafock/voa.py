@@ -4,12 +4,13 @@ The field attached to a basis monomial is the normal-ordered product of
 derivative fields of the single generating current; vertex_mode extracts
 its modes exactly.  On top of that sit the weight-shifted fields
 (x_mode), the exponential-coordinate bracket (y_bracket_apply), the
-defining axioms, the classical three-delta identity (jacobi_check) and
+defining axioms, the classical three-delta identity (jacobi_diffs) and
 the exponential-substitution identities reached from it.
 
 Every check compares finitely many coefficients of an identity applied
 to a target vector, exactly over Fraction.  The *_diffs functions are
-check bodies: they append mismatch entries for reports.timed_check.
+check bodies: they append mismatch entries, and catalog.run_check turns
+them into reports.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .fock import (
     weight_components,
 )
 from .quadratic import dilated_bracket_lhs, gen_quadratic_coeff
-from .reports import CheckReport, note_diff, timed_check
+from .reports import note_diff
 from .series import (
     NEG_INF,
     POS_INF,
@@ -185,18 +186,6 @@ _AXIOMS = (
 )
 
 
-def axiom_check(axiom: str, weight_cap: int = 3, window: int = 3) -> CheckReport:
-    """Verify one defining property of the field map on the graded basis."""
-    params = {"axioms": [axiom], "weight-cap": weight_cap, "x-window": window}
-    return timed_check("AXIOMS", params, axioms_diffs)
-
-
-def axioms_check(weight_cap: int = 3, window: int = 3) -> CheckReport:
-    """All five axioms in one report."""
-    params = {"axioms": list(_AXIOMS), "weight-cap": weight_cap, "x-window": window}
-    return timed_check("AXIOMS", params, axioms_diffs)
-
-
 def axioms_diffs(params: dict, mismatches: list) -> None:
     """Each listed axiom on the basis of weight <= weight-cap, over mode
     windows of width x-window."""
@@ -324,17 +313,9 @@ def _log_pow_coeffs(n: int, order: int) -> "tuple[Fraction, ...]":
 # Classical three-delta identity
 
 
-def jacobi_check(u: FockVector, v: FockVector, target: FockVector, windows: int) -> CheckReport:
-    """The three-delta identity applied to target, compared on the cube
-    of x0/x1/x2 exponents bounded by windows."""
-    params = {"identity": "JACOBI", "u": u, "v": v, "target": target, "x-window": windows}
-    return timed_check(
-        "JACOBI", params, lambda p, mm: jacobi_diffs(mm, [], u, v, target, windows)
-    )
-
-
 def jacobi_diffs(mismatches, prefix, u, v, target, w) -> None:
-    """Mismatches of the three-delta identity, monomial prefix + (x0, x1, x2)."""
+    """Mismatches of the three-delta identity applied to target on the
+    cube [-w, w]^3 of x0/x1/x2 exponents, monomial prefix + (x0, x1, x2)."""
     wt_t = _wt_max(target)
     wt_uv = _wt_max(u) + _wt_max(v)
     cube = {"x0": (-w, w), "x1": (-w, w), "x2": (-w, w)}
@@ -514,17 +495,13 @@ def _residue_weights(depth: int) -> "dict[int, Fraction]":
     return out
 
 
-def residue_link_check(
-    u: FockVector, v: FockVector, target: FockVector, win: int
-) -> CheckReport:
+def residue_link_diffs(params: dict, mismatches: list) -> None:
     """Residue in x0 of the exponential-delta identity vs the commutator
     identity: the x0^(-1) slice, the change-of-variable evaluation of the
-    same residue, and the residue-kernel right side must all agree."""
-    params = {"identity": "RES-LINK", "u": u, "v": v, "target": target, "x-window": win}
-    return timed_check("RES-LINK", params, residue_link_diffs)
+    same residue, and the residue-kernel right side must all agree.
 
-
-def residue_link_diffs(params: dict, mismatches: list) -> None:
+    Not a catalog entry (registering it would change verify all); the
+    acceptance gate runs it on params u, v, target and x-window."""
     u, v, target, win = params["u"], params["v"], params["target"], params["x-window"]
     wt_uv = _wt_max(u) + _wt_max(v)
     nj_lhs, nj_rhs = _newjacobi_sides(u, v, target, win, x1_pad=wt_uv)

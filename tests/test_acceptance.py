@@ -28,10 +28,7 @@ def _line(num: int, ok: bool, label: str) -> bool:
 
 def test_criterion_01_virasoro_realization():
     t0 = time.monotonic()
-    ok = True
-    for m in range(-3, 4):
-        for n in range(-3, 4):
-            ok = ok and q.virasoro_check(m, n, 10).passed
+    ok = catalog.run_check("VIRASORO", {"mode-range": 3, "weight-cap": 10}).passed
     # on the vacuum the weight term drops out and the bracket is the
     # central scalar alone
     for m in range(1, 4):
@@ -44,11 +41,8 @@ def test_criterion_01_virasoro_realization():
 
 
 def test_criterion_02_regularized_brackets():
-    ok = True
+    ok = catalog.run_check("MODVIR", {"mode-range": 3, "weight-cap": 10}).passed
     vac = FockVector.vacuum()
-    for m in range(-3, 4):
-        for n in range(-3, 4):
-            ok = ok and q.modified_virasoro_check(m, n, 10).passed
     ok = ok and q.lbar_mode(0, vac) == vac.scaled(F(-1, 24))
     for m in range(1, 4):
         br = q.lbar_mode(m, q.lbar_mode(-m, vac)) - q.lbar_mode(-m, q.lbar_mode(m, vac))
@@ -74,29 +68,36 @@ def test_criterion_03_pure_monomial_law():
     assert _line(3, ok, "central monomial ratios; " + " ".join(recorded))
 
 
-def _bernoulli_by_inversion(kmax: int) -> "list[F]":
-    # coefficients of (e^t - 1)/t, inverted as a power series
-    a = [F(1, math.factorial(i + 1)) for i in range(kmax + 1)]
-    b = [F(1)] + [F(0)] * kmax
-    for n in range(1, kmax + 1):
-        b[n] = -sum(a[j] * b[n - j] for j in range(1, n + 1))
-    return [b[k] * math.factorial(k) for k in range(kmax + 1)]
+def _bernoulli_akiyama_tanigawa(kmax: int) -> "list[F]":
+    # Akiyama-Tanigawa: repeated differences of the row 1/(m+1) leave
+    # B_m in front; unrelated to the series inversion behind
+    # calculus.bernoulli_list.  It gives B_1 = +1/2, so only even k are used.
+    out = []
+    a = [F(0)] * (kmax + 1)
+    for m in range(kmax + 1):
+        a[m] = F(1, m + 1)
+        for j in range(m, 0, -1):
+            a[j - 1] = j * (a[j - 1] - a[j])
+        out.append(a[0])
+    return out
 
 
 def test_criterion_04_zeta_values():
     ok = q.zeta_neg(2) == F(-1, 12)
-    oracle = _bernoulli_by_inversion(8)
+    oracle = _bernoulli_akiyama_tanigawa(8)
     for k in (2, 4, 6, 8):
         ok = ok and q.zeta_neg(k) == -oracle[k] / k
     for r in range(4):
-        zeta = -oracle[2 * r + 2] / (2 * r + 2) if 2 * r + 2 <= 8 else q.zeta_neg(2 * r + 2)
+        zeta = -oracle[2 * r + 2] / (2 * r + 2)
         ok = ok and q.reg_constant(r) == F((-1) ** r, 2) * zeta
-    assert _line(4, ok, "zeta values against series-inversion Bernoulli oracle")
+    assert _line(4, ok, "zeta values against Akiyama-Tanigawa Bernoulli oracle")
 
 
 def test_criterion_05_dilated_bracket_identity():
     t0 = time.monotonic()
-    rep = q.theorem1_check((2, 2, 2, 2), 3, 6)
+    rep = catalog.run_check(
+        "THEOREM1", {"y-orders": [2, 2, 2, 2], "x-window": 3, "weight-cap": 6}
+    )
     ok = rep.passed
     # the undilated coefficient slice is the regularized bracket itself
     for v in (FockVector.vacuum(), FockVector.basis((1,))):
@@ -114,12 +115,14 @@ def test_criterion_05_dilated_bracket_identity():
 
 
 def test_criterion_06_axioms_and_jacobi():
-    ok = voa.axioms_check(weight_cap=3, window=3).passed
+    ok = catalog.run_check("AXIOMS", {"weight-cap": 3, "x-window": 3}).passed
     vectors = (GEN, OMEGA, FockVector.basis((1, 1)), FockVector.basis((2,)))
+    mismatches = []
     for u in vectors:
         for v in vectors:
             for tgt in basis_up_to(4):
-                ok = ok and voa.jacobi_check(u, v, tgt, 3).passed
+                voa.jacobi_diffs(mismatches, [], u, v, tgt, 3)
+    ok = ok and not mismatches
     assert _line(6, ok, "axioms on weight <= 3 basis; Jacobi grid, windows 3")
 
 
@@ -137,9 +140,12 @@ def test_criterion_07_bracket_identities():
     ok = True
     for cid, params in runs:
         ok = ok and catalog.run_check(cid, params).passed
+    mismatches = []
     for u in (GEN, OMEGA):
         for tgt in basis_up_to(4):
-            ok = ok and voa.residue_link_check(u, GEN, tgt, 3).passed
+            params = {"u": u, "v": GEN, "target": tgt, "x-window": 3}
+            voa.residue_link_diffs(params, mismatches)
+    ok = ok and not mismatches
     assert _line(7, ok, "bracket identities with both generator and conformal inputs")
 
 

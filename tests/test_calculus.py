@@ -548,11 +548,11 @@ def test_log1m_frozen_and_exp_inverse():
     assert ca.u_trim(acc, order) == {0: F(1), 1: F(-1)}
 
 
-def test_residue_wrapper():
-    assert ca.residue(fk("x", {-1: 1}), "x").coefficient({}) == 1
+def test_residue_of_truncated_delta():
+    assert fk("x", {-1: 1}).residue("x").coefficient({}) == 1
     delta = Series(
         [VarWindow("x", -3, 3, NEG_INF, POS_INF)], {(n,): F(1) for n in range(-3, 4)}
     )
-    assert ca.residue(delta, "x").coefficient({}) == 1
-    assert ca.residue(fk("x", {2: 1}), "x").coefficient({}) == 0
+    assert delta.residue("x").coefficient({}) == 1
+    assert fk("x", {2: 1}).residue("x").coefficient({}) == 0
 

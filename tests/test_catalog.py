@@ -13,6 +13,7 @@ oscillator action.
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -77,3 +78,14 @@ def test_mismatch_cap_keeps_the_total(monkeypatch):
     assert len(full.mismatches) == total
     assert "mismatches-total" not in full.params
     assert full.mismatches[: len(rep.mismatches)] == rep.mismatches
+
+
+def test_graded_dim_fails_on_a_wrong_character_offset(monkeypatch):
+    # the offset is compared with the vacuum eigenvalue of the shifted
+    # zero mode, not with a copy of the value character_offset returns
+    monkeypatch.setattr(catalog, "character_offset", lambda: Fraction(-1, 12))
+    rep = catalog.run_check("GRADED-DIM", {"weight-cap": 4})
+    assert rep.status == "fail"
+    assert [(m["monomial"], m["lhs"], m["rhs"]) for m in rep.mismatches] == [
+        ([-1], "-1/12", "-1/24")
+    ]

@@ -107,6 +107,47 @@ def test_nonpositive_bounds_rejected(capsys):
     assert run(["verify", "COMM", "--y-order", "-1"], capsys)[0] == 2
 
 
+@pytest.mark.parametrize("value", ["0", "-2", "x", "2.5", ""])
+def test_flag_and_config_values_give_the_same_error(value, tmp_path, capsys):
+    code, out, err = run(["verify", "core", "--weight-cap", value], capsys)
+    assert code == 2
+    assert out == ""
+    assert "weight-cap" in err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"weight-cap={value}\n")
+    assert run(["verify", "core", "--config", str(cfg)], capsys) == (2, "", err)
+
+
+@pytest.mark.parametrize(
+    "text, key, line",
+    [
+        ("suite=core\nweight-cap=3\n# note\nweight-cap=4\n", "weight-cap", 4),
+        ("suite=COMM\ny-order=1\ny-order=2\n", "y-order", 3),
+    ],
+)
+def test_config_rejects_a_repeated_key(text, key, line, tmp_path, capsys):
+    # the first value sits on line 2; naming both lines shows what clashed
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    code, out, err = run(["verify", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"{cfg}:{line}:" in err
+    assert repr(key) in err
+    assert "line 2" in err
+
+
+@pytest.mark.parametrize("value", ["1,,2", "", "1,", " , 2"])
+def test_config_rejects_an_empty_y_order_entry(value, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"suite=THEOREM1\ny-order={value}\n")
+    code, out, err = run(["verify", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"{cfg}:2:" in err
+    assert "y-order" in err
+
+
 def test_y_order_flag_reaches_check(capsys):
     code, out, _ = run(
         ["verify", "COMM", "--y-order", "1", "--weight-cap", "2", "--x-window", "2"],

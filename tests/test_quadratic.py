@@ -15,6 +15,7 @@ from fractions import Fraction
 import pytest
 
 from zetafock import calculus as ca
+from zetafock import catalog
 from zetafock import quadratic as q
 from zetafock.fock import FockVector, basis_up_to, h_apply, weight_components
 
@@ -153,26 +154,22 @@ def test_pair_apply_matches_composition():
 
 
 def test_virasoro_check_grid():
-    for m in range(-2, 3):
-        for n in range(-2, 3):
-            rep = q.virasoro_check(m, n, 6)
-            assert rep.status == "pass", (m, n, rep.mismatches[:2])
+    rep = catalog.run_check("VIRASORO", {"mode-range": 2, "weight-cap": 6})
+    assert rep.status == "pass", rep.mismatches[:2]
 
 
 def test_modified_virasoro_check_grid():
-    for m in range(-2, 3):
-        for n in range(-2, 3):
-            rep = q.modified_virasoro_check(m, n, 6)
-            assert rep.status == "pass", (m, n, rep.mismatches[:2])
+    rep = catalog.run_check("MODVIR", {"mode-range": 2, "weight-cap": 6})
+    assert rep.status == "pass", rep.mismatches[:2]
 
 
 def test_wrong_central_term_fails():
     # negative control: the shifted modes do not satisfy the unshifted
-    # central term, and the report must say so
-    rep = q._mode_bracket_report("X", 2, -2, 4, q.lbar_mode, F(2**3 - 2, 12))
-    assert rep.status == "fail"
-    assert rep.mismatches
-    entry = rep.mismatches[0]
+    # central term, and the check body must say so
+    mismatches = []
+    q.mode_bracket_diffs(mismatches, [], 2, -2, 4, q.lbar_mode, F(2**3 - 2, 12))
+    assert mismatches
+    entry = mismatches[0]
     assert set(entry) == {"monomial", "lhs", "rhs", "target"}
 
 
@@ -188,6 +185,18 @@ def test_central_term_frozen_and_monomial():
     assert values[1][1] == ratio * 2**7
     with pytest.raises(ValueError):
         q.central_term(0, 0, 0)
+
+
+def test_central_term_closed_form():
+    # measured, not yet derived: the constant depends on T = r + s only
+    # and equals m^(2T+3) (T+1)! (T+2)! / (2T+4)!
+    fact = math.factorial
+    for r in range(3):
+        for s in range(3):
+            T = r + s
+            for m in (1, 2):
+                want = F(m ** (2 * T + 3) * fact(T + 1) * fact(T + 2), fact(2 * T + 4))
+                assert q.central_term(r, s, m) == want, (r, s, m)
 
 
 def test_solve_exact():
@@ -240,18 +249,16 @@ def test_gen_quadratic_coeff_mixed_example():
 
 
 def test_wick_check():
-    rep = q.wick_check(2, 3)
+    rep = catalog.run_check("WICK", {"x-window": 2, "weight-cap": 3})
     assert rep.status == "pass", rep.mismatches[:3]
     assert rep.params["x-window"] == 2
 
 
 def test_theorem1_small_windows():
-    rep = q.theorem1_check((1, 1, 1, 1), 2, 3)
-    assert rep.status == "pass", rep.mismatches[:3]
-    rep = q.theorem1_check((0, 0, 0, 0), 2, 4)
-    assert rep.status == "pass", rep.mismatches[:3]
-    rep = q.theorem1_check((2, 1, 0, 2), 2, 3)
-    assert rep.status == "pass", rep.mismatches[:3]
+    for orders, cap in (([1, 1, 1, 1], 3), ([0, 0, 0, 0], 4), ([2, 1, 0, 2], 3)):
+        params = {"y-orders": orders, "x-window": 2, "weight-cap": cap}
+        rep = catalog.run_check("THEOREM1", params)
+        assert rep.status == "pass", (orders, rep.mismatches[:3])
 
 
 def test_dilated_bracket_lhs_zero_slice_is_shifted_bracket():

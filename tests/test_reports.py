@@ -7,9 +7,10 @@ from fractions import Fraction
 
 import pytest
 
-from zetafock import quadratic as q
+from zetafock import catalog
 from zetafock import reports as rp
 from zetafock.fock import FockVector
+from zetafock.series import WindowInsufficientError
 
 F = Fraction
 
@@ -33,18 +34,24 @@ def test_serialize_vector_sorted_by_weight():
 
 
 def test_status_rules():
-    ok = rp.make_report("X", {}, [])
+    ok = rp.timed_check("X", {}, lambda params, mm: None)
     assert ok.status == "pass" and ok.passed
-    bad = rp.make_report("X", {}, [rp.mismatch_entry([0], 1, 2, FockVector.vacuum())])
+    entry = rp.mismatch_entry([0], 1, 2, FockVector.vacuum())
+    bad = rp.timed_check("X", {}, lambda params, mm: mm.append(entry))
     assert bad.status == "fail"
-    win = rp.make_report("X", {"n": 1}, [], window_error="box too small")
+
+    def short_window(params, mm):
+        raise WindowInsufficientError("box too small")
+
+    win = rp.timed_check("X", {"n": 1}, short_window)
     assert win.status == "window-insufficient"
     assert win.params["window-error"] == "box too small"
 
 
 def test_json_lines_deterministic_across_reruns():
-    a = rp.render_json_lines([q.virasoro_check(2, -2, 4)])
-    b = rp.render_json_lines([q.virasoro_check(2, -2, 4)])
+    params = {"mode-range": 2, "weight-cap": 4}
+    a = rp.render_json_lines([catalog.run_check("VIRASORO", params)])
+    b = rp.render_json_lines([catalog.run_check("VIRASORO", params)])
     assert a == b
     assert a.endswith("\n")
     line = a.strip()
@@ -54,7 +61,8 @@ def test_json_lines_deterministic_across_reruns():
 
 
 def test_table_format():
-    reps = [q.virasoro_check(1, -1, 3), q.modified_virasoro_check(1, 1, 3)]
+    params = {"mode-range": 1, "weight-cap": 3}
+    reps = [catalog.run_check("VIRASORO", params), catalog.run_check("MODVIR", params)]
     text = rp.render_table(reps)
     lines = text.splitlines()
     assert len(lines) == 2
@@ -65,7 +73,10 @@ def test_table_format():
         rp.render_reports(reps, "yaml")
 
 
-def test_failure_rows_are_rendered():
-    rep = q._mode_bracket_report("X", 1, -1, 3, q.lbar_mode, F(0))
+def test_failure_rows_are_rendered(monkeypatch):
+    # a zero central term breaks the shifted bracket at m + n = 0
+    monkeypatch.setattr(catalog, "modvir_central", lambda m: F(0))
+    rep = catalog.run_check("MODVIR", {"mode-range": 1, "weight-cap": 3})
+    assert rep.status == "fail"
     text = rp.render_table([rep])
     assert "lhs=" in text and "rhs=" in text

@@ -137,17 +137,18 @@ def test_x_mode_is_weight_shifted():
 
 def test_axiom_checks_pass():
     for axiom in voa._AXIOMS:
-        rep = voa.axiom_check(axiom, weight_cap=2, window=2)
-        assert rep.check_id == "AXIOMS"
-        assert rep.passed, axiom
-    combined = voa.axioms_check(weight_cap=2, window=2)
+        mismatches = []
+        voa.axioms_diffs({"axioms": [axiom], "weight-cap": 2, "x-window": 2}, mismatches)
+        assert mismatches == [], axiom
+    combined = catalog.run_check("AXIOMS", {"weight-cap": 2, "x-window": 2})
+    assert combined.check_id == "AXIOMS"
     assert combined.passed
     assert combined.params["axioms"] == list(voa._AXIOMS)
 
 
 def test_axiom_check_rejects_unknown_name():
     with pytest.raises(ValueError):
-        voa.axiom_check("associativity")
+        voa.axioms_diffs({"axioms": ["associativity"], "weight-cap": 3, "x-window": 3}, [])
 
 
 def test_mismatch_recording_shape():
@@ -201,12 +202,15 @@ def test_jacobi_small_grid():
     for u in small:
         for v in small:
             for t in small:
-                rep = voa.jacobi_check(u, v, t, 2)
-                assert rep.passed, (u, v, t)
+                mismatches = []
+                voa.jacobi_diffs(mismatches, [], u, v, t, 2)
+                assert mismatches == [], (u, v, t)
 
 
 def test_jacobi_spot_window_three():
-    assert voa.jacobi_check(GEN, GEN, VAC, 3).passed
+    mismatches = []
+    voa.jacobi_diffs(mismatches, [], GEN, GEN, VAC, 3)
+    assert mismatches == []
 
 
 def test_comm_heisenberg_oracle():
@@ -292,9 +296,10 @@ def test_specialize_passes_small():
 
 
 def test_residue_link_small():
-    rep = voa.residue_link_check(GEN, GEN, FockVector.basis((1, 1)), 2)
-    assert rep.check_id == "RES-LINK"
-    assert rep.passed
+    mismatches = []
+    params = {"u": GEN, "v": GEN, "target": FockVector.basis((1, 1)), "x-window": 2}
+    voa.residue_link_diffs(params, mismatches)
+    assert mismatches == []
     # the slice at pole order one transports with weight exactly 1
     assert voa._residue_weights(3)[-1] == 1
 
