@@ -10,6 +10,7 @@ configuration error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .catalog import CATALOG_IDS, FLAGS, SUITES, run_suite
@@ -85,15 +86,39 @@ def _settings(args) -> dict:
         out["y-order"] = [_parse_int("y-order", t, 0) for t in raw["y-order"]]
     if out.setdefault("format", _FORMATS[0]) not in _FORMATS:
         raise UsageError(f"unknown format {out['format']!r}")
+    _check_out(out.get("out"))
     return out
+
+
+def _check_out(out: "str | None") -> None:
+    """Reject an output path that cannot be written before any work runs.
+
+    The file itself is not opened here, so an existing one keeps its
+    bytes until the report is ready."""
+    if out is None:
+        return
+    if not out:
+        raise UsageError("out expects a file path, got ''")
+    if os.path.isdir(out):
+        raise UsageError(f"cannot write {out!r}: it is a directory")
+    folder = os.path.dirname(out) or "."
+    if not os.path.isdir(folder):
+        raise UsageError(f"cannot write {out!r}: no directory {folder!r}")
+    if not os.access(folder, os.W_OK) or (
+        os.path.exists(out) and not os.access(out, os.W_OK)
+    ):
+        raise UsageError(f"cannot write {out!r}: permission denied")
 
 
 def _emit(text: str, out: "str | None") -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {out!r}: {exc.strerror or exc}") from None
 
 
 def _cmd_verify(args) -> int:
@@ -111,6 +136,7 @@ def _cmd_table(args) -> int:
     K = args.max
     if K < 0:
         raise UsageError(f"--max must be nonnegative, got {K}")
+    _check_out(args.out)
     lines = []
     if args.name == "bernoulli":
         for k in range(K + 1):

@@ -139,31 +139,79 @@ class QuadraticOpSpec:
     regularized: bool = False
 
 
+def _h_on_parts(m: int, parts: tuple[int, ...]) -> "tuple[tuple[int, ...], int] | None":
+    """h(m), m nonzero, on one basis state by the rule of fock.h_apply:
+    the image state and its integer factor, or None when h(m)
+    annihilates the state."""
+    if m < 0:
+        return tuple(sorted(parts + (-m,), reverse=True)), 1
+    count = parts.count(m)
+    if not count:
+        return None
+    i = parts.index(m)
+    return parts[:i] + parts[i + 1 :], m * count
+
+
+@lru_cache(maxsize=None)
+def _quad_on_basis(
+    r_left: int, r_right: int, n: int, parts: tuple[int, ...]
+) -> "tuple[tuple[tuple[int, ...], int], ...]":
+    """Twice the unregularized quadratic operator on one basis state.
+
+    Returns the image sum_j j^r_left (n-j)^r_right :h(j)h(n-j): |parts>
+    as (partition, integer coefficient) pairs with zeros dropped.  Each
+    h(m) sends a basis state to at most one basis state, so a pair term
+    is one step, and only the j that can act are visited:
+
+    * j in parts, or j = n - p with p in parts;
+    * j in (n, 0) when n < 0.
+
+    No nonzero term is lost.  Take j, k = n - j, both nonzero; the larger
+    of the two acts first.  If j > 0, h(j) annihilates, and a nonzero term
+    needs j in parts (if k > j, k acts first and leaves j among the
+    remaining parts, still a part of parts).  If j < 0 and k > 0, h(k)
+    acts first and needs k in parts, so j = n - k is a candidate.  If
+    both are negative, both create, the term is never zero, and n < j < 0.
+    Every candidate has |j| <= weight + |n|, so the full mode sum over
+    that window adds exactly the same nonzero terms."""
+    cands = set(parts)
+    cands.update(n - p for p in parts)
+    if n < 0:
+        cands.update(range(n + 1, 0))
+    acc: dict[tuple[int, ...], int] = {}
+    for j in cands:
+        k = n - j
+        if j == 0 or k == 0:
+            continue
+        hi, lo = (j, k) if j >= k else (k, j)
+        first = _h_on_parts(hi, parts)
+        if first is None:
+            continue
+        second = _h_on_parts(lo, first[0])
+        if second is None:
+            continue
+        p2 = second[0]
+        acc[p2] = acc.get(p2, 0) + j**r_left * k**r_right * first[1] * second[1]
+    return tuple((p, x) for p, x in acc.items() if x)
+
+
 def quad_apply(op: QuadraticOpSpec, v: FockVector) -> FockVector:
     """Exact image of v under the quadratic operator described by op.
 
-    The mode sum runs over |j| <= weight + |n| per basis component;
-    every term outside annihilates.  The regularizing constant enters
-    only at n = 0 with r_left = r_right."""
-    acc: dict[tuple[int, ...], Fraction] = {}
+    Per basis component the mode sum visits only the j for which
+    :h(j)h(n-j): can act (the parts, n minus a part, and the two-creator
+    range n < j < 0); `_quad_on_basis` shows that every other term
+    annihilates.  Coefficients are summed as integer numerators over the
+    common denominator of v.  The regularizing constant enters only at
+    n = 0 with r_left = r_right."""
+    den = math.lcm(*(c.denominator for c in v._terms.values()))
+    acc: dict[tuple[int, ...], int] = {}
     for parts, c in v._terms.items():
-        bound = sum(parts) + abs(op.n)
-        for j in range(-bound, bound + 1):
-            k = op.n - j
-            if j == 0 or k == 0:
-                continue
-            wgt = j**op.r_left * k**op.r_right
-            pv = _pair_on_basis(j, k, parts) if j >= k else _pair_on_basis(k, j, parts)
-            if not pv._terms:
-                continue
-            s = c * wgt
-            for p2, c2 in pv._terms.items():
-                t = acc.get(p2, F(0)) + c2 * s
-                if t:
-                    acc[p2] = t
-                else:
-                    del acc[p2]
-    out = FockVector(acc).scaled(F(1, 2))
+        s = c.numerator * (den // c.denominator)
+        for p2, x in _quad_on_basis(op.r_left, op.r_right, op.n, parts):
+            acc[p2] = acc.get(p2, 0) + s * x
+    out = FockVector()
+    out._terms = {p: F(x, 2 * den) for p, x in acc.items() if x}
     if op.regularized and op.n == 0 and op.r_left == op.r_right:
         out = out + v.scaled(reg_constant(op.r_left))
     return out
@@ -294,7 +342,7 @@ def _solve_exact(
 
 def _diag_eigenvalue(t: int, parts: tuple[int, ...]) -> Fraction:
     """Eigenvalue of the order-t regularized operator at mode 0."""
-    return F((-1) ** t) * sum((F(p) ** (2 * t + 1) for p in parts), F(0)) + reg_constant(t)
+    return (-1) ** t * sum(p ** (2 * t + 1) for p in parts) + reg_constant(t)
 
 
 def central_term(r: int, s: int, m: int, W: "int | None" = None) -> Fraction:
@@ -313,23 +361,22 @@ def central_term(r: int, s: int, m: int, W: "int | None" = None) -> Fraction:
     T = r + s
     rows: list[list[Fraction]] = []
     vals: list[Fraction] = []
-    actions: list[tuple[tuple[int, ...], FockVector]] = []
+    actions: list[tuple[tuple[int, ...], FockVector, list[Fraction]]] = []
     for w in range(W + 1):
         for parts in partitions_of(w):
             v = FockVector.basis(parts)
             kv = lbar_r(r, m, lbar_r(s, -m, v)) - lbar_r(s, -m, lbar_r(r, m, v))
-            actions.append((parts, kv))
+            eig = [_diag_eigenvalue(t, parts) for t in range(T + 1)]
+            actions.append((parts, kv, eig))
             if w > 0:
-                rows.append([_diag_eigenvalue(t, parts) for t in range(T + 1)] + [F(1)])
+                rows.append(eig + [F(1)])
                 vals.append(kv.coeff(parts))
     sol = _solve_exact(rows, vals)
     if sol is None:
         raise ValueError("identity-part extraction is inconsistent at this weight cap")
     coeffs, lam = sol[:-1], sol[-1]
-    for parts, kv in actions:
-        diag = sum(
-            (c * _diag_eigenvalue(t, parts) for t, c in enumerate(coeffs)), lam
-        )
+    for parts, kv, eig in actions:
+        diag = sum((c * e for c, e in zip(coeffs, eig)), lam)
         if kv != FockVector.basis(parts).scaled(diag):
             raise ValueError(
                 "bracket is not a diagonal combination plus identity at this weight cap"

@@ -245,3 +245,65 @@ def test_table_usage_errors(capsys):
 
 def test_missing_config_file(capsys):
     assert run(["verify", "core", "--config", "/nonexistent/x.cfg"], capsys)[0] == 2
+
+
+def _no_checks(sel, flags):
+    raise AssertionError("a check ran before the output path was checked")
+
+
+@pytest.mark.parametrize("command", [["verify", "core"], ["table", "bernoulli", "--max", "3"]])
+def test_bad_out_path_is_a_usage_error_before_any_work(command, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_suite", _no_checks)
+    missing = tmp_path / "missing" / "r.jsonl"
+    for path in (str(missing), str(tmp_path), ""):
+        code, out, err = run(command + ["--out", path], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("zetafock: error: ")
+        assert repr(path) in err
+    assert not missing.parent.exists()
+
+
+@pytest.mark.parametrize("value", ["{missing}", ""])
+def test_bad_out_in_config_is_a_usage_error_before_any_work(value, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_suite", _no_checks)
+    path = value.format(missing=tmp_path / "missing" / "r.jsonl")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"suite=core\nout={path}\n")
+    code, out, err = run(["verify", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert out == ""
+    assert repr(path) in err
+
+
+def test_existing_out_file_is_kept_until_the_report_is_ready(tmp_path, capsys, monkeypatch):
+    target = tmp_path / "r.jsonl"
+    target.write_text("old\n")
+    seen = []
+
+    def suite(sel, flags):
+        seen.append(target.read_text())
+        return [CheckReport("X", {}, "pass", [], 1)]
+
+    monkeypatch.setattr(cli, "run_suite", suite)
+    assert run(["verify", "core", "--out", str(target)], capsys)[0] == 0
+    assert seen == ["old\n"]
+    assert json.loads(target.read_text())["check-id"] == "X"
+
+
+def test_write_failure_after_the_checks_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    folder = tmp_path / "gone"
+    folder.mkdir()
+    target = folder / "r.jsonl"
+
+    def suite(sel, flags):
+        folder.rmdir()
+        return [CheckReport("X", {}, "pass", [], 1)]
+
+    monkeypatch.setattr(cli, "run_suite", suite)
+    code, out, err = run(["verify", "core", "--out", str(target)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("zetafock: error: ")
+    assert repr(str(target)) in err
+    assert "Traceback" not in err

@@ -138,6 +138,42 @@ def test_regularized_flag_only_touches_mode_zero_diagonal():
     assert d == v.scaled(q.reg_constant(1))
 
 
+def test_quad_apply_against_the_full_mode_window():
+    # oracle: the whole window |j| <= weight + |n| through pair_apply,
+    # which runs on h_apply and not on the candidate set of quad_apply
+    orders = [(r1, r2) for r1 in range(3) for r2 in range(3)]
+    for v in basis_up_to(6):
+        wt = sum(next(iter(v._terms)))
+        for n in range(-5, 6):
+            bound = wt + abs(n)
+            want = {rr: FockVector.zero() for rr in orders}
+            for j in range(-bound, bound + 1):
+                k = n - j
+                if j == 0 or k == 0:
+                    continue
+                pv = q.pair_apply(j, k, v)
+                if pv:
+                    for r1, r2 in orders:
+                        want[(r1, r2)] += pv.scaled(F(j**r1 * k**r2, 2))
+            for r1, r2 in orders:
+                got = q.quad_apply(q.QuadraticOpSpec(r1, r2, n, False), v)
+                assert got == want[(r1, r2)], (v, n, r1, r2)
+
+
+def test_quad_apply_on_mixed_denominators_is_linear():
+    v = FockVector({(2, 1): F(1, 3), (3,): F(-5, 2), (1, 1, 1): F(7, 4)})
+    for n in (-2, 0, 3):
+        for r1, r2 in ((0, 0), (1, 1), (2, 2), (0, 2)):
+            for reg in (False, True):
+                op = q.QuadraticOpSpec(r1, r2, n, reg)
+                want = FockVector.zero()
+                for parts, c in v._terms.items():
+                    want += q.quad_apply(op, FockVector.basis(parts)).scaled(c)
+                got = q.quad_apply(op, v)
+                assert got, (n, r1, r2, reg)
+                assert got == want, (n, r1, r2, reg)
+
+
 def test_pair_apply_matches_composition():
     rng = random.Random(515)
     for _ in range(30):
