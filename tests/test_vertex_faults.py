@@ -1,0 +1,63 @@
+"""Failing runs of the vertex identity checks, pinned byte for byte.
+
+Each vertex check runs at its catalog test flags with one function of
+the voa module doubled: a left-side series of JACOBI, its right-side
+series, or the exponential-coordinate bracket that every other vertex
+check builds on.  Every such run fails, and its json-lines record,
+mismatch entries and their order included, must equal the line stored
+in vertex_failing_golden.jsonl.  That file was written by the
+per-target implementation that preceded the target-independent right
+sides, so a passing run here shows that the restructured code reports
+the same mismatches, not just the same passing bytes.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+import pytest
+
+from zetafock import cli, voa
+
+from test_catalog import RUNS
+
+GOLDEN = Path(__file__).with_name("vertex_failing_golden.jsonl")
+
+# (check id, voa function whose series result is doubled)
+FAULTS = [
+    ("JACOBI", "_y_pair_series"),
+    ("JACOBI", "_y_series"),
+    ("NEWJACOBI", "y_bracket_apply"),
+    ("COMM", "y_bracket_apply"),
+    ("GENJACOBI", "y_bracket_apply"),
+    ("GENCOMM", "y_bracket_apply"),
+    ("SPECIALIZE", "y_bracket_apply"),
+]
+
+ARGV = {argv[0]: argv for argv in RUNS}
+
+
+def faulty_run(check_id: str, name: str, monkeypatch, capsys) -> str:
+    """The json-lines record of check_id at its test flags, with the
+    series returned by voa.<name> doubled."""
+    real = getattr(voa, name)
+    monkeypatch.setattr(voa, name, lambda *a, **k: real(*a, **k).scale(2))
+    code = cli.main(["verify"] + ARGV[check_id])
+    out = capsys.readouterr().out
+    assert code == 1
+    return out
+
+
+@pytest.mark.parametrize(
+    "index", range(len(FAULTS)), ids=[f"{c}-{n}" for c, n in FAULTS]
+)
+def test_failing_run_matches_golden(index, monkeypatch, capsys):
+    check_id, name = FAULTS[index]
+    line = GOLDEN.read_text().splitlines(keepends=True)[index]
+    out = faulty_run(check_id, name, monkeypatch, capsys)
+    record = json.loads(out)
+    assert record["check-id"] == check_id
+    assert record["status"] == "fail"
+    assert record["mismatches"]
+    assert out == line
