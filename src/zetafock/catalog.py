@@ -182,10 +182,10 @@ def _graded_dim(params, mismatches):
 def _jacobi(params, mismatches):
     omega = FockVector.basis((1, 1)).scaled(F(1, 2))
     vectors = [voa.generator(), omega]
+    targets = basis_up_to(params["weight-cap"])
     for ui, u in enumerate(vectors):
         for vi, v in enumerate(vectors):
-            for ti, t in enumerate(basis_up_to(params["weight-cap"])):
-                voa.jacobi_diffs(mismatches, [ui, vi, ti], u, v, t, params["x-window"])
+            voa.jacobi_diffs(mismatches, [ui, vi], u, v, targets, params["x-window"])
 
 
 def _res_change(params, mismatches):

@@ -345,6 +345,54 @@ def _diag_eigenvalue(t: int, parts: tuple[int, ...]) -> Fraction:
     return (-1) ** t * sum(p ** (2 * t + 1) for p in parts) + reg_constant(t)
 
 
+@lru_cache(maxsize=None)
+def _eigen_rows(T: int, W: int) -> "tuple[tuple[tuple[int, ...], tuple[Fraction, ...]], ...]":
+    """(parts, eigenvalue row of orders 0..T) for every basis state of
+    weight <= W, in weight order; shared by every (r, s, m) with r + s = T."""
+    return tuple(
+        (parts, tuple(_diag_eigenvalue(t, parts) for t in range(T + 1)))
+        for w in range(W + 1)
+        for parts in partitions_of(w)
+    )
+
+
+@lru_cache(maxsize=None)
+def _fit_inverse(
+    T: int, W: int
+) -> "tuple[tuple[int, ...], tuple[tuple[Fraction, ...], ...]] | None":
+    """The fitting system of central_term reduced once per (T, W).
+
+    Its rows are the non-vacuum eigenvalue rows with a trailing 1 for the
+    identity.  Returns the indices of the first rows that are linearly
+    independent, one per unknown, and the inverse of that square block;
+    None when the rows leave a free direction.  With full column rank a
+    solution of the whole system, if any, is the block's solution."""
+    rows = [list(eig) + [F(1)] for parts, eig in _eigen_rows(T, W) if parts]
+    ncols = T + 2
+    picked: list[int] = []
+    reduced: list[tuple[int, list[Fraction]]] = []
+    for i, row in enumerate(rows):
+        red = list(row)
+        for col, base in reduced:
+            if red[col]:
+                f = red[col]
+                red = [x - f * y for x, y in zip(red, base)]
+        col = next((c for c, x in enumerate(red) if x), None)
+        if col is None:
+            continue
+        reduced.append((col, [x / red[col] for x in red]))
+        picked.append(i)
+        if len(picked) == ncols:
+            break
+    if len(picked) < ncols:
+        return None
+    block = [rows[i] for i in picked]
+    unit = [[F(int(i == k)) for i in range(ncols)] for k in range(ncols)]
+    columns = [_solve_exact(block, e) for e in unit]
+    inverse = tuple(tuple(columns[k][r] for k in range(ncols)) for r in range(ncols))
+    return tuple(picked), inverse
+
+
 def central_term(r: int, s: int, m: int, W: "int | None" = None) -> Fraction:
     """Identity coefficient of the bracket of regularized operators.
 
@@ -353,25 +401,35 @@ def central_term(r: int, s: int, m: int, W: "int | None" = None) -> Fraction:
     operators of orders 0..r+s plus a multiple of the identity that
     reproduces the action on all non-vacuum states, verifies the fit
     on the whole basis including the vacuum, and returns the identity
-    coefficient.  Inconsistency at this W raises ValueError."""
+    coefficient.  Inconsistency at this W raises ValueError.
+
+    The fitting rows depend on T = r + s and W only, so they and their
+    elimination are cached (_eigen_rows, _fit_inverse); a system without
+    full column rank goes through _solve_exact, which reports it."""
     if m == 0:
         raise ValueError("mode must be nonzero")
     if W is None:
         W = 2 * r + 2 * s + 4
     T = r + s
+    states = _eigen_rows(T, W)
     rows: list[list[Fraction]] = []
     vals: list[Fraction] = []
-    actions: list[tuple[tuple[int, ...], FockVector, list[Fraction]]] = []
-    for w in range(W + 1):
-        for parts in partitions_of(w):
-            v = FockVector.basis(parts)
-            kv = lbar_r(r, m, lbar_r(s, -m, v)) - lbar_r(s, -m, lbar_r(r, m, v))
-            eig = [_diag_eigenvalue(t, parts) for t in range(T + 1)]
-            actions.append((parts, kv, eig))
-            if w > 0:
-                rows.append(eig + [F(1)])
-                vals.append(kv.coeff(parts))
-    sol = _solve_exact(rows, vals)
+    actions: list[tuple[tuple[int, ...], FockVector, tuple[Fraction, ...]]] = []
+    for parts, eig in states:
+        v = FockVector.basis(parts)
+        kv = lbar_r(r, m, lbar_r(s, -m, v)) - lbar_r(s, -m, lbar_r(r, m, v))
+        actions.append((parts, kv, eig))
+        if parts:
+            rows.append(list(eig) + [F(1)])
+            vals.append(kv.coeff(parts))
+    fit = _fit_inverse(T, W)
+    if fit is None:
+        sol = _solve_exact(rows, vals)
+    else:
+        picked, inverse = fit
+        sol = [sum((c * vals[i] for c, i in zip(row, picked)), F(0)) for row in inverse]
+        if any(sum(a * x for a, x in zip(row, sol)) != val for row, val in zip(rows, vals)):
+            sol = None
     if sol is None:
         raise ValueError("identity-part extraction is inconsistent at this weight cap")
     coeffs, lam = sol[:-1], sol[-1]

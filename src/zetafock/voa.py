@@ -11,6 +11,13 @@ Every check compares finitely many coefficients of an identity applied
 to a target vector, exactly over Fraction.  The *_diffs functions are
 check bodies: they append mismatch entries, and catalog.run_check turns
 them into reports.
+
+Each right side is Y(W, x2) applied to the target, with W built from u
+and v alone.  So the right sides are built once per (u, v, window),
+before any target, as small tables of target-independent vectors
+(_jacobi_inner, _newjacobi_rhs, _comm_rhs, _fourterm_rhs), and each
+cell is read off with one or a few modes of those vectors on the
+target.  The left sides are built per target.
 """
 
 from __future__ import annotations
@@ -255,22 +262,6 @@ def _ordered_pair_series(outer, ovar, inner, ivar, target, obox, ibox):
     return Series(wins, coeffs)
 
 
-def _x_on_series(g: Series, xvar: str, target: FockVector, box) -> Series:
-    """Adjoin xvar to g: the weight-shifted field of each coefficient,
-    applied to target.  Support above the box top is truncated; callers
-    only pair the new variable against nonnegative kernel exponents."""
-    lo, hi = box
-    wt_t = _wt_max(target)
-    data = {}
-    for exps, vec in g.terms():
-        for e in range(max(lo, -wt_t), hi + 1):
-            img = x_mode(vec, -e, target)
-            if img:
-                data[exps + (e,)] = img
-    wins = list(g.windows()) + [VarWindow(xvar, lo, hi, -wt_t, hi)]
-    return Series(wins, data)
-
-
 def _map_mode(g: Series, m: int, target: FockVector) -> Series:
     """One fixed x-mode of every coefficient, applied to target."""
     data = {}
@@ -313,26 +304,84 @@ def _log_pow_coeffs(n: int, order: int) -> "tuple[Fraction, ...]":
 # Classical three-delta identity
 
 
-def jacobi_diffs(mismatches, prefix, u, v, target, w) -> None:
-    """Mismatches of the three-delta identity applied to target on the
-    cube [-w, w]^3 of x0/x1/x2 exponents, monomial prefix + (x0, x1, x2)."""
-    wt_t = _wt_max(target)
+def jacobi_diffs(mismatches, prefix, u, v, targets, w) -> None:
+    """Mismatches of the three-delta identity applied to each target on
+    the cube [-w, w]^3 of x0/x1/x2 exponents, monomial prefix + (target
+    index, x0, x1, x2).  The left side is built per target; the right
+    side's inner field is built once (see _jacobi_inner)."""
     wt_uv = _wt_max(u) + _wt_max(v)
     cube = {"x0": (-w, w), "x1": (-w, w), "x2": (-w, w)}
-    obox = (-(wt_uv + wt_t + w), 3 * w + 1 + wt_uv + wt_t)
-    ibox = (-(wt_uv + wt_t), w)
-    g1 = _y_pair_series(u, "x1", v, "x2", target, obox, ibox)
-    t1 = ca.delta_product(g1, "x0", "x1", "x2", cube)
-    g2 = _y_pair_series(v, "x2", u, "x1", target, obox, ibox)
-    t2 = ca.delta_product(g2, "x0", "x2", "x1", cube, n_sign=-1)
-    lhs = t1 - t2
-    # inner field first, then the outer field in x2 against target
-    inner = _y_series(u, "x0", v, (-wt_uv, w))
-    g3 = _y_on_series(inner, "x2", target, (-(wt_uv + wt_t + w), 3 * w + wt_uv + 1))
-    rhs = ca.delta_product(g3, "x2", "x1", "x0", cube)
-    for exps, va, vb in diff_on_box(lhs, rhs, cube):
-        mono = [exps["x0"], exps["x1"], exps["x2"]]
-        note_diff(mismatches, list(prefix) + mono, va, vb, target)
+    inner = _jacobi_inner(u, v, w)
+    for ti, target in enumerate(targets):
+        wt_t = _wt_max(target)
+        obox = (-(wt_uv + wt_t + w), 3 * w + 1 + wt_uv + wt_t)
+        ibox = (-(wt_uv + wt_t), w)
+        g1 = _y_pair_series(u, "x1", v, "x2", target, obox, ibox)
+        t1 = ca.delta_product(g1, "x0", "x1", "x2", cube)
+        g2 = _y_pair_series(v, "x2", u, "x1", target, obox, ibox)
+        t2 = ca.delta_product(g2, "x0", "x2", "x1", cube, n_sign=-1)
+        rhs = _box_series(cube, _jacobi_rhs_cells(inner, target, w))
+        for exps, va, vb in diff_on_box(t1 - t2, rhs, cube):
+            mono = [ti, exps["x0"], exps["x1"], exps["x2"]]
+            note_diff(mismatches, list(prefix) + mono, va, vb, target)
+
+
+def _jacobi_inner(u: FockVector, v: FockVector, w: int) -> "dict[int, FockVector]":
+    """The x0-slices I_e = vertex_mode(u, -e - 1, v), e <= w, of the inner
+    field on the three-delta right side; they do not involve the target.
+
+    The right side is x2^-1 delta((x1 - x0)/x2) Y(Y(u, x0)v, x2) target.
+    Its kernel term C(n, k) (-1)^k x2^(-n-1) x1^(n-k) x0^k meets I_e x0^e
+    and the x2^f coefficient vertex_mode(I_e, -f - 1, target) at the cell
+    x0^a x1^b x2^c exactly when n = b + k, e = a - k and f = b + c + k + 1,
+    so (see _jacobi_rhs_cells)
+
+        rhs(a, b, c) = sum over k >= 0 of
+                       C(b + k, k) (-1)^k vertex_mode(I_(a-k), -(b+c+k+2), target).
+
+    The per-target pipeline this replaces built the same sum through a
+    series in x0/x2 and delta_product, and its windows drop no nonzero
+    term of it: I_e vanishes below e = -wt(u) - wt(v) by lower
+    truncation, so its kernel cap k <= w + wt(u) + wt(v) stops where the
+    slices stop; the x1 clip only removes cells off the cube; its x2
+    box top 3w + wt(u) + wt(v) + 1 is the largest f = b + c + k + 1, and
+    its floor -(wt(u) + wt(v) + wt(target) + w) lies at or below the
+    lowest f where vertex_mode(I_e, -f - 1, target) can be nonzero, as
+    I_e has weight at most wt(u) + wt(v) + w.  Here k runs over every
+    stored slice at or below a, and no window is read from the target."""
+    wt_uv = _wt_max(u) + _wt_max(v)
+    return {e: vec for (e,), vec in _y_series(u, "x0", v, (-wt_uv, w)).terms()}
+
+
+def _jacobi_rhs_cells(inner, target, w) -> "dict[tuple[int, int, int], FockVector]":
+    """The three-delta right side on the cube [-w, w]^3 (see _jacobi_inner),
+    one mode of one inner slice per term."""
+    modes: "dict[tuple[int, int], FockVector]" = {}
+    data = {}
+    for a in range(-w, w + 1):
+        for b in range(-w, w + 1):
+            for c in range(-w, w + 1):
+                vec = FockVector.zero()
+                for e, ie in inner.items():
+                    k = a - e
+                    if k < 0:
+                        continue
+                    m = -(b + c + k + 2)
+                    img = modes.get((e, m))
+                    if img is None:
+                        img = modes[(e, m)] = vertex_mode(ie, m, target)
+                    if img:
+                        vec = vec + img.scaled(ca.binom(b + k, k) * (-1) ** k)
+                if vec:
+                    data[(a, b, c)] = vec
+    return data
+
+
+def _box_series(box, data) -> Series:
+    """Cells computed on every point of a finite box, as a series known
+    on exactly that box."""
+    wins = [VarWindow(nm, lo, hi, NEG_INF, POS_INF) for nm, (lo, hi) in box.items()]
+    return Series(wins, data)
 
 
 def _y_series(u: FockVector, xvar: str, v: FockVector, box) -> Series:
@@ -374,112 +423,138 @@ def _y_pair_series(outer, ovar, inner, ivar, target, obox, ibox):
     return Series(wins, coeffs)
 
 
-def _y_on_series(g: Series, xvar: str, target: FockVector, box) -> Series:
-    """Adjoin xvar to g: the plain field of each coefficient applied to
-    target, with the same truncated-support convention as _x_on_series."""
-    lo, hi = box
-    wt_t = _wt_max(target)
-    data = {}
-    floor = 0
-    for exps, vec in g.terms():
-        lo_vec = -(_wt_max(vec) + wt_t)
-        floor = min(floor, lo_vec)
-        for e in range(max(lo, lo_vec), hi + 1):
-            img = vertex_mode(vec, -e - 1, target)
-            if img:
-                data[exps + (e,)] = img
-    wins = list(g.windows()) + [VarWindow(xvar, lo, hi, floor, hi)]
-    return Series(wins, data)
-
-
 # ----------------------------------------------------------------------
 # Exponential-substitution identities
 
 
-def _newjacobi_sides(u, v, target, win, x1_pad: int = 0):
+def _newjacobi_rhs(u, v, win, x1_pad: int = 0) -> "dict[tuple[int, int], FockVector]":
+    """Right side of the exponential-delta identity before the target:
+    the vectors H(a, n) whose x-mode -(n + c + 1) on a target is the
+    x0^a x1^(n-a) x2^c cell, for a <= win and n = a + b, b in
+    [-win, win + x1_pad].
+
+    With W_i the s-slices of the bracket field after y = -log(1 - s),
+    the right side is the sum over n of (1 - s)^n x1^n x2^(-n-1) times
+    Y_x(W(s), x2) target, then s = x0/x1.  Its x0^a x1^b x2^c cell takes
+    s^a = s^j s^(a-j) from the kernel coefficient L(n)_j of (1 - s)^n at
+    n = a + b and from the x2^(a+b+c+1) coefficient
+    x_mode(W_(a-j), -(a+b+c+1), target), so it is
+    x_mode(H(a, a+b), -(a+b+c+1), target) with
+    H(a, n) = sum over j of L(n)_j W_(a-j).
+
+    The per-target pipeline this replaces built the same sum through a
+    series in s/x1/x2, and its windows drop no nonzero term of it.  W_i
+    vanishes below i = -wt(u) - wt(v) (the pole depth of the bracket),
+    so every cell with a + b below its kernel range -win - wt(u) - wt(v)
+    is zero, and its kernel top win + x1_pad + win is the largest a + b.
+    The kernel table reaches j_hi = s_cap + wt(u) + wt(v), beyond the
+    largest j = a - i <= win + wt(u) + wt(v) that meets a slice.  Its
+    x2 box [-2 win - wt(u) - wt(v) - 1, x1_pad + 2 win + 1] holds every
+    a + b + c + 1 with a stored slice, and its floor -wt(target) only
+    cut modes that lower the target below weight zero.  Here H(a, n)
+    sums over every stored slice, and no window is read from the
+    target."""
+    wt_uv = _wt_max(u) + _wt_max(v)
+    s_cap = win + wt_uv
+    bser = y_bracket_apply(u, v, s_cap)
+    wser = ca.substitute_valuation(bser, "y", "s", ca.neg_log1m_unit, s_cap)
+    slices = {i: vec for (i,), vec in wser.terms()}
+    j_hi = s_cap + wt_uv
+    table = {}
+    for a in range(max(-win, min(slices, default=win + 1)), win + 1):
+        for n in range(a - win, a + win + x1_pad + 1):
+            kernel = _log_pow_coeffs(n, j_hi)
+            h = FockVector.zero()
+            for i, vec in slices.items():
+                if i <= a and kernel[a - i]:
+                    h = h + vec.scaled(kernel[a - i])
+            if h:
+                table[(a, n)] = h
+    return table
+
+
+def _newjacobi_sides(u, v, target, win, table, x1_pad: int = 0):
     """Both sides of the exponential-delta identity applied to target.
 
     Returns (lhs, rhs) series over x0, x1, x2, complete on the cube of
-    side 2*win (the x1 box top extended by x1_pad)."""
+    side 2*win (the x1 box top extended by x1_pad).  The left side is
+    built here; the right side is read off table, which
+    _newjacobi_rhs(u, v, win, x1_pad) built once for every target."""
     w = win
     wt_t = _wt_max(target)
-    wt_uv = _wt_max(u) + _wt_max(v)
     b_hi = w + x1_pad
-    cube = {"x0": (-w, w), "x1": (-w, b_hi), "x2": (-w, w)}
+    box = {"x0": (-w, w), "x1": (-w, b_hi), "x2": (-w, w)}
     k_cap = w + wt_t
     g1 = _ordered_pair_series(
         u, "x1", v, "x2", target, (-(wt_t + w), b_hi + w + 1 + k_cap), (-wt_t, w)
     )
-    t1 = ca.delta_product(g1, "x0", "x1", "x2", cube)
+    t1 = ca.delta_product(g1, "x0", "x1", "x2", box)
     g2 = _ordered_pair_series(
         v, "x2", u, "x1", target,
         (-(wt_t + b_hi), 2 * w + 1 + (b_hi + wt_t)),
         (-wt_t, b_hi),
     )
-    t2 = ca.delta_product(g2, "x0", "x2", "x1", cube, n_sign=-1)
-    lhs = t1 - t2
-    # right side: the bracket field composed through the logarithmic
-    # change of variable in s = x0/x1, then the ratio delta kernel
-    s_cap = w + wt_uv
-    bser = y_bracket_apply(u, v, s_cap)
-    wser = ca.substitute_valuation(bser, "y", "s", ca.neg_log1m_unit, s_cap)
-    xw = _x_on_series(wser, "x2", target, (-2 * w - wt_uv - 1, b_hi + 2 * w + 1))
-    j_hi = s_cap + wt_uv
-    pieces = []
-    for n in range(-w - wt_uv, b_hi + w + 1):
-        table = _log_pow_coeffs(n, j_hi)
-        for j in range(j_hi + 1):
-            if table[j]:
-                pieces.append(
-                    mul(
-                        ca.monomial({"s": j, "x1": n, "x2": -n - 1}, table[j]),
-                        xw,
-                        clip={
-                            "s": (-wt_uv, s_cap),
-                            "x1": (-w - wt_uv, b_hi + w),
-                            "x2": (-w, w),
-                        },
-                    )
-                )
-    h = ca.aligned_sum(pieces)
-    rhs = ca.subst_monomial(h, "s", {"x0": 1, "x1": -1}, {"x0": w})
-    box = {"x0": (-w, w), "x1": (-w, b_hi), "x2": (-w, w)}
-    return lhs.restrict(box), rhs.restrict(box)
-
-
-def _comm_sides(u, v, target, win, y_order):
-    """Commutator of the weight-shifted fields vs the residue form."""
-    w = win
-    wt_uv = _wt_max(u) + _wt_max(v)
+    t2 = ca.delta_product(g2, "x0", "x2", "x1", box, n_sign=-1)
     data = {}
+    for (a, n), h in table.items():
+        for c in range(-w, w + 1):
+            img = x_mode(h, -(n + c + 1), target)
+            if img:
+                data[(a, n - a, c)] = img
+    return (t1 - t2).restrict(box), _box_series(box, data)
+
+
+def _comm_rhs(u, v, win, y_order) -> "dict[int, FockVector]":
+    """Right side of the commutator identity before the target: the
+    vectors R_b whose x-mode -(b + c) on a target is the x1^b x2^c cell,
+    for b in [-win, win].
+
+    The right side is the y-residue of the sum over n of x1^n x2^(-n)
+    e^(-n y) times Y_x(B(y), x2) target, with B_k the y-slices of
+    y_bracket_apply(u, v, max(y_order, 0)).  Its x1^b x2^c cell has n = b,
+    takes y^(-1) = y^j y^k with j = -1 - k from e^(-b y), and reads the
+    x2^(b+c) coefficient x_mode(B_k, -(b+c), target), so it is
+    x_mode(R_b, -(b+c), target) with
+    R_b = sum over k <= -1 of (-b)^(-1-k)/(-1-k)! B_k.
+
+    The per-target pipeline this replaces built the same sum through a
+    series in x1/x2/y, and its windows drop no nonzero term of it: its
+    exponential reached y^(y_order + wt(u) + wt(v)) and its y clip
+    started at -wt(u) - wt(v), the pole depth of B; its x2 box
+    [-2 win - 1, 2 win + 1] holds every b + c, and its floor
+    -wt(target) only cut modes that lower the target below weight
+    zero.  Here R_b sums over every stored negative slice, and no
+    window is read from the target."""
+    slices = _bracket_slices(u, v, max(y_order, 0))
+    table = {}
+    for b in range(-win, win + 1):
+        r = FockVector.zero()
+        for k, vec in slices.items():
+            if k < 0:
+                r = r + vec.scaled(F((-b) ** (-1 - k), math.factorial(-1 - k)))
+        table[b] = r
+    return table
+
+
+def _comm_sides(u, v, target, win, table):
+    """Commutator of the weight-shifted fields vs the residue form, as
+    (lhs, rhs) series on the square [-win, win]^2 of x1/x2 exponents.
+    The right side is read off table, which _comm_rhs(u, v, win, .)
+    built once for every target."""
+    w = win
+    box = {"x1": (-w, w), "x2": (-w, w)}
+    u_on = {b: x_mode(u, -b, target) for b in range(-w, w + 1)}
+    v_on = {c: x_mode(v, -c, target) for c in range(-w, w + 1)}
+    lhs, rhs = {}, {}
     for b in range(-w, w + 1):
         for c in range(-w, w + 1):
-            vec = x_mode(u, -b, x_mode(v, -c, target)) - x_mode(
-                v, -c, x_mode(u, -b, target)
-            )
+            vec = x_mode(u, -b, v_on[c]) - x_mode(v, -c, u_on[b])
             if vec:
-                data[(b, c)] = vec
-    lhs = Series(
-        [
-            VarWindow("x1", -w, w, NEG_INF, POS_INF),
-            VarWindow("x2", -w, w, NEG_INF, POS_INF),
-        ],
-        data,
-    )
-    order = max(y_order, 0)
-    bser = y_bracket_apply(u, v, order)
-    xw = _x_on_series(bser, "x2", target, (-2 * w - 1, 2 * w + 1))
-    pieces = []
-    for n in range(-w, w + 1):
-        piece = mul(
-            ca.monomial({"x1": n, "x2": -n}),
-            ca.exp_series("y", order + wt_uv, -n),
-        )
-        pieces.append(
-            mul(piece, xw, clip={"x1": (-w, w), "x2": (-w, w), "y": (-wt_uv, order)})
-        )
-    rhs = ca.aligned_sum(pieces).residue("y")
-    return lhs, rhs
+                lhs[(b, c)] = vec
+            img = x_mode(table[b], -(b + c), target)
+            if img:
+                rhs[(b, c)] = img
+    return _box_series(box, lhs), _box_series(box, rhs)
 
 
 def _residue_weights(depth: int) -> "dict[int, Fraction]":
@@ -498,29 +573,36 @@ def _residue_weights(depth: int) -> "dict[int, Fraction]":
 def residue_link_diffs(params: dict, mismatches: list) -> None:
     """Residue in x0 of the exponential-delta identity vs the commutator
     identity: the x0^(-1) slice, the change-of-variable evaluation of the
-    same residue, and the residue-kernel right side must all agree.
+    same residue, and the residue-kernel right side must all agree, and
+    so must the x0^(-1) slices of the exponential-delta left and right
+    sides (comparison 3, the one that sets a left side against a right
+    side).
 
     Not a catalog entry (registering it would change verify all); the
-    acceptance gate runs it on params u, v, target and x-window."""
-    u, v, target, win = params["u"], params["v"], params["target"], params["x-window"]
+    acceptance gate runs it on params u, v, targets and x-window."""
+    u, v, win = params["u"], params["v"], params["x-window"]
     wt_uv = _wt_max(u) + _wt_max(v)
-    nj_lhs, nj_rhs = _newjacobi_sides(u, v, target, win, x1_pad=wt_uv)
-    c_lhs, c_rhs = _comm_sides(u, v, target, win, wt_uv + 1)
+    nj_table = _newjacobi_rhs(u, v, win, x1_pad=wt_uv)
+    c_table = _comm_rhs(u, v, win, wt_uv + 1)
     rho = _residue_weights(wt_uv)
-    for b in range(-win, win + 1):
-        for c in range(-win, win + 1):
-            direct = nj_rhs.coefficient({"x0": -1, "x1": b, "x2": c})
-            via = FockVector.zero()
-            for a, r in rho.items():
-                if r:
-                    cell = _as_vec(nj_rhs.coefficient({"x0": a, "x1": b - a - 1, "x2": c}))
-                    via = via + cell.scaled(r)
-            comm = c_rhs.coefficient({"x1": b, "x2": c})
-            left_slice = nj_lhs.coefficient({"x0": -1, "x1": b, "x2": c})
-            left_comm = c_lhs.coefficient({"x1": b, "x2": c})
-            note_diff(mismatches, [b, c, 0], direct, via, target)
-            note_diff(mismatches, [b, c, 1], via, comm, target)
-            note_diff(mismatches, [b, c, 2], left_slice, left_comm, target)
+    for target in params["targets"]:
+        nj_lhs, nj_rhs = _newjacobi_sides(u, v, target, win, nj_table, x1_pad=wt_uv)
+        c_lhs, c_rhs = _comm_sides(u, v, target, win, c_table)
+        for b in range(-win, win + 1):
+            for c in range(-win, win + 1):
+                direct = nj_rhs.coefficient({"x0": -1, "x1": b, "x2": c})
+                via = FockVector.zero()
+                for a, r in rho.items():
+                    if r:
+                        cell = nj_rhs.coefficient({"x0": a, "x1": b - a - 1, "x2": c})
+                        via = via + _as_vec(cell).scaled(r)
+                comm = c_rhs.coefficient({"x1": b, "x2": c})
+                left_slice = nj_lhs.coefficient({"x0": -1, "x1": b, "x2": c})
+                left_comm = c_lhs.coefficient({"x1": b, "x2": c})
+                note_diff(mismatches, [b, c, 0], direct, via, target)
+                note_diff(mismatches, [b, c, 1], via, comm, target)
+                note_diff(mismatches, [b, c, 2], left_slice, left_comm, target)
+                note_diff(mismatches, [b, c, 3], left_slice, direct, target)
 
 
 # ----------------------------------------------------------------------
@@ -528,22 +610,38 @@ def residue_link_diffs(params: dict, mismatches: list) -> None:
 
 
 def newjacobi_diffs(params: dict, mismatches: list) -> None:
-    w = params["x-window"]
+    u, v, w = params["u"], params["v"], params["x-window"]
     cube = {"x0": (-w, w), "x1": (-w, w), "x2": (-w, w)}
+    table = _newjacobi_rhs(u, v, w)
     for target in basis_up_to(params["weight-cap"]):
-        lhs, rhs = _newjacobi_sides(params["u"], params["v"], target, w)
+        lhs, rhs = _newjacobi_sides(u, v, target, w, table)
         for exps, va, vb in diff_on_box(lhs, rhs, cube):
             mono = [exps["x0"], exps["x1"], exps["x2"]]
             note_diff(mismatches, mono, va, vb, target)
 
 
 def comm_diffs(params: dict, mismatches: list) -> None:
-    w = params["x-window"]
+    u, v, w = params["u"], params["v"], params["x-window"]
     box = {"x1": (-w, w), "x2": (-w, w)}
+    table = _comm_rhs(u, v, w, params["y-order"])
     for target in basis_up_to(params["weight-cap"]):
-        lhs, rhs = _comm_sides(params["u"], params["v"], target, w, params["y-order"])
+        lhs, rhs = _comm_sides(u, v, target, w, table)
         for exps, va, vb in diff_on_box(lhs, rhs, box):
             note_diff(mismatches, [exps["x1"], exps["x2"]], va, vb, target)
+
+
+def _slice_pairs(params: dict, build) -> list:
+    """(alpha, beta, ua, vb, build(ua, vb)) for the bracket slices
+    ua of (u1, v1) and vb of (u2, v2), in sorted (alpha, beta) order:
+    each right-side table is built once, before any target."""
+    o1, o2 = params["y-orders"]
+    uslices = _bracket_slices(params["u1"], params["v1"], o1)
+    vslices = _bracket_slices(params["u2"], params["v2"], o2)
+    return [
+        (alpha, beta, ua, vb, build(ua, vb))
+        for alpha, ua in sorted(uslices.items())
+        for beta, vb in sorted(vslices.items())
+    ]
 
 
 def _transported_mismatches(mismatches, diffs, w_orders, target, prefix):
@@ -568,34 +666,28 @@ def _transported_mismatches(mismatches, diffs, w_orders, target, prefix):
 
 def genjacobi_diffs(params: dict, mismatches: list) -> None:
     w = params["x-window"]
-    o1, o2 = params["y-orders"]
     cube = {"x0": (-w, w), "x1": (-w, w), "x2": (-w, w)}
-    uslices = _bracket_slices(params["u1"], params["v1"], o1)
-    vslices = _bracket_slices(params["u2"], params["v2"], o2)
+    pairs = _slice_pairs(params, lambda ua, vb: _newjacobi_rhs(ua, vb, w))
     for target in basis_up_to(params["weight-cap"]):
-        for alpha, ua in sorted(uslices.items()):
-            for beta, vb in sorted(vslices.items()):
-                lhs, rhs = _newjacobi_sides(ua, vb, target, w)
-                diffs = diff_on_box(lhs, rhs, cube)
-                _transported_mismatches(
-                    mismatches, diffs, params["w-orders"], target, [alpha, beta]
-                )
+        for alpha, beta, ua, vb, table in pairs:
+            lhs, rhs = _newjacobi_sides(ua, vb, target, w, table)
+            diffs = diff_on_box(lhs, rhs, cube)
+            _transported_mismatches(
+                mismatches, diffs, params["w-orders"], target, [alpha, beta]
+            )
 
 
 def gencomm_diffs(params: dict, mismatches: list) -> None:
     w = params["x-window"]
-    o1, o2 = params["y-orders"]
     box = {"x1": (-w, w), "x2": (-w, w)}
-    uslices = _bracket_slices(params["u1"], params["v1"], o1)
-    vslices = _bracket_slices(params["u2"], params["v2"], o2)
+    pairs = _slice_pairs(params, lambda ua, vb: _comm_rhs(ua, vb, w, params["y-order"]))
     for target in basis_up_to(params["weight-cap"]):
-        for alpha, ua in sorted(uslices.items()):
-            for beta, vb in sorted(vslices.items()):
-                lhs, rhs = _comm_sides(ua, vb, target, w, params["y-order"])
-                diffs = diff_on_box(lhs, rhs, box)
-                _transported_mismatches(
-                    mismatches, diffs, params["w-orders"], target, [alpha, beta]
-                )
+        for alpha, beta, ua, vb, table in pairs:
+            lhs, rhs = _comm_sides(ua, vb, target, w, table)
+            diffs = diff_on_box(lhs, rhs, box)
+            _transported_mismatches(
+                mismatches, diffs, params["w-orders"], target, [alpha, beta]
+            )
 
 
 def _bracket_on_series(g: Series, yvar: str, order: int, u=None, v=None) -> Series:
@@ -774,13 +866,7 @@ def fourterm_diffs(params: dict, mismatches: list) -> None:
                         )
                         if vec:
                             data[(alpha, beta)] = vec
-                lhs = Series(
-                    [
-                        VarWindow("y1", -d1, o1, NEG_INF, POS_INF),
-                        VarWindow("y2", -d2, o2, NEG_INF, POS_INF),
-                    ],
-                    data,
-                )
+                lhs = _box_series(box, data)
                 rhs = _map_mode(rhs_by_b[b], -b - c, target)
                 for exps, va, vb in diff_on_box(lhs, rhs, box):
                     mono = [b, c, exps["y1"], exps["y2"]]
@@ -835,6 +921,11 @@ def specialize_diffs(params: dict, mismatches: list) -> None:
     g = generator()
     uslices = _bracket_slices(g, g, oy1)
     vslices = _bracket_slices(g, g, oy2)
+    rhs_tables = {
+        (alpha, beta): _comm_rhs(ua, vb, w, params["y-order"])
+        for alpha, ua in uslices.items()
+        for beta, vb in vslices.items()
+    }
     box = {"x1": (-w, w), "x2": (-w, w)}
     for target in basis_up_to(params["weight-cap"]):
         table = dilated_bracket_lhs(target, w, caps)
@@ -842,7 +933,7 @@ def specialize_diffs(params: dict, mismatches: list) -> None:
             ua = uslices[alpha]
             for beta in sorted(vslices):
                 vb = vslices[beta]
-                lhs, rhs = _comm_sides(ua, vb, target, w, params["y-order"])
+                lhs, rhs = _comm_sides(ua, vb, target, w, rhs_tables[(alpha, beta)])
                 for exps, va, vv in diff_on_box(lhs, rhs, box):
                     note_diff(
                         mismatches, [alpha, beta, exps["x1"], exps["x2"]], va, vv, target

@@ -8,6 +8,7 @@ central values and against deliberately wrong targets that must fail.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -233,6 +234,23 @@ def test_central_term_closed_form():
             for m in (1, 2):
                 want = F(m ** (2 * T + 3) * fact(T + 1) * fact(T + 2), fact(2 * T + 4))
                 assert q.central_term(r, s, m) == want, (r, s, m)
+
+
+def test_central_term_failures_keep_their_messages(monkeypatch):
+    # the fitting rows and their elimination are cached per (r + s, W);
+    # a rank-deficient system and an inconsistent one must still raise
+    # the messages of the uncached solve
+    with pytest.raises(ValueError, match="no equations"):
+        q.central_term(1, 0, 1, 0)
+    with pytest.raises(ValueError, match="underdetermined"):
+        q.central_term(1, 1, 2, 2)
+    real = q._diag_eigenvalue
+    wrong = lambda t, parts: real(t, parts) + (len(parts) ** 2 if t == 0 else 0)
+    monkeypatch.setattr(q, "_diag_eigenvalue", wrong)
+    for cached in (q._eigen_rows, q._fit_inverse):
+        monkeypatch.setattr(q, cached.__name__, functools.lru_cache(cached.__wrapped__))
+    with pytest.raises(ValueError, match="inconsistent"):
+        q.central_term(0, 0, 1, 2)
 
 
 def test_solve_exact():

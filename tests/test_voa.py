@@ -22,6 +22,7 @@ from zetafock import quadratic as q
 from zetafock import voa
 from zetafock.fock import FockVector, basis_up_to, h_apply, weight
 from zetafock.reports import note_diff
+from zetafock.series import diff_on_box
 
 F = Fraction
 
@@ -201,15 +202,14 @@ def test_jacobi_small_grid():
     small = basis_up_to(2)
     for u in small:
         for v in small:
-            for t in small:
-                mismatches = []
-                voa.jacobi_diffs(mismatches, [], u, v, t, 2)
-                assert mismatches == [], (u, v, t)
+            mismatches = []
+            voa.jacobi_diffs(mismatches, [], u, v, small, 2)
+            assert mismatches == [], (u, v)
 
 
 def test_jacobi_spot_window_three():
     mismatches = []
-    voa.jacobi_diffs(mismatches, [], GEN, GEN, VAC, 3)
+    voa.jacobi_diffs(mismatches, [], GEN, GEN, [VAC], 3)
     assert mismatches == []
 
 
@@ -297,11 +297,51 @@ def test_specialize_passes_small():
 
 def test_residue_link_small():
     mismatches = []
-    params = {"u": GEN, "v": GEN, "target": FockVector.basis((1, 1)), "x-window": 2}
+    params = {"u": GEN, "v": GEN, "targets": [FockVector.basis((1, 1))], "x-window": 2}
     voa.residue_link_diffs(params, mismatches)
     assert mismatches == []
     # the slice at pole order one transports with weight exactly 1
     assert voa._residue_weights(3)[-1] == 1
+
+
+def test_residue_link_fails_on_a_doubled_bracket(monkeypatch):
+    # comparisons 0-2 set right side against right side or left against
+    # left, so a wrong bracket is seen only where the x0^-1 slices of
+    # the exponential-delta left and right sides are compared
+    real = voa.y_bracket_apply
+    monkeypatch.setattr(voa, "y_bracket_apply", lambda *a: real(*a).scale(2))
+    mismatches = []
+    params = {"u": GEN, "v": GEN, "targets": [VAC, GEN], "x-window": 1}
+    voa.residue_link_diffs(params, mismatches)
+    assert mismatches
+    assert {m["monomial"][2] for m in mismatches} == {3}
+
+
+MIXED = (
+    FockVector.basis((2,)).scaled(F(1, 3))
+    - FockVector.basis((1, 1)).scaled(F(5, 2))
+    + FockVector.basis((3,)).scaled(F(7, 4))
+)
+
+
+@pytest.mark.parametrize("u", [GEN, OMEGA], ids=["current", "conformal"])
+def test_identities_on_a_mixed_weight_target(u):
+    # the right sides are built before any target is seen, so a target
+    # mixing weights 2 and 3 must be matched cell by cell as well
+    w = 2
+    mismatches = []
+    voa.jacobi_diffs(mismatches, [], u, GEN, [MIXED], w)
+    assert mismatches == []
+    wt_uv = voa._wt_max(u) + 1
+    for pad in (0, wt_uv):
+        table = voa._newjacobi_rhs(u, GEN, w, x1_pad=pad)
+        lhs, rhs = voa._newjacobi_sides(u, GEN, MIXED, w, table, x1_pad=pad)
+        box = {"x0": (-w, w), "x1": (-w, w + pad), "x2": (-w, w)}
+        assert len(rhs) > 0
+        assert diff_on_box(lhs, rhs, box) == [], pad
+    lhs, rhs = voa._comm_sides(u, GEN, MIXED, w, voa._comm_rhs(u, GEN, w, 2))
+    assert len(rhs) > 0
+    assert diff_on_box(lhs, rhs, {"x1": (-w, w), "x2": (-w, w)}) == []
 
 
 def test_theorem_check_rejects_bad_input():
