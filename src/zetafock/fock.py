@@ -4,7 +4,11 @@ A basis state is a partition ``(a1 >= a2 >= ... >= ak)`` of positive
 integers, standing for the product of creation operators with those
 mode numbers applied to the vacuum (the empty partition).  States are
 finite rational combinations of basis states and all arithmetic is
-exact.
+exact: a FockVector holds integer numerators over one positive common
+denominator, in lowest terms, so the kernels here and in voa and
+quadratic sum integers and reduce once per vector.  Fractions are built
+only at the boundary: the constructor and ``scaled`` take them (never a
+float), ``terms`` and ``coeff`` return them.
 
 The single field obeys the commutation rule
 ``[h(m), h(n)] = m * delta(m + n, 0)``: negative modes create (append a
@@ -14,6 +18,7 @@ the mode number times its multiplicity), and ``h(0)`` kills everything.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
@@ -50,83 +55,130 @@ def weight(partition: tuple[int, ...]) -> int:
 class FockVector:
     """Finite rational combination of partition basis states.
 
-    Immutable in practice: every operation returns a new vector, zero
-    coefficients are never stored, and the empty vector is falsy.
+    Stored as integer numerators over one common denominator: ``_num``
+    maps partitions to nonzero ints and ``_den`` is a positive int with
+    ``gcd(_den, *_num.values()) == 1``, so the zero vector has ``_den``
+    1 and two equal vectors have equal ``(_den, _num)``.  Immutable in
+    practice: every operation returns a new vector, and the empty vector
+    is falsy.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_num", "_den")
 
-    def __init__(self, terms: Mapping[tuple[int, ...], Fraction] | None = None):
-        data: dict[tuple[int, ...], Fraction] = {}
+    def __init__(self, terms: Mapping[tuple[int, ...], Fraction | int] | None = None):
+        fracs = {}
         if terms:
             for part, coeff in terms.items():
-                c = Fraction(coeff)
+                c = _exact(coeff)
                 if c:
-                    data[tuple(part)] = c
-        self._terms = data
+                    fracs[tuple(part)] = c
+        # numerators over the lcm of reduced denominators share no factor
+        # with it: a prime's top power in the lcm comes from one term
+        # whose numerator it does not divide
+        den = math.lcm(*(c.denominator for c in fracs.values()))
+        self._num = {p: c.numerator * (den // c.denominator) for p, c in fracs.items()}
+        self._den = den
+
+    @classmethod
+    def from_ints(cls, num: "dict[tuple[int, ...], int]", den: int = 1) -> "FockVector":
+        """The vector sum_p num[p]/den |p>, taking ownership of ``num``.
+
+        ``num`` holds no zero values and ``den`` is positive; the result
+        is brought to lowest terms with one gcd."""
+        if den != 1:
+            g = math.gcd(den, *num.values())
+            if g != 1:
+                num = {p: x // g for p, x in num.items()}
+                den //= g
+        return _reduced(num, den)
 
     @classmethod
     def zero(cls) -> "FockVector":
-        return cls()
+        return cls.from_ints({})
 
     @classmethod
     def vacuum(cls, coeff: Fraction | int = 1) -> "FockVector":
-        return cls({(): Fraction(coeff)})
+        return cls({(): coeff})
 
     @classmethod
     def basis(cls, parts: Iterable[int]) -> "FockVector":
-        return cls({make_partition(parts): Fraction(1)})
+        return cls.from_ints({make_partition(parts): 1})
 
     def terms(self) -> Iterator[tuple[tuple[int, ...], Fraction]]:
         """Stored terms, sorted by (weight, partition) for determinism."""
-        return iter(sorted(self._terms.items(), key=lambda kv: (sum(kv[0]), kv[0])))
+        den = self._den
+        for p in sorted(self._num, key=lambda p: (sum(p), p)):
+            yield p, Fraction(self._num[p], den)
 
     def coeff(self, parts: Iterable[int]) -> Fraction:
-        return self._terms.get(make_partition(parts), Fraction(0))
+        return Fraction(self._num.get(make_partition(parts), 0), self._den)
 
     def scaled(self, c: Fraction | int) -> "FockVector":
-        c = Fraction(c)
-        if not c:
-            return FockVector()
-        out = FockVector()
-        out._terms = {p: v * c for p, v in self._terms.items()}
-        return out
+        if type(c) is int:
+            a, b = c, 1
+        else:
+            c = _exact(c)
+            a, b = c.numerator, c.denominator
+        if not a or not self._num:
+            return FockVector.zero()
+        # a/b and the vector are each in lowest terms, so only a common
+        # factor of a and the denominator, or of b and every numerator,
+        # can cancel
+        g = math.gcd(a, self._den)
+        a //= g
+        den = self._den // g
+        if b != 1:
+            h = math.gcd(b, *self._num.values())
+            den *= b // h
+            if h != 1:
+                return _reduced({p: x // h * a for p, x in self._num.items()}, den)
+        return _reduced({p: x * a for p, x in self._num.items()}, den)
 
     def __add__(self, other: "FockVector") -> "FockVector":
         if not isinstance(other, FockVector):
             return NotImplemented
-        data = dict(self._terms)
-        for p, v in other._terms.items():
-            s = data.get(p, Fraction(0)) + v
+        if not other._num:
+            return self
+        if not self._num:
+            return other
+        d1, d2 = self._den, other._den
+        if d1 == d2:
+            num = dict(self._num)
+            m2 = 1
+        else:
+            den = math.lcm(d1, d2)
+            m1, m2 = den // d1, den // d2
+            num = {p: x * m1 for p, x in self._num.items()}
+            d1 = den
+        for p, x in other._num.items():
+            s = num.get(p, 0) + x * m2
             if s:
-                data[p] = s
+                num[p] = s
             else:
-                data.pop(p, None)
-        out = FockVector()
-        out._terms = data
-        return out
+                del num[p]
+        return FockVector.from_ints(num, d1)
 
     def __neg__(self) -> "FockVector":
-        return self.scaled(-1)
+        return _reduced({p: -x for p, x in self._num.items()}, self._den)
 
     def __sub__(self, other: "FockVector") -> "FockVector":
         return self + (-other)
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._num)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, FockVector):
-            return self._terms == other._terms
+            return self._den == other._den and self._num == other._num
         if other == 0:
-            return not self._terms
+            return not self._num
         return NotImplemented
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._num)
 
     def __repr__(self) -> str:
-        if not self._terms:
+        if not self._num:
             return "FockVector(0)"
         bits = []
         for part, coeff in self.terms():
@@ -135,41 +187,45 @@ class FockVector:
         return "FockVector(" + " + ".join(bits) + ")"
 
 
+def _reduced(num: "dict[tuple[int, ...], int]", den: int) -> FockVector:
+    """A vector from numerators already in lowest terms over den."""
+    out = FockVector.__new__(FockVector)
+    out._num = num
+    out._den = den
+    return out
+
+
+def _exact(c: object) -> Fraction:
+    """c as a Fraction; floats (and bools) are refused, not converted."""
+    if type(c) is Fraction:
+        return c
+    if isinstance(c, (float, bool)):
+        raise TypeError(f"FockVector coefficients must be exact, got {type(c).__name__}")
+    return Fraction(c)
+
+
 def h_apply(n: int, v: FockVector) -> FockVector:
     """Apply the mode-``n`` field operator to ``v``.
 
     ``n < 0`` appends the part ``-n``; ``n > 0`` removes one copy of the
     part ``n`` from each state that has one, scaled by ``n`` times the
-    multiplicity; ``n = 0`` acts as zero.
+    multiplicity; ``n = 0`` acts as zero.  Both maps are injective on
+    basis states, so no two terms merge: creation keeps the numerators
+    (and lowest terms), annihilation scales them by integers over the
+    same denominator.
     """
     if n == 0:
-        return FockVector()
-    out: dict[tuple[int, ...], Fraction] = {}
+        return FockVector.zero()
     if n < 0:
-        part_new = -n
-        for part, coeff in v._terms.items():
-            key = make_partition(part + (part_new,))
-            s = out.get(key, Fraction(0)) + coeff
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-    else:
-        for part, coeff in v._terms.items():
-            count = part.count(n)
-            if not count:
-                continue
-            removed = list(part)
-            removed.remove(n)
-            key = tuple(removed)
-            s = out.get(key, Fraction(0)) + coeff * n * count
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-    res = FockVector()
-    res._terms = out
-    return res
+        p = -n
+        return _reduced({make_partition(part + (p,)): x for part, x in v._num.items()}, v._den)
+    out: dict[tuple[int, ...], int] = {}
+    for part, x in v._num.items():
+        count = part.count(n)
+        if count:
+            i = part.index(n)
+            out[part[:i] + part[i + 1 :]] = x * n * count
+    return FockVector.from_ints(out, v._den)
 
 
 @lru_cache(maxsize=None)
@@ -202,15 +258,10 @@ def basis_up_to(w_cap: int) -> list[FockVector]:
 
 def weight_components(v: FockVector) -> list[tuple[int, FockVector]]:
     """Split ``v`` into homogeneous pieces, ascending in weight."""
-    buckets: dict[int, dict[tuple[int, ...], Fraction]] = {}
-    for part, coeff in v._terms.items():
-        buckets.setdefault(sum(part), {})[part] = coeff
-    out = []
-    for w in sorted(buckets):
-        piece = FockVector()
-        piece._terms = buckets[w]
-        out.append((w, piece))
-    return out
+    buckets: dict[int, dict[tuple[int, ...], int]] = {}
+    for part, x in v._num.items():
+        buckets.setdefault(sum(part), {})[part] = x
+    return [(w, FockVector.from_ints(buckets[w], v._den)) for w in sorted(buckets)]
 
 
 @lru_cache(maxsize=None)

@@ -114,15 +114,13 @@ def pair_apply(j: int, k: int, v: FockVector) -> FockVector:
     """Normal-ordered pair :h(j)h(k): on an arbitrary vector."""
     if j < k:
         j, k = k, j
-    acc: dict[tuple[int, ...], Fraction] = {}
-    for parts, c in v._terms.items():
-        for p2, c2 in _pair_on_basis(j, k, parts)._terms.items():
-            s = acc.get(p2, F(0)) + c * c2
-            if s:
-                acc[p2] = s
-            else:
-                del acc[p2]
-    return FockVector(acc)
+    # h_apply gives a basis state integral coefficients, so every
+    # _pair_on_basis image has denominator 1 and v's denominator carries over
+    acc: dict[tuple[int, ...], int] = {}
+    for parts, c in v._num.items():
+        for p2, c2 in _pair_on_basis(j, k, parts)._num.items():
+            acc[p2] = acc.get(p2, 0) + c * c2
+    return FockVector.from_ints({p: x for p, x in acc.items() if x}, v._den)
 
 
 @dataclass(frozen=True)
@@ -201,17 +199,14 @@ def quad_apply(op: QuadraticOpSpec, v: FockVector) -> FockVector:
     Per basis component the mode sum visits only the j for which
     :h(j)h(n-j): can act (the parts, n minus a part, and the two-creator
     range n < j < 0); `_quad_on_basis` shows that every other term
-    annihilates.  Coefficients are summed as integer numerators over the
-    common denominator of v.  The regularizing constant enters only at
+    annihilates.  Coefficients are summed as integer numerators over
+    twice the denominator of v.  The regularizing constant enters only at
     n = 0 with r_left = r_right."""
-    den = math.lcm(*(c.denominator for c in v._terms.values()))
     acc: dict[tuple[int, ...], int] = {}
-    for parts, c in v._terms.items():
-        s = c.numerator * (den // c.denominator)
+    for parts, s in v._num.items():
         for p2, x in _quad_on_basis(op.r_left, op.r_right, op.n, parts):
             acc[p2] = acc.get(p2, 0) + s * x
-    out = FockVector()
-    out._terms = {p: F(x, 2 * den) for p, x in acc.items() if x}
+    out = FockVector.from_ints({p: x for p, x in acc.items() if x}, 2 * v._den)
     if op.regularized and op.n == 0 and op.r_left == op.r_right:
         out = out + v.scaled(reg_constant(op.r_left))
     return out
@@ -567,12 +562,9 @@ def _phi_coeffs(n: int, order: int) -> "list[Fraction]":
 def _int_items(vec: FockVector) -> "list[tuple[tuple[int, ...], int]]":
     # basis states have integral matrix elements; a fractional one here
     # means the caller fed a non-basis target into the integer fast path
-    out = []
-    for p, c in vec._terms.items():
-        if c.denominator != 1:
-            raise ArithmeticError("expected integral coefficients on basis states")
-        out.append((p, c.numerator))
-    return out
+    if vec._den != 1:
+        raise ArithmeticError("expected integral coefficients on basis states")
+    return list(vec._num.items())
 
 
 def _scalar_sector(
@@ -679,7 +671,7 @@ def _dilated_lhs_blocks(
                     com = pair_apply(j1, k1, inner) - pair_apply(
                         j2, k2, pair_apply(j1, k1, v)
                     )
-                    if not com._terms:
+                    if not com:
                         continue
                     items = _int_items(com)
                     idx = 0
@@ -708,7 +700,7 @@ def dilated_bracket_lhs(
     Returns {(e1, e2): {(a1, a2, a3, a4): FockVector}} with the
     1 / (4 * a1! * a2! * a3! * a4!) normalization folded in and zero
     entries dropped."""
-    wbound = max((sum(p) for p, _ in v.terms()), default=0)
+    wbound = max(map(sum, v._num), default=0)
     nm1, nm2, nm3, nm4 = (c + 1 for c in caps)
     monos = [
         (a1, a2, a3, a4)
@@ -728,7 +720,7 @@ def dilated_bracket_lhs(
             d = block[idx]
             if not d:
                 continue
-            vec = FockVector({p: F(c, denom[idx]) for p, c in d.items() if c})
+            vec = FockVector.from_ints({p: c for p, c in d.items() if c}, denom[idx])
             if vec:
                 table[mono] = vec
         if table:
@@ -767,7 +759,7 @@ def theorem1_diffs(params: dict, mismatches: list) -> None:
     scalar_cache = {n: _scalar_sector(n, caps) for n in range(-N, N + 1)}
 
     for v in basis_up_to(W):
-        parts0 = next(iter(v._terms))
+        parts0 = next(iter(v._num))
         # ---- left side: commutator of two normal-ordered dilated pairs
         lhs = _dilated_lhs_blocks(v, N, W, caps)
         # ---- right side operator sector: four dilation-shifted families
@@ -784,7 +776,7 @@ def theorem1_diffs(params: dict, mismatches: list) -> None:
                     if jp == 0 or kp == 0 or jp + n == 0:
                         continue
                     base = pair_apply(jp, kp, v)
-                    if not base._terms:
+                    if not base:
                         continue
                     items = _int_items(base)
                     mult = -(jp + n)
@@ -834,7 +826,7 @@ def theorem1_diffs(params: dict, mismatches: list) -> None:
             for n2 in range(-N, N + 1):
                 block = lhs.get((-n1, -n2))
                 ld = (block[0] if block else None) or {}
-                slice_vec = FockVector({p: F(c, 4) for p, c in ld.items()})
+                slice_vec = FockVector.from_ints({p: c for p, c in ld.items() if c}, 4)
                 expect = lbar_mode(n1 + n2, v).scaled(n1 - n2)
                 if n1 + n2 == 0:
                     expect = expect + v.scaled(F(n1**3, 12))

@@ -58,7 +58,7 @@ def _omega() -> FockVector:
 
 
 def _wt_max(v: FockVector) -> int:
-    return max((weight(p) for p, _ in v.terms()), default=0)
+    return max(map(weight, v._num), default=0)
 
 
 # ----------------------------------------------------------------------
@@ -112,18 +112,29 @@ def _mode_on_basis(
         if s == total:
             key = make_partition(rest + made)
             out[key] = out.get(key, 0) + c
-    return FockVector({key: F(c) for key, c in out.items()})
+    return FockVector.from_ints({key: c for key, c in out.items() if c})
+
+
+def _mode_sum(u: FockVector, v: FockVector, mode_of) -> FockVector:
+    """Sum of the basis images _mode_on_basis(up, mode_of(up), vp) over
+    the terms of u and v.  The images are integral, so the numerators
+    are summed over u's denominator times v's and reduced once."""
+    acc: "dict[tuple[int, ...], int]" = {}
+    v_items = v._num.items()
+    for up, cu in u._num.items():
+        n = mode_of(up)
+        for vp, cv in v_items:
+            w = _mode_on_basis(up, n, vp)
+            if w:
+                c = cu * cv
+                for p, x in w._num.items():
+                    acc[p] = acc.get(p, 0) + c * x
+    return FockVector.from_ints({p: x for p, x in acc.items() if x}, u._den * v._den)
 
 
 def vertex_mode(u: FockVector, n: int, v: FockVector) -> FockVector:
     """Coefficient of x^(-n-1) in the field of u, applied to v."""
-    out = FockVector.zero()
-    for up, cu in u.terms():
-        for vp, cv in v.terms():
-            w = _mode_on_basis(up, n, vp)
-            if w:
-                out = out + w.scaled(cu * cv)
-    return out
+    return _mode_sum(u, v, lambda up: n)
 
 
 def x_mode(u: FockVector, n: int, v: FockVector) -> FockVector:
@@ -131,14 +142,7 @@ def x_mode(u: FockVector, n: int, v: FockVector) -> FockVector:
 
     Shifting by the weight of each homogeneous component makes the mode
     lower weights by exactly n."""
-    out = FockVector.zero()
-    for up, cu in u.terms():
-        shifted = n - 1 + weight(up)
-        for vp, cv in v.terms():
-            w = _mode_on_basis(up, shifted, vp)
-            if w:
-                out = out + w.scaled(cu * cv)
-    return out
+    return _mode_sum(u, v, lambda up: n - 1 + weight(up))
 
 
 # ----------------------------------------------------------------------
@@ -286,12 +290,12 @@ def _log_pow_coeffs(n: int, order: int) -> "tuple[Fraction, ...]":
 
     Composed from the truncated logarithm itself rather than from the
     binomial theorem, so the log series is exercised on every kernel."""
-    log_terms = {e: c for (e,), c in ca.log1m("t", order).terms()}
+    log_coeffs = {e: c for (e,), c in ca.log1m("t", order).terms()}
     out = {0: F(1)}
     power = {0: F(1)}
     fact = 1
     for j in range(1, order + 1):
-        power = ca.u_mul(power, log_terms, order)
+        power = ca.u_mul(power, log_coeffs, order)
         fact *= j
         scale = F(n) ** j / fact
         for e, c in power.items():
@@ -427,11 +431,11 @@ def _y_pair_series(outer, ovar, inner, ivar, target, obox, ibox):
 # Exponential-substitution identities
 
 
-def _newjacobi_rhs(u, v, win, x1_pad: int = 0) -> "dict[tuple[int, int], FockVector]":
+def _newjacobi_rhs(u, v, win) -> "dict[tuple[int, int], FockVector]":
     """Right side of the exponential-delta identity before the target:
     the vectors H(a, n) whose x-mode -(n + c + 1) on a target is the
     x0^a x1^(n-a) x2^c cell, for a <= win and n = a + b, b in
-    [-win, win + x1_pad].
+    [-win, win].
 
     With W_i the s-slices of the bracket field after y = -log(1 - s),
     the right side is the sum over n of (1 - s)^n x1^n x2^(-n-1) times
@@ -446,10 +450,10 @@ def _newjacobi_rhs(u, v, win, x1_pad: int = 0) -> "dict[tuple[int, int], FockVec
     series in s/x1/x2, and its windows drop no nonzero term of it.  W_i
     vanishes below i = -wt(u) - wt(v) (the pole depth of the bracket),
     so every cell with a + b below its kernel range -win - wt(u) - wt(v)
-    is zero, and its kernel top win + x1_pad + win is the largest a + b.
+    is zero, and its kernel top 2 win is the largest a + b.
     The kernel table reaches j_hi = s_cap + wt(u) + wt(v), beyond the
     largest j = a - i <= win + wt(u) + wt(v) that meets a slice.  Its
-    x2 box [-2 win - wt(u) - wt(v) - 1, x1_pad + 2 win + 1] holds every
+    x2 box [-2 win - wt(u) - wt(v) - 1, 2 win + 1] holds every
     a + b + c + 1 with a stored slice, and its floor -wt(target) only
     cut modes that lower the target below weight zero.  Here H(a, n)
     sums over every stored slice, and no window is read from the
@@ -462,7 +466,7 @@ def _newjacobi_rhs(u, v, win, x1_pad: int = 0) -> "dict[tuple[int, int], FockVec
     j_hi = s_cap + wt_uv
     table = {}
     for a in range(max(-win, min(slices, default=win + 1)), win + 1):
-        for n in range(a - win, a + win + x1_pad + 1):
+        for n in range(a - win, a + win + 1):
             kernel = _log_pow_coeffs(n, j_hi)
             h = FockVector.zero()
             for i, vec in slices.items():
@@ -473,26 +477,24 @@ def _newjacobi_rhs(u, v, win, x1_pad: int = 0) -> "dict[tuple[int, int], FockVec
     return table
 
 
-def _newjacobi_sides(u, v, target, win, table, x1_pad: int = 0):
+def _newjacobi_sides(u, v, target, win, table):
     """Both sides of the exponential-delta identity applied to target.
 
     Returns (lhs, rhs) series over x0, x1, x2, complete on the cube of
-    side 2*win (the x1 box top extended by x1_pad).  The left side is
-    built here; the right side is read off table, which
-    _newjacobi_rhs(u, v, win, x1_pad) built once for every target."""
+    side 2*win.  The left side is built here; the right side is read off
+    table, which _newjacobi_rhs(u, v, win) built once for every target."""
     w = win
     wt_t = _wt_max(target)
-    b_hi = w + x1_pad
-    box = {"x0": (-w, w), "x1": (-w, b_hi), "x2": (-w, w)}
+    box = {"x0": (-w, w), "x1": (-w, w), "x2": (-w, w)}
     k_cap = w + wt_t
     g1 = _ordered_pair_series(
-        u, "x1", v, "x2", target, (-(wt_t + w), b_hi + w + 1 + k_cap), (-wt_t, w)
+        u, "x1", v, "x2", target, (-(wt_t + w), 2 * w + 1 + k_cap), (-wt_t, w)
     )
     t1 = ca.delta_product(g1, "x0", "x1", "x2", box)
     g2 = _ordered_pair_series(
         v, "x2", u, "x1", target,
-        (-(wt_t + b_hi), 2 * w + 1 + (b_hi + wt_t)),
-        (-wt_t, b_hi),
+        (-(wt_t + w), 2 * w + 1 + (w + wt_t)),
+        (-wt_t, w),
     )
     t2 = ca.delta_product(g2, "x0", "x2", "x1", box, n_sign=-1)
     data = {}
@@ -557,50 +559,34 @@ def _comm_sides(u, v, target, win, table):
     return _box_series(box, lhs), _box_series(box, rhs)
 
 
-def _residue_weights(depth: int) -> "dict[int, Fraction]":
-    """Residue transport weights of the substitution x0 = x1*(1 - e^y):
-    the x0^a slice contributes [y^{-1-a}] of (-1)^(a+1) em1_unit(y)^a e^y."""
-    out = {}
-    for a in range(-depth, 0):
-        order = -1 - a
-        unit_pow = ca.u_pow(ca.em1_unit(order), a, order)
-        ey = {k: F(1, math.factorial(k)) for k in range(order + 1)}
-        comp = ca.u_mul(unit_pow, ey, order)
-        out[a] = comp.get(order, F(0)) * F(-1) ** (a + 1)
-    return out
-
-
 def residue_link_diffs(params: dict, mismatches: list) -> None:
     """Residue in x0 of the exponential-delta identity vs the commutator
-    identity: the x0^(-1) slice, the change-of-variable evaluation of the
-    same residue, and the residue-kernel right side must all agree, and
-    so must the x0^(-1) slices of the exponential-delta left and right
-    sides (comparison 3, the one that sets a left side against a right
-    side).
+    identity: the x0^(-1) slice of the exponential-delta right side must
+    equal the residue-kernel right side (comparison 1), the x0^(-1) slice
+    of the left side the commutator (comparison 2), and the x0^(-1)
+    slices of the exponential-delta left and right sides each other
+    (comparison 3, the one that sets a left side against a right side).
+
+    The change of variable x0 = x1*(1 - e^y) carries the x0^a slice with
+    weight Res e^y dy/(e^y - 1)^(-a) = delta(a, -1), so the residue is the
+    x0^(-1) slice itself; calculus tests pin that closed form.
 
     Not a catalog entry (registering it would change verify all); the
     acceptance gate runs it on params u, v, targets and x-window."""
     u, v, win = params["u"], params["v"], params["x-window"]
     wt_uv = _wt_max(u) + _wt_max(v)
-    nj_table = _newjacobi_rhs(u, v, win, x1_pad=wt_uv)
+    nj_table = _newjacobi_rhs(u, v, win)
     c_table = _comm_rhs(u, v, win, wt_uv + 1)
-    rho = _residue_weights(wt_uv)
     for target in params["targets"]:
-        nj_lhs, nj_rhs = _newjacobi_sides(u, v, target, win, nj_table, x1_pad=wt_uv)
+        nj_lhs, nj_rhs = _newjacobi_sides(u, v, target, win, nj_table)
         c_lhs, c_rhs = _comm_sides(u, v, target, win, c_table)
         for b in range(-win, win + 1):
             for c in range(-win, win + 1):
                 direct = nj_rhs.coefficient({"x0": -1, "x1": b, "x2": c})
-                via = FockVector.zero()
-                for a, r in rho.items():
-                    if r:
-                        cell = nj_rhs.coefficient({"x0": a, "x1": b - a - 1, "x2": c})
-                        via = via + _as_vec(cell).scaled(r)
                 comm = c_rhs.coefficient({"x1": b, "x2": c})
                 left_slice = nj_lhs.coefficient({"x0": -1, "x1": b, "x2": c})
                 left_comm = c_lhs.coefficient({"x1": b, "x2": c})
-                note_diff(mismatches, [b, c, 0], direct, via, target)
-                note_diff(mismatches, [b, c, 1], via, comm, target)
+                note_diff(mismatches, [b, c, 1], direct, comm, target)
                 note_diff(mismatches, [b, c, 2], left_slice, left_comm, target)
                 note_diff(mismatches, [b, c, 3], left_slice, direct, target)
 

@@ -556,3 +556,14 @@ def test_residue_of_truncated_delta():
     assert delta.residue("x").coefficient({}) == 1
     assert fk("x", {2: 1}).residue("x").coefficient({}) == 0
 
+
+def test_residue_of_exp_over_em1_power_is_delta():
+    # Res e^y dy/(e^y - 1)^n = delta(n, 1): with e^y - 1 = y*E(y) it is
+    # [y^(n-1)] of E^(-n) e^y, and for n >= 2 the integrand is the
+    # derivative of (e^y - 1)^(1-n)/(1-n).  This is why the change of
+    # variable in RES-LINK carries the x0^-1 slice alone, with weight 1.
+    for n in range(1, 7):
+        order = n - 1
+        ey = {k: F(1, ca.math.factorial(k)) for k in range(order + 1)}
+        comp = ca.u_mul(ca.u_pow(ca.em1_unit(order), -n, order), ey, order)
+        assert comp.get(order, 0) == (1 if n == 1 else 0), n

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
+import pytest
+
 from zetafock import calculus as ca
 from zetafock import fock as fo
+from zetafock import quadratic as q
+from zetafock import voa
 
 F = Fraction
 
@@ -131,3 +136,126 @@ def test_graded_dim_known_values():
 
 def test_character_offset():
     assert fo.character_offset() == F(-1, 24)
+
+
+def test_vectors_refuse_floats():
+    v = fo.FockVector.basis([2, 1])
+    for bad in (0.1, 0.5, 1.0, True):
+        with pytest.raises(TypeError):
+            fo.FockVector({(1,): bad})
+        with pytest.raises(TypeError):
+            v.scaled(bad)
+        with pytest.raises(TypeError):
+            fo.FockVector.vacuum(bad)
+    assert v.scaled(F(1, 2)) == fo.FockVector({(2, 1): F(1, 2)})
+    assert fo.FockVector({(2, 1): "1/2"}) == v.scaled(F(1, 2))
+
+
+# ----------------------------------------------------------------------
+# integer numerators over one denominator, against {partition: Fraction}
+
+
+def _canonical(v: "fo.FockVector") -> None:
+    num, den = v._num, v._den
+    assert den > 0
+    assert math.gcd(den, *num.values()) == 1
+    assert all(num.values())
+    if not num:
+        assert den == 1
+
+
+def _ref(v: "fo.FockVector") -> "dict[tuple[int, ...], Fraction]":
+    return dict(v.terms())
+
+
+def _ref_clean(d: dict) -> dict:
+    return {p: c for p, c in d.items() if c}
+
+
+def _ref_add(a: dict, b: dict, sign: int = 1) -> dict:
+    out = dict(a)
+    for p, c in b.items():
+        out[p] = out.get(p, F(0)) + sign * c
+    return _ref_clean(out)
+
+
+def _ref_h(n: int, a: dict) -> dict:
+    out: dict = {}
+    for p, c in a.items():
+        if n < 0:
+            key = tuple(sorted(p + (-n,), reverse=True))
+            out[key] = out.get(key, F(0)) + c
+        elif n > 0 and n in p:
+            rest = list(p)
+            rest.remove(n)
+            key = tuple(rest)
+            out[key] = out.get(key, F(0)) + c * n * p.count(n)
+    return _ref_clean(out)
+
+
+def _ref_quad(r1: int, r2: int, n: int, regularized: bool, a: dict) -> dict:
+    # the whole window |j| <= weight + |n|, larger index acting first
+    bound = max((sum(p) for p in a), default=0) + abs(n)
+    out: dict = {}
+    for j in range(-bound, bound + 1):
+        k = n - j
+        if j == 0 or k == 0:
+            continue
+        hi, lo = max(j, k), min(j, k)
+        for p, c in _ref_h(lo, _ref_h(hi, a)).items():
+            out[p] = out.get(p, F(0)) + c * F(j**r1 * k**r2, 2)
+    if regularized and n == 0 and r1 == r2:
+        out = _ref_add(out, {p: c * q.reg_constant(r1) for p, c in a.items()})
+    return _ref_clean(out)
+
+
+def _ref_mode(a: dict, n: int, b: dict, shifted: bool) -> dict:
+    out: dict = {}
+    for up, cu in a.items():
+        m = n - 1 + sum(up) if shifted else n
+        for vp, cv in b.items():
+            for p, c in voa._mode_on_basis(up, m, vp).terms():
+                out[p] = out.get(p, F(0)) + cu * cv * c
+    return _ref_clean(out)
+
+
+def test_numerator_storage_against_fraction_dicts_seeded():
+    rng = random.Random(80113)
+    pool = [p for w in range(5) for p in fo.partitions_of(w)]
+    dens = (1, 2, 3, 4, 6, 9, 10, 12)
+
+    def rand_coeff() -> Fraction:
+        return F(rng.randint(-9, 9), rng.choice(dens))
+
+    def rand_vec() -> "fo.FockVector":
+        return fo.FockVector({rng.choice(pool): rand_coeff() for _ in range(rng.randint(0, 4))})
+
+    def same(v: "fo.FockVector", want: dict) -> None:
+        _canonical(v)
+        assert _ref(v) == want, (v, want)
+
+    vecs = [rand_vec() for _ in range(300)]
+    for v in vecs:
+        _canonical(v)
+    # scaling to zero and cancelling must leave the canonical zero
+    same(vecs[0].scaled(0), {})
+    same(vecs[0] - vecs[0], {})
+    for i, v in enumerate(vecs):
+        w = vecs[(7 * i + 3) % len(vecs)]
+        a, b = _ref(v), _ref(w)
+        c = rand_coeff()
+        same(v + w, _ref_add(a, b))
+        same(v - w, _ref_add(a, b, -1))
+        same(v.scaled(c), _ref_clean({p: x * c for p, x in a.items()}))
+        same(v.scaled(c.numerator), {p: x * c.numerator for p, x in a.items() if c.numerator})
+        n = rng.randint(-4, 4)
+        same(fo.h_apply(n, v), _ref_h(n, a))
+        r1, r2, reg = rng.randint(0, 2), rng.randint(0, 2), rng.random() < 0.5
+        same(q.quad_apply(q.QuadraticOpSpec(r1, r2, n, reg), v), _ref_quad(r1, r2, n, reg, a))
+        if i % 3 == 0:
+            u = fo.FockVector({rng.choice(pool[1:8]): rand_coeff() for _ in range(2)})
+            same(voa.vertex_mode(u, n, w), _ref_mode(_ref(u), n, b, False))
+            same(voa.x_mode(u, n, w), _ref_mode(_ref(u), n, b, True))
+        for wt, comp in fo.weight_components(v):
+            _canonical(comp)
+            assert _ref(comp) == {p: x for p, x in a.items() if sum(p) == wt}
