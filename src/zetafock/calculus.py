@@ -25,6 +25,10 @@ from .series import (
     VariableMismatchError,
     VarWindow,
     WindowInsufficientError,
+    _clipped_mul_window,
+    _const_window,
+    _normalize_bands,
+    _value_mul,
     mul,
     sum_series,
 )
@@ -143,8 +147,10 @@ def monomial(exps: Mapping[str, int], value: Any = 1) -> Series:
     names = sorted(exps)
     if not value:
         return Series.zero(names)
+    # a full box around a one-point band holding the one term: already
+    # normalized, and VarWindow refuses a non-integer exponent
     wins = tuple(VarWindow(nm, NEG_INF, POS_INF, exps[nm], exps[nm]) for nm in names)
-    return Series(wins, {tuple(exps[nm] for nm in names): value})
+    return Series._raw(wins, {tuple(exps[nm] for nm in names): value})
 
 
 def exp_series(var: str, order: int, scale: Any = 1) -> Series:
@@ -241,7 +247,10 @@ def widen_band(
             wins.append(VarWindow(w.name, w.low, w.high, nlo, nhi))
         else:
             wins.append(w)
-    return Series(wins, dict(s.terms()))
+    # the data of s already lies in its boxes and in the old band, which
+    # the new band contains; only the bands need normalizing again
+    data = s._coeffs
+    return Series._raw(_normalize_bands(tuple(wins), data), data)
 
 
 def _vanishes(f: Series) -> bool:
@@ -535,7 +544,7 @@ def taylor_shift(f: Series, var: str, t: str, sign: int, t_cap: int) -> Series:
 # Pinned delta-kernel products.  These kernels carry support along a
 # full diagonal line, so the per-variable window calculus cannot see
 # their internal correlation; instead every lattice piece is a fully
-# known monomial, multiplied exactly and clipped to the requested box.
+# known monomial, and multiplying f by it only translates exponents.
 
 
 def delta_product(
@@ -549,13 +558,53 @@ def delta_product(
     """f times sum_n n_sign^n (pos - neg)^n out^(-n-1), each difference
     power expanded in nonnegative powers of neg_var.
 
-    One of out_var / pos_var must be absent from f so the kernel index
-    is pinned by the requested finite ``box``.
+    The variables of f must be among out_var, pos_var and neg_var
+    (:class:`VariableMismatchError` otherwise), ``box`` must give each
+    of them a range with integer ends (ValueError otherwise), and one of
+    out_var / pos_var must be absent from f so the kernel index is
+    pinned by that box.  The result has exactly the three kernel
+    variables, box ``box[nm]`` and band (-inf, +inf) in each.
+
+    The kernel piece (n, k) is the fully known monomial
+    c x_out^(-n-1) x_pos^(n-k) x_neg^k, c = C(n, k) (-1)^k n_sign^n, so
+    its product with f translates every stored exponent of f and scales
+    its value.  One pass adds c*val at every translated key inside the
+    box to one dict and drops zeros once at the end.  It equals the sum
+    over pieces of ``mul(piece, f, clip=box)`` widened to full bands in
+    the three variables, windows included:
+
+    * data: each clipped product keeps exactly the translated terms
+      inside the box, every product and the sum share the box, so the
+      sum keeps them all; values add exactly, so the order is free;
+    * boxes: every product's box is its clip ``box[nm]``, and sums of
+      equal boxes and band widening keep it;
+    * bands: widening to (-inf, +inf) gives the full band whatever band
+      the sum had.  A full band around a finite box escapes it on both
+      sides, and normalization keeps every part of a band outside the
+      box, so later normalizations leave it full.  After the third
+      widening all three bands are full.
+
+    Before the data pass each piece's windows go through the same check
+    as ``mul(piece, f, clip=box)``, variable by variable in piece
+    order, so an input box too small for the requested box raises the
+    same :class:`WindowInsufficientError` (or
+    :class:`IllDefinedProductError`) at the same piece.  A check that
+    passed is not repeated: it depends only on the variable and the
+    piece's exponent in it.  A provably vanishing f skips the checks and
+    gives the zero series, as ``mul`` does.
     """
-    for nm in (out_var, pos_var, neg_var):
+    kernel_vars = (out_var, pos_var, neg_var)
+    for nm in kernel_vars:
         if nm not in box:
             raise ValueError(f"kernel variable {nm!r} needs a box entry")
+        if not all(isinstance(b, int) and not isinstance(b, bool) for b in box[nm]):
+            raise ValueError(f"box of kernel variable {nm!r} needs integer ends")
     fvars = set(f.variables)
+    if not fvars <= set(kernel_vars):
+        raise VariableMismatchError(
+            f"delta_product input in {f.variables} has variables outside "
+            f"the kernel variables {kernel_vars}"
+        )
     out_lo, out_hi = box[out_var]
     pos_lo, pos_hi = box[pos_var]
     neg_hi = box[neg_var][1]
@@ -575,23 +624,48 @@ def delta_product(
             "either the residue variable or the positive variable must be "
             "absent from the input to pin the kernel index"
         )
-    clip = dict(box)
-    terms = []
+    names = tuple(sorted(kernel_vars))
+    # each piece as (c, exponent shift aligned with names)
+    pieces = []
     for n in range(n_lo, n_hi + 1):
         k_hi_n = min(k_cap, n) if n >= 0 else k_cap
         k_lo_n = max(0, n - (pos_hi - int(min(pos_floor, pos_hi))))
         for k in range(k_lo_n, k_hi_n + 1):
             c = binom(n, k) * (-1) ** k * Fraction(n_sign) ** n
-            if not c:
-                continue
-            piece = monomial({out_var: -n - 1, pos_var: n - k, neg_var: k}, c)
-            terms.append(mul(piece, f, clip=clip))
-    if not terms:
+            if c:
+                shift = {out_var: -n - 1, pos_var: n - k, neg_var: k}
+                pieces.append((c, tuple(shift[nm] for nm in names)))
+    if not pieces:
         raise ValueError("empty kernel range; widen the requested box")
-    out = aligned_sum(terms)
-    for nm in (out_var, pos_var, neg_var):
-        out = widen_band(out, nm, NEG_INF, POS_INF)
-    return out
+    if _vanishes(f):
+        return Series.zero(names)
+    fwins = [f.window(nm) if nm in fvars else _const_window(nm) for nm in names]
+    checked = set()
+    for _, shift in pieces:
+        for nm, e, fw in zip(names, shift, fwins):
+            if (nm, e) not in checked:
+                piece_win = VarWindow(nm, NEG_INF, POS_INF, e, e)
+                _clipped_mul_window(nm, piece_win, fw, box[nm])
+                checked.add((nm, e))
+    at = [names.index(nm) for nm in f.variables]
+    fterms = []
+    for exps, val in f.terms():
+        full = [0, 0, 0]
+        for i, e in zip(at, exps):
+            full[i] = e
+        fterms.append((full[0], full[1], full[2], val))
+    (lo0, hi0), (lo1, hi1), (lo2, hi2) = (box[nm] for nm in names)
+    acc: "dict[tuple[int, int, int], Any]" = {}
+    for c, (d0, d1, d2) in pieces:
+        for e0, e1, e2, val in fterms:
+            a0, a1, a2 = e0 + d0, e1 + d1, e2 + d2
+            if lo0 <= a0 <= hi0 and lo1 <= a1 <= hi1 and lo2 <= a2 <= hi2:
+                key = (a0, a1, a2)
+                v = _value_mul(c, val)
+                prev = acc.get(key)
+                acc[key] = v if prev is None else prev + v
+    data = {key: val for key, val in acc.items() if val}
+    return Series._raw(tuple(VarWindow(nm, *box[nm]) for nm in names), data)
 
 
 # ----------------------------------------------------------------------

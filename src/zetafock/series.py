@@ -391,18 +391,16 @@ class Series:
                 shi = max(a.support_high, b.support_high)
             wins.append(VarWindow(nm, lo, hi, slo, shi))
         wins_t = tuple(wins)
-        data: "dict[tuple[int, ...], Any]" = {}
-        for src in (self._coeffs, other._coeffs):
-            for exps, val in src.items():
-                if all(w.contains(e) for e, w in zip(exps, wins_t)):
-                    if exps in data:
-                        s = _value_add(data[exps], val)
-                        if s:
-                            data[exps] = s
-                        else:
-                            del data[exps]
-                    else:
-                        data[exps] = val
+        data = dict(_items_in_boxes(self, wins_t))
+        for exps, val in _items_in_boxes(other, wins_t):
+            if exps in data:
+                s = _value_add(data[exps], val)
+                if s:
+                    data[exps] = s
+                else:
+                    del data[exps]
+            else:
+                data[exps] = val
         return Series._raw(_normalize_bands(wins_t, data), data)
 
     def __sub__(self, other: "Series") -> "Series":
@@ -592,6 +590,22 @@ class Series:
         return self.slice_at(name, -1)
 
 
+def _items_in_boxes(
+    s: Series, wins: "tuple[VarWindow, ...]"
+) -> "Iterable[tuple[tuple[int, ...], Any]]":
+    """The terms of s whose exponents lie in the boxes of wins (aligned
+    with s).  s stores exponents only inside its own boxes, so when those
+    equal the boxes of wins every term qualifies without a test."""
+    items = s._coeffs.items()
+    if all(s._wins[w.name].low == w.low and s._wins[w.name].high == w.high for w in wins):
+        return items
+    return [
+        (exps, val)
+        for exps, val in items
+        if all(w.contains(e) for e, w in zip(exps, wins))
+    ]
+
+
 def _band_inside_box(w: VarWindow) -> bool:
     if w.band_empty:
         return True
@@ -740,6 +754,26 @@ def _mul_var_window(nm: str, wa: VarWindow, wb: VarWindow) -> VarWindow:
     return VarWindow(nm, best[0], best[1], pslo, pshi)
 
 
+def _clipped_mul_window(
+    nm: str,
+    wa: VarWindow,
+    wb: VarWindow,
+    clip: "tuple[int | float, int | float]",
+) -> VarWindow:
+    """Window of a product in one variable, its box narrowed to ``clip``,
+    which must sit inside the provably complete box."""
+    w = _mul_var_window(nm, wa, wb)
+    clo, chi = clip
+    if clo < w.low or chi > w.high:
+        raise WindowInsufficientError(
+            f"product not determined on clip box of {nm!r}: "
+            f"complete box [{w.low},{w.high}], clip [{clo},{chi}]"
+        )
+    if clo > chi:
+        raise ValueError(f"empty clip for {nm!r}")
+    return VarWindow(nm, clo, chi, w.support_low, w.support_high)
+
+
 _CONST_WINDOW_CACHE: "dict[str, VarWindow]" = {}
 
 
@@ -773,18 +807,10 @@ def mul(
     for nm in names:
         wa = a._wins.get(nm) or _const_window(nm)
         wb = b._wins.get(nm) or _const_window(nm)
-        w = _mul_var_window(nm, wa, wb)
         if clip is not None and nm in clip:
-            clo, chi = clip[nm]
-            if clo < w.low or chi > w.high:
-                raise WindowInsufficientError(
-                    f"product not determined on clip box of {nm!r}: "
-                    f"complete box [{w.low},{w.high}], clip [{clo},{chi}]"
-                )
-            if clo > chi:
-                raise ValueError(f"empty clip for {nm!r}")
-            w = VarWindow(nm, clo, chi, w.support_low, w.support_high)
-        wins.append(w)
+            wins.append(_clipped_mul_window(nm, wa, wb, clip[nm]))
+        else:
+            wins.append(_mul_var_window(nm, wa, wb))
     wins_t = tuple(wins)
 
     if not a._coeffs or not b._coeffs:

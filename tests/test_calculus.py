@@ -10,11 +10,13 @@ from fractions import Fraction
 import pytest
 
 from zetafock import calculus as ca
+from zetafock.fock import FockVector
 from zetafock.series import (
     NEG_INF,
     POS_INF,
     IllDefinedProductError,
     Series,
+    VariableMismatchError,
     VarWindow,
     WindowInsufficientError,
     diff_on_box,
@@ -459,6 +461,164 @@ def test_delta_product_insufficient_input_box():
         ca.delta_product(f, "x0", "x1", "x2", box)
 
 
+def _delta_composition(f, out_var, pos_var, neg_var, box, n_sign=1):
+    """The per-monomial composition that delta_product replaces: one
+    clipped Series product per kernel monomial, summed, then widened to
+    full bands in the three kernel variables.  Monomials and widened
+    series go through the validating Series constructor."""
+    for nm in (out_var, pos_var, neg_var):
+        if nm not in box:
+            raise ValueError(f"kernel variable {nm!r} needs a box entry")
+    fvars = set(f.variables)
+    pos_lo, pos_hi = box[pos_var]
+    neg_hi = box[neg_var][1]
+
+    def floor(nm):
+        return f.window(nm).support_low if nm in fvars else 0
+
+    if floor(neg_var) == NEG_INF or floor(pos_var) == NEG_INF:
+        raise IllDefinedProductError("unbounded below")
+    k_cap = neg_hi - int(min(floor(neg_var), neg_hi))
+    if out_var not in fvars:
+        n_lo, n_hi = -box[out_var][1] - 1, -box[out_var][0] - 1
+    elif pos_var not in fvars:
+        n_lo, n_hi = pos_lo, pos_hi + k_cap
+    else:
+        raise ValueError("kernel index not pinned")
+    terms = []
+    for n in range(n_lo, n_hi + 1):
+        k_hi_n = min(k_cap, n) if n >= 0 else k_cap
+        k_lo_n = max(0, n - (pos_hi - int(min(floor(pos_var), pos_hi))))
+        for k in range(k_lo_n, k_hi_n + 1):
+            c = ca.binom(n, k) * (-1) ** k * F(n_sign) ** n
+            if not c:
+                continue
+            exps = {out_var: -n - 1, pos_var: n - k, neg_var: k}
+            names = sorted(exps)
+            piece = Series(
+                [VarWindow(nm, NEG_INF, POS_INF, exps[nm], exps[nm]) for nm in names],
+                {tuple(exps[nm] for nm in names): c},
+            )
+            terms.append(mul(piece, f, clip=dict(box)))
+    if not terms:
+        raise ValueError("empty kernel range")
+    out = ca.aligned_sum(terms)
+    for nm in (out_var, pos_var, neg_var):
+        wins = [
+            VarWindow(w.name, w.low, w.high, NEG_INF, POS_INF) if w.name == nm else w
+            for w in out.windows()
+        ]
+        out = Series(wins, dict(out.terms()))
+    return out
+
+
+def _outcome(fn, *args, **kwargs):
+    """The result of fn, or the type of the exception it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:  # noqa: BLE001 - the type is the outcome
+        return type(exc)
+
+
+def _random_delta_input(rng, names, vectors):
+    """A seeded f in the given variables: random exponents in [-2, 2],
+    bands from a floor in [-2, 0], boxes full or known up to a cap."""
+    wins = []
+    for nm in names:
+        high = POS_INF if rng.random() < 0.5 else rng.randrange(1, 5)
+        wins.append(VarWindow(nm, NEG_INF, high, rng.randrange(-2, 1), POS_INF))
+    data = {}
+    for _ in range(rng.randrange(0, 7)):
+        exps = tuple(
+            rng.randrange(int(max(-2, w.support_low)), int(min(2, w.high)) + 1)
+            for w in wins
+        )
+        c = F(rng.randrange(-3, 4), rng.choice([1, 2, 3]))
+        if vectors:
+            parts = rng.choice([(), (1,), (2,), (1, 1)])
+            data[exps] = FockVector.basis(parts).scaled(c) if c else FockVector.zero()
+        else:
+            data[exps] = c
+    return Series(wins, data)
+
+
+def test_delta_product_equals_per_monomial_composition_seeded():
+    rng = random.Random(4412)
+    results = {}
+    for trial in range(240):
+        family = ("x1x2", "x0x2", "const")[trial % 3]
+        n_sign = (1, -1)[(trial // 3) % 2]
+        vectors = trial % 4 == 0
+        box = {
+            nm: (lo, lo + rng.randrange(0, 4))
+            for nm, lo in (
+                ("x0", rng.randrange(-4, 1)),
+                ("x1", rng.randrange(-3, 1)),
+                ("x2", rng.randrange(-3, 1)),
+            )
+        }
+        if family == "const":
+            value = FockVector.vacuum(F(3, 2)) if vectors else F(rng.randrange(1, 4))
+            f = Series.constant(value)
+        else:
+            names = ["x1", "x2"] if family == "x1x2" else ["x0", "x2"]
+            f = _random_delta_input(rng, names, vectors)
+        got = _outcome(ca.delta_product, f, "x0", "x1", "x2", box, n_sign=n_sign)
+        want = _outcome(_delta_composition, f, "x0", "x1", "x2", box, n_sign=n_sign)
+        if isinstance(want, Series):
+            assert isinstance(got, Series), (trial, got)
+            assert got == want and got.windows() == want.windows(), trial
+            results.setdefault((family, n_sign), []).append(len(got))
+        else:
+            assert got is want, (trial, got, want)
+    # every family and sign produced results, with nonzero data
+    assert len(results) == 6
+    assert all(max(sizes) > 0 for sizes in results.values()), results
+
+
+def test_delta_product_edge_inputs_match_composition():
+    box = {"x0": (-3, 1), "x1": (-2, 2), "x2": (-1, 2)}
+    # no stored terms, but a band escaping the box: not provably zero
+    empty = Series([VarWindow("x2", NEG_INF, 4, 0, POS_INF)], {})
+    assert not empty.provably_zero()
+    # an empty band: every completion vanishes
+    vanishing = Series([VarWindow("x1", 0, 3, POS_INF, NEG_INF)], {})
+    for f in (empty, vanishing):
+        for n_sign in (1, -1):
+            got = ca.delta_product(f, "x0", "x1", "x2", box, n_sign=n_sign)
+            want = _delta_composition(f, "x0", "x1", "x2", box, n_sign=n_sign)
+            assert got == want and got.windows() == want.windows()
+            assert got.is_zero()
+    assert ca.delta_product(vanishing, "x0", "x1", "x2", box) == Series.zero(["x0", "x1", "x2"])
+    # the same exception type as the composition for every failure
+    short = Series([VarWindow("x1", NEG_INF, 1, 0, POS_INF)], {(0,): F(1), (1,): F(1)})
+    unpinned = ca.monomial({"x0": 1, "x1": 1})
+    empty_range = {"x0": (-10, -10), "x1": (-1, 1), "x2": (0, 0)}
+    cases = [
+        (short, {"x0": (-3, 1), "x1": (-2, 2), "x2": (0, 2)}, WindowInsufficientError),
+        # the first piece (x1^-2) passes its check, the second (x1^-3) fails
+        (short, {"x0": (-3, 1), "x1": (-2, -1), "x2": (0, 2)}, WindowInsufficientError),
+        (Series.constant(1), empty_range, ValueError),
+        (unpinned, box, ValueError),
+        (vanishing, empty_range, ValueError),
+    ]
+    for f, b, exc in cases:
+        assert _outcome(_delta_composition, f, "x0", "x1", "x2", b) is exc
+        with pytest.raises(exc):
+            ca.delta_product(f, "x0", "x1", "x2", b)
+
+
+def test_delta_product_refuses_a_fourth_variable_and_open_boxes():
+    f = ca.monomial({"x1": 0, "x2": 0, "y": 1})
+    box = {"x0": (-2, 2), "x1": (-2, 2), "x2": (-2, 2)}
+    with pytest.raises(VariableMismatchError):
+        ca.delta_product(f, "x0", "x1", "x2", box)
+    # the result's full bands rest on finite boxes
+    g = ca.monomial({"x0": 0, "x2": 0})
+    with pytest.raises(ValueError, match="integer ends"):
+        ca.delta_product(g, "x0", "x1", "x2", {**box, "x0": (NEG_INF, 2)})
+
+
 # ----------------------------------------------------------------------
 # residue invariance
 
@@ -513,6 +673,65 @@ def test_widen_band_union_semantics():
     w3 = ca.widen_band(z, "x", 2, 5).window("x")
     assert (w3.support_low, w3.support_high) == (4, 5)
     assert ca.widen_band(z, "x", POS_INF, POS_INF).window("x").band_empty
+
+
+def test_widen_band_and_monomial_equal_validated_builds_seeded():
+    # both build through Series._raw; the validating constructor on the
+    # same windows and data must give the same series
+    rng = random.Random(4416)
+    shrunk = 0
+    for trial in range(300):
+        wins = []
+        for nm in ("x", "y"):
+            lo = rng.choice([NEG_INF, -3, -1, 0])
+            hi = rng.choice([POS_INF, 3, 1, 0])
+            slo = rng.choice([NEG_INF, -2, 0, 1, POS_INF])
+            shi = rng.choice([POS_INF, 2, 0, NEG_INF])
+            wins.append(VarWindow(nm, lo, hi, slo, shi))
+        data = {}
+        for _ in range(rng.randrange(0, 5)):
+            key = []
+            for w in wins:
+                elo = max(w.low, w.support_low, -3)
+                ehi = min(w.high, w.support_high, 3)
+                if elo > ehi:
+                    break
+                key.append(rng.randint(int(elo), int(ehi)))
+            else:
+                # a repeated key adds up; a zero sum is dropped
+                data[tuple(key)] = data.get(tuple(key), 0) + F(rng.randint(-2, 2))
+        s = Series(wins, data)
+        nm = rng.choice(["x", "y"])
+        lo = rng.choice([NEG_INF, -4, 0, 2, POS_INF])
+        hi = rng.choice([NEG_INF, -1, 1, 5, POS_INF])
+        got = ca.widen_band(s, nm, lo, hi)
+        w = s.window(nm)
+        if lo > hi or lo == POS_INF or hi == NEG_INF:
+            band = (w.support_low, w.support_high)
+        elif w.band_empty:
+            band = (lo, hi)
+        else:
+            band = (min(w.support_low, lo), max(w.support_high, hi))
+        want = Series(
+            [VarWindow(nm, w.low, w.high, *band) if ww.name == nm else ww for ww in s.windows()],
+            dict(s.terms()),
+        )
+        assert got == want and got.windows() == want.windows(), trial
+        if (got.window(nm).support_low, got.window(nm).support_high) != band:
+            shrunk += 1
+    assert shrunk > 10  # the widened band is normalized again
+    for trial in range(100):
+        exps = {nm: rng.randint(-4, 4) for nm in rng.sample(["x0", "x1", "x2", "y"], rng.randint(0, 4))}
+        value = F(rng.randint(-3, 3), rng.randint(1, 3))
+        names = sorted(exps)
+        want = Series(
+            [VarWindow(nm, NEG_INF, POS_INF, exps[nm], exps[nm]) for nm in names],
+            {tuple(exps[nm] for nm in names): value},
+        )
+        got = ca.monomial(exps, value)
+        assert got == want and got.windows() == want.windows()
+    with pytest.raises(ValueError):
+        ca.monomial({"x": F(1, 2)})
 
 
 def test_aligned_sum_adjoins_constants():

@@ -89,3 +89,35 @@ def test_graded_dim_fails_on_a_wrong_character_offset(monkeypatch):
     assert [(m["monomial"], m["lhs"], m["rhs"]) for m in rep.mismatches] == [
         ([-1], "-1/12", "-1/24")
     ]
+
+
+def test_bloch_monomial_compares_each_value(monkeypatch):
+    # every central term is compared with m^(2T+3) B(T+2, T+3) at index
+    # [r, s, m, 1]; a shift that keeps the ratios equal fails there alone
+    from zetafock import quadratic
+
+    real = quadratic.central_term
+    assert catalog.run_check("BLOCH-MONOMIAL", {"mode-range": 3}).status == "pass"
+
+    def one_shifted(r, s, m, W=None):
+        lam = real(r, s, m, W)
+        return lam + Fraction(1, 7) if (r, s, m) == (2, 1, 3) else lam
+
+    monkeypatch.setattr(quadratic, "central_term", one_shifted)
+    rep = catalog.run_check("BLOCH-MONOMIAL", {"mode-range": 3})
+    assert rep.status == "fail"
+    assert [m["monomial"] for m in rep.mismatches] == [[2, 1, 3], [2, 1, 3, 1]]
+    shifted = rep.mismatches[1]
+    assert (shifted["lhs"], shifted["rhs"]) == (
+        reports.format_scalar(real(2, 1, 3) + Fraction(1, 7)),
+        reports.format_scalar(Fraction(3**9 * 24 * 120, 3628800)),
+    )
+
+    def scaled(r, s, m, W=None):
+        lam = real(r, s, m, W)
+        return lam * 2 if (r, s) == (1, 0) else lam
+
+    monkeypatch.setattr(quadratic, "central_term", scaled)
+    rep = catalog.run_check("BLOCH-MONOMIAL", {"mode-range": 3})
+    assert rep.status == "fail"
+    assert [m["monomial"] for m in rep.mismatches] == [[1, 0, m, 1] for m in (1, 2, 3)]

@@ -421,3 +421,73 @@ def test_sum_window_soundness_seeded():
         for e in range(lo, hi + 1):
             want = ca.get((e,), 0) + cb.get((e,), 0)
             assert s.coefficient({"x": e}) == want
+
+
+def _validated_sum(a: Series, b: Series) -> Series:
+    # the sum rebuilt through the validating constructor: boxes intersect,
+    # bands join, terms outside the common box drop, zeros cancel
+    wins = []
+    for wa, wb in zip(a.windows(), b.windows()):
+        if wa.band_empty:
+            band = (wb.support_low, wb.support_high)
+        elif wb.band_empty:
+            band = (wa.support_low, wa.support_high)
+        else:
+            band = (min(wa.support_low, wb.support_low), max(wa.support_high, wb.support_high))
+        wins.append(VarWindow(wa.name, max(wa.low, wb.low), min(wa.high, wb.high), *band))
+    data: dict = {}
+    for s in (a, b):
+        for exps, val in s.terms():
+            if all(w.contains(e) for w, e in zip(wins, exps)):
+                data[exps] = data.get(exps, 0) + val
+    return Series(wins, data)
+
+
+def test_add_equals_validated_sum_seeded():
+    # the sum skips its per-term box test for an operand whose boxes are
+    # the sum's boxes; both shapes must give the constructor's result
+    rng = random.Random(4415)
+    shapes = {"equal": 0, "different": 0, "cancelled": 0}
+    for trial in range(300):
+        a = _random_factor(rng, ["x", "y"])
+        if trial % 2:
+            b = _random_factor(rng, ["x", "y"])
+        else:
+            # same boxes, other bands and data, some terms of -a
+            b = Series(
+                [
+                    VarWindow(w.name, w.low, w.high, NEG_INF, POS_INF)
+                    for w in a.windows()
+                ],
+                {
+                    **{k: -v for k, v in a.terms() if rng.random() < 0.7},
+                    **_random_factor(rng, ["x", "y"]).restrict(
+                        {w.name: (w.low, w.high) for w in a.windows()}
+                    )._coeffs,
+                },
+            )
+        try:
+            got = a + b
+        except WindowUnderflowError:
+            continue
+        want = _validated_sum(a, b)
+        assert got == want and got.windows() == want.windows(), trial
+        same = all(
+            (wa.low, wa.high) == (wb.low, wb.high)
+            for wa, wb in zip(a.windows(), b.windows())
+        )
+        shapes["equal" if same else "different"] += 1
+        if any(
+            not a.coefficient(dict(zip(a.variables, k))) + v
+            for k, v in b.terms()
+            if k in a._coeffs and all(w.contains(e) for w, e in zip(got.windows(), k))
+        ):
+            shapes["cancelled"] += 1
+    assert min(shapes.values()) > 10, shapes
+    # full cancellation on equal boxes leaves the zero data, bands joined
+    s = Series(
+        [VarWindow("x", -2, 3, -2, POS_INF), VarWindow("y", NEG_INF, 1)],
+        {(0, 1): Fraction(2), (3, -4): Fraction(-1, 3)},
+    )
+    assert (s + (-s)) == _validated_sum(s, -s)
+    assert (s + (-s)).is_zero() and not s.is_zero()

@@ -9,6 +9,13 @@ in vertex_failing_golden.jsonl.  That file was written by the
 per-target implementation that preceded the target-independent right
 sides, so a passing run here shows that the restructured code reports
 the same mismatches, not just the same passing bytes.
+
+The runs in vertex_delta_sign_golden.jsonl flip the sign convention of
+every calculus.delta_product call instead, so JACOBI and GENJACOBI
+fail through the left-side delta kernel.  That file was written by the
+per-monomial kernel that multiplied one clipped Series product per
+kernel term, so a passing run shows that the one-pass kernel reports
+the same mismatches.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from zetafock import cli, voa
 from test_catalog import RUNS
 
 GOLDEN = Path(__file__).with_name("vertex_failing_golden.jsonl")
+SIGN_GOLDEN = Path(__file__).with_name("vertex_delta_sign_golden.jsonl")
 
 # (check id, voa function whose series result is doubled)
 FAULTS = [
@@ -35,6 +43,9 @@ FAULTS = [
     ("SPECIALIZE", "y_bracket_apply"),
 ]
 
+# check ids run with the delta kernel's n_sign flipped
+SIGN_FAULTS = ["JACOBI", "GENJACOBI"]
+
 ARGV = {argv[0]: argv for argv in RUNS}
 
 
@@ -43,6 +54,10 @@ def faulty_run(check_id: str, name: str, monkeypatch, capsys) -> str:
     series returned by voa.<name> doubled."""
     real = getattr(voa, name)
     monkeypatch.setattr(voa, name, lambda *a, **k: real(*a, **k).scale(2))
+    return failing_output(check_id, capsys)
+
+
+def failing_output(check_id: str, capsys) -> str:
     code = cli.main(["verify"] + ARGV[check_id])
     out = capsys.readouterr().out
     assert code == 1
@@ -56,6 +71,30 @@ def test_failing_run_matches_golden(index, monkeypatch, capsys):
     check_id, name = FAULTS[index]
     line = GOLDEN.read_text().splitlines(keepends=True)[index]
     out = faulty_run(check_id, name, monkeypatch, capsys)
+    record = json.loads(out)
+    assert record["check-id"] == check_id
+    assert record["status"] == "fail"
+    assert record["mismatches"]
+    assert out == line
+
+
+def flipped_sign_run(check_id: str, monkeypatch, capsys) -> str:
+    """The json-lines record of check_id at its test flags, with every
+    delta_product call made under the opposite n_sign."""
+    real = voa.ca.delta_product
+
+    def flipped(f, out_var, pos_var, neg_var, box, n_sign=1):
+        return real(f, out_var, pos_var, neg_var, box, n_sign=-n_sign)
+
+    monkeypatch.setattr(voa.ca, "delta_product", flipped)
+    return failing_output(check_id, capsys)
+
+
+@pytest.mark.parametrize("index", range(len(SIGN_FAULTS)), ids=SIGN_FAULTS)
+def test_flipped_delta_sign_matches_golden(index, monkeypatch, capsys):
+    check_id = SIGN_FAULTS[index]
+    line = SIGN_GOLDEN.read_text().splitlines(keepends=True)[index]
+    out = flipped_sign_run(check_id, monkeypatch, capsys)
     record = json.loads(out)
     assert record["check-id"] == check_id
     assert record["status"] == "fail"
