@@ -289,80 +289,44 @@ def substitute_valuation(
     t: str,
     unit_fn: "Callable[[int], Mapping[int, Fraction]]",
     t_cap: int,
-    valuation: int = 1,
-    shift_var: "str | None" = None,
-    shift_mult: int = 1,
 ) -> Series:
-    """Substitute s = shift_var^shift_mult * t^valuation * unit(t).
+    """Substitute s = t * unit(t).
 
     ``unit_fn(order)`` must return the coefficients of an invertible
     power series in the fresh variable t, complete up to ``order``; a
     callable is required because negative slices of f need the unit to
     more t-orders than t_cap itself.  The slice s^a contributes from
-    t^(a*valuation) upward; slices above t_cap // valuation fall
-    outside the t box entirely (their shifted exponents ride along and
-    stay sound for the same reason: the claim box is a product and
-    their t coordinate escapes).
+    t^a upward, so slices above t_cap fall outside the t box entirely.
     """
     if t in f.variables:
         raise VariableMismatchError(f"target variable {t!r} already present")
-    if valuation < 1:
-        raise ValueError("substituted series must have positive valuation")
-    if shift_mult < 1:
-        raise ValueError("shift multiplier must be positive")
     if not unit_fn(0).get(0):
         raise ValueError("unit part must have nonzero constant term")
-    names_out = sorted(
-        set(f.variables) - {s} | {t} | ({shift_var} if shift_var else set())
-    )
     if _vanishes(f):
-        return Series.zero(names_out)
+        return Series.zero(sorted(set(f.variables) - {s} | {t}))
     w = f.window(s)
     if w.support_low == NEG_INF:
         raise IllDefinedProductError(
             f"unbounded negative powers of {s!r} cannot be substituted"
         )
     a_min = int(w.support_low)
-    a_max = t_cap // valuation
-    if a_min > a_max:
+    if a_min > t_cap:
         # every slice lands above the t box: zero there, support beyond
-        rest = []
-        for ww in f.windows():
-            if ww.name == s:
-                continue
-            if ww.name == shift_var and not ww.band_empty:
-                lo = min(ww.support_low, ww.support_low + a_min * shift_mult)
-                ww = VarWindow(ww.name, ww.low, ww.high, lo, POS_INF)
-            rest.append(ww)
-        have = {ww.name for ww in rest}
-        wins = rest + [VarWindow(t, NEG_INF, t_cap, a_min * valuation, POS_INF)]
-        if shift_var is not None and shift_var not in have:
-            wins.append(
-                VarWindow(shift_var, NEG_INF, POS_INF, a_min * shift_mult, POS_INF)
-            )
+        wins = [ww for ww in f.windows() if ww.name != s]
+        wins.append(VarWindow(t, NEG_INF, t_cap, a_min, POS_INF))
         return Series(sorted(wins, key=lambda ww: ww.name), {})
-    _require_known_slices(f, s, a_min, a_max)
+    _require_known_slices(f, s, a_min, t_cap)
     # the most negative slice needs the deepest unit expansion
-    unit = unit_fn(t_cap - a_min * valuation)
+    unit = unit_fn(t_cap - a_min)
     terms = []
-    for a in range(a_min, a_max + 1):
-        sl = f.slice_at(s, a)
-        if shift_var is not None:
-            if shift_var not in sl.variables:
-                sl = sl.with_variables([shift_var])
-            sl = sl.shift(shift_var, a * shift_mult)
-        rem = t_cap - a * valuation
-        up = u_pow(unit, a, rem)
+    for a in range(a_min, t_cap + 1):
+        up = u_pow(unit, a, t_cap - a)
         rep = Series(
-            [VarWindow(t, NEG_INF, t_cap, a * valuation, POS_INF)],
-            {(a * valuation + j,): c for j, c in up.items() if c},
+            [VarWindow(t, NEG_INF, t_cap, a, POS_INF)],
+            {(a + j,): c for j, c in up.items() if c},
         )
-        terms.append(mul(sl, rep))
-    out = aligned_sum(terms)
-    if w.support_high > a_max and shift_var is not None:
-        floor0 = _band_floor(f, shift_var)
-        out = widen_band(out, shift_var, floor0 + a_min * shift_mult, POS_INF)
-    return out
+        terms.append(mul(f.slice_at(s, a), rep))
+    return aligned_sum(terms)
 
 
 def subst_exp_minus_one(f: Series, s: str, t: str, t_cap: int) -> Series:
@@ -370,63 +334,40 @@ def subst_exp_minus_one(f: Series, s: str, t: str, t_cap: int) -> Series:
     return substitute_valuation(f, s, t, em1_unit, t_cap)
 
 
-def subst_monomial(
-    f: Series,
-    s: str,
-    shifts: Mapping[str, int],
-    caps: Mapping[str, int],
-) -> Series:
-    """Substitute s = prod(var^mult).
+def subst_monomial(f: Series, s: str, v: str, cap: int) -> Series:
+    """Substitute s = v and cap the box of v at ``cap``.
 
-    ``caps`` bounds the result box of at least one positive-mult shift
-    variable; the slice cutoff is derived from those caps, and omitted
-    slices escape the capped boxes.
+    v may already occur in f.  The slice s^k shifts v by k, so with
+    ``floor`` the lowest exponent of v in f, slices above cap - floor lie
+    above the capped box; they are omitted, and the band of v is widened
+    upward to cover what they would add.
     """
-    if not shifts or any(m == 0 for m in shifts.values()):
-        raise ValueError("monomial substitution needs nonzero shift multipliers")
-    names_out = sorted(set(f.variables) - {s} | set(shifts))
     if _vanishes(f):
-        return Series.zero(names_out)
+        return Series.zero(sorted(set(f.variables) - {s} | {v}))
     w = f.window(s)
     if w.support_low == NEG_INF:
         raise IllDefinedProductError(
             f"unbounded negative powers of {s!r} cannot be substituted"
         )
-    cut: "int | float" = POS_INF
-    for v, m in shifts.items():
-        if m > 0 and v in caps:
-            floor = _band_floor(f, v)
-            if floor != NEG_INF:
-                cut = min(cut, (caps[v] - int(floor)) // m)
-    if cut == POS_INF:
+    floor = _band_floor(f, v)
+    if floor == NEG_INF:
         raise IllDefinedProductError(
-            "no capped positive-direction shift variable bounds the slices"
+            f"unbounded negative powers of {v!r} leave the slices of {s!r} uncut"
         )
     k_min = int(w.support_low)
-    k_hi = int(min(cut, w.support_high))
+    k_hi = int(min(cap - floor, w.support_high))
     if k_min > k_hi:
         raise WindowInsufficientError("caps exclude every slice of the input")
     _require_known_slices(f, s, k_min, k_hi)
     terms = []
     for k in range(k_min, k_hi + 1):
         sl = f.slice_at(s, k)
-        missing = [v for v in shifts if v not in sl.variables]
-        if missing:
-            sl = sl.with_variables(missing)
-        for v, m in shifts.items():
-            sl = sl.shift(v, k * m)
-        terms.append(sl)
-    out = aligned_sum(terms)
-    out = out.restrict(
-        {v: (NEG_INF, caps[v]) for v in caps if v in out.variables}
-    )
+        if v not in sl.variables:
+            sl = sl.with_variables([v])
+        terms.append(sl.shift(v, k))
+    out = aligned_sum(terms).restrict({v: (NEG_INF, cap)})
     if w.support_high > k_hi:
-        for v, m in shifts.items():
-            if m > 0:
-                out = widen_band(out, v, _band_floor(f, v) + k_min * m, POS_INF)
-            else:
-                ceil0 = 0 if v not in f.variables else f.window(v).support_high
-                out = widen_band(out, v, NEG_INF, ceil0 + k_min * m)
+        out = widen_band(out, v, floor + k_min, POS_INF)
     return out
 
 

@@ -28,6 +28,7 @@ All arithmetic is exact; failures are reported, never tolerated.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -692,6 +693,77 @@ def _dilated_lhs_blocks(
     return lhs
 
 
+def _dilated_rhs_blocks(
+    v: FockVector, N: int, wbound: int, caps: "tuple[int, int, int, int]"
+) -> dict:
+    """Operator sector of the closed bracket form applied to v: four
+    dilation-shifted families of pairs, in the block format of
+    _dilated_lhs_blocks (same keys, monomial order and implicit
+    denominators).  wbound must dominate the weight of v."""
+    nm1, nm2, nm3, nm4 = (c + 1 for c in caps)
+    nmono = nm1 * nm2 * nm3 * nm4
+    rhs: dict[tuple[int, int], list] = {}
+    for n in range(-N, N + 1):
+        for n2p in range(-n - N, -n + N + 1):
+            key = (n, -n - n2p)
+            block = rhs.get(key)
+            if block is None:
+                block = rhs[key] = [None] * nmono
+            jb = wbound + abs(n2p)
+            for jp in range(-jb, jb + 1):
+                kp = n2p - jp
+                if jp == 0 or kp == 0 or jp + n == 0:
+                    continue
+                base = pair_apply(jp, kp, v)
+                if not base:
+                    continue
+                items = _int_items(base)
+                mult = -(jp + n)
+                A, B = -jp - n, -kp
+                idx = 0
+                for a1 in range(nm1):
+                    for a2 in range(nm2):
+                        ls = (
+                            (jp + n) ** a1 * (-jp) ** a2
+                            + (-jp) ** a1 * (jp + n) ** a2
+                        )
+                        if not ls:
+                            idx += nm3 * nm4
+                            continue
+                        lsm = mult * ls
+                        for a3 in range(nm3):
+                            for a4 in range(nm4):
+                                q = A**a3 * B**a4 + B**a3 * A**a4
+                                if q:
+                                    wgt = lsm * q
+                                    d = block[idx]
+                                    if d is None:
+                                        d = block[idx] = {}
+                                    for p, cc in items:
+                                        d[p] = d.get(p, 0) + wgt * cc
+                                idx += 1
+    return rhs
+
+
+def _block_vectors(blocks: dict, caps: "tuple[int, int, int, int]") -> dict:
+    """Integer blocks as {(e1, e2): {(a1, a2, a3, a4): FockVector}}, with
+    the 1 / (4 * a1! * a2! * a3! * a4!) normalization folded in and zero
+    entries dropped."""
+    monos = list(itertools.product(*(range(c + 1) for c in caps)))
+    denom = [4 * math.prod(map(_fact, mono)) for mono in monos]
+    out: dict = {}
+    for key, block in blocks.items():
+        table: dict = {}
+        for mono, den, d in zip(monos, denom, block):
+            if d:
+                vec = FockVector.from_ints({p: c for p, c in d.items() if c}, den)
+                if vec:
+                    table[mono] = vec
+        if table:
+            out[key] = table
+    return out
+
+
 def dilated_bracket_lhs(
     v: FockVector, N: int, caps: "tuple[int, int, int, int]"
 ) -> dict:
@@ -701,31 +773,7 @@ def dilated_bracket_lhs(
     1 / (4 * a1! * a2! * a3! * a4!) normalization folded in and zero
     entries dropped."""
     wbound = max(map(sum, v._num), default=0)
-    nm1, nm2, nm3, nm4 = (c + 1 for c in caps)
-    monos = [
-        (a1, a2, a3, a4)
-        for a1 in range(nm1)
-        for a2 in range(nm2)
-        for a3 in range(nm3)
-        for a4 in range(nm4)
-    ]
-    denom = [
-        4 * _fact(a1) * _fact(a2) * _fact(a3) * _fact(a4)
-        for a1, a2, a3, a4 in monos
-    ]
-    out: dict = {}
-    for key, block in _dilated_lhs_blocks(v, N, wbound, caps).items():
-        table: dict = {}
-        for idx, mono in enumerate(monos):
-            d = block[idx]
-            if not d:
-                continue
-            vec = FockVector.from_ints({p: c for p, c in d.items() if c}, denom[idx])
-            if vec:
-                table[mono] = vec
-        if table:
-            out[key] = table
-    return out
+    return _block_vectors(_dilated_lhs_blocks(v, N, wbound, caps), caps)
 
 
 def theorem1_diffs(params: dict, mismatches: list) -> None:
@@ -737,96 +785,38 @@ def theorem1_diffs(params: dict, mismatches: list) -> None:
     dilation slice is additionally cross-checked against the shifted
     Virasoro bracket computed by quad_apply, so a transcription error in
     either engine cannot hide; a cell failing both comparisons is listed
-    twice, the second time against the mode-level bracket."""
+    twice, the second time against the mode-level bracket.
+
+    The left side is dilated_bracket_lhs, the table SPECIALIZE reads.
+    Its pair bound wt(v) <= weight-cap drops only pair terms that act as
+    zero: an index beyond wt(v) + |n1| + |n2| makes one of the two pair
+    modes annihilate more weight than any state it meets has.  The
+    right side is the operator sector (_dilated_rhs_blocks) through the
+    same block conversion, plus the scalar sector v.scaled(c) on the
+    diagonal e1 + e2 = 0.  Each (e1, e2) cell of either side is
+    homogeneous of weight wt(v) + e1 + e2, so note_diff lists a cell's
+    partitions in (weight, parts) order, which is plain parts order."""
     caps = tuple(params["y-orders"])
     N, W = params["x-window"], params["weight-cap"]
-    nm1, nm2, nm3, nm4 = (c + 1 for c in caps)
-    nmono = nm1 * nm2 * nm3 * nm4
-    denom = [
-        4 * _fact(a1) * _fact(a2) * _fact(a3) * _fact(a4)
-        for a1 in range(nm1)
-        for a2 in range(nm2)
-        for a3 in range(nm3)
-        for a4 in range(nm4)
-    ]
-    monos = [
-        (a1, a2, a3, a4)
-        for a1 in range(nm1)
-        for a2 in range(nm2)
-        for a3 in range(nm3)
-        for a4 in range(nm4)
-    ]
     scalar_cache = {n: _scalar_sector(n, caps) for n in range(-N, N + 1)}
 
     for v in basis_up_to(W):
-        parts0 = next(iter(v._num))
-        # ---- left side: commutator of two normal-ordered dilated pairs
-        lhs = _dilated_lhs_blocks(v, N, W, caps)
-        # ---- right side operator sector: four dilation-shifted families
-        rhs: dict[tuple[int, int], list] = {}
-        for n in range(-N, N + 1):
-            for n2p in range(-n - N, -n + N + 1):
-                key = (n, -n - n2p)
-                block = rhs.get(key)
-                if block is None:
-                    block = rhs[key] = [None] * nmono
-                jb = W + abs(n2p)
-                for jp in range(-jb, jb + 1):
-                    kp = n2p - jp
-                    if jp == 0 or kp == 0 or jp + n == 0:
-                        continue
-                    base = pair_apply(jp, kp, v)
-                    if not base:
-                        continue
-                    items = _int_items(base)
-                    mult = -(jp + n)
-                    A, B = -jp - n, -kp
-                    idx = 0
-                    for a1 in range(nm1):
-                        for a2 in range(nm2):
-                            ls = (
-                                (jp + n) ** a1 * (-jp) ** a2
-                                + (-jp) ** a1 * (jp + n) ** a2
-                            )
-                            if not ls:
-                                idx += nm3 * nm4
-                                continue
-                            lsm = mult * ls
-                            for a3 in range(nm3):
-                                for a4 in range(nm4):
-                                    q = A**a3 * B**a4 + B**a3 * A**a4
-                                    if q:
-                                        wgt = lsm * q
-                                        d = block[idx]
-                                        if d is None:
-                                            d = block[idx] = {}
-                                        for p, cc in items:
-                                            d[p] = d.get(p, 0) + wgt * cc
-                                    idx += 1
-        # ---- compare, folding in the scalar sector on the diagonal
+        lhs = dilated_bracket_lhs(v, N, caps)
+        rhs = _block_vectors(_dilated_rhs_blocks(v, N, W, caps), caps)
         for n1 in range(-N, N + 1):
             for n2 in range(-N, N + 1):
                 e = (-n1, -n2)
-                lblock = lhs.get(e) or [None] * nmono
-                rblock = rhs.get(e) or [None] * nmono
+                lt, rt = lhs.get(e, {}), rhs.get(e, {})
                 scal = scalar_cache[e[0]] if e[0] + e[1] == 0 else {}
-                for idx, mono in enumerate(monos):
-                    ld = lblock[idx] or {}
-                    rd = rblock[idx] or {}
-                    extra = scal.get(mono, F(0))
-                    for p in sorted(set(ld) | set(rd) | ({parts0} if extra else set())):
-                        lv = F(ld.get(p, 0), denom[idx])
-                        rv = F(rd.get(p, 0), denom[idx])
-                        if p == parts0:
-                            rv = rv + extra
-                        if lv != rv:
-                            mismatches.append(mismatch_entry(e + mono + p, lv, rv, v))
+                for mono in sorted(lt.keys() | rt.keys() | scal.keys()):
+                    rv = rt.get(mono, FockVector.zero())
+                    if mono in scal:
+                        rv = rv + v.scaled(scal[mono])
+                    note_diff(mismatches, e + mono, lt.get(mono), rv, v)
         # ---- zero-order slice against the mode-level bracket engine
         for n1 in range(-N, N + 1):
             for n2 in range(-N, N + 1):
-                block = lhs.get((-n1, -n2))
-                ld = (block[0] if block else None) or {}
-                slice_vec = FockVector.from_ints({p: c for p, c in ld.items() if c}, 4)
+                slice_vec = lhs.get((-n1, -n2), {}).get((0, 0, 0, 0))
                 expect = lbar_mode(n1 + n2, v).scaled(n1 - n2)
                 if n1 + n2 == 0:
                     expect = expect + v.scaled(F(n1**3, 12))

@@ -17,11 +17,19 @@ and v alone.  So the right sides are built once per (u, v, window),
 before any target, as small tables of target-independent vectors
 (_jacobi_inner, _newjacobi_rhs, _comm_rhs, _fourterm_rhs), and each
 cell is read off with one or a few modes of those vectors on the
-target.  The left sides are built per target.
+target.  The left sides are still built per target.
+
+Every compared side is a cell table: a dict from exponent tuples, in
+sorted variable order, to FockVector, where an absent cell is zero.
+Sides that are built as Series (the delta_product left sides, FOURTERM's
+mapped right side) become tables through _series_table, which first
+checks that they are known on the whole box, and _cell_diffs walks the
+box row-major to find the cells that differ.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -40,8 +48,9 @@ from .series import (
     NEG_INF,
     POS_INF,
     Series,
+    VariableMismatchError,
     VarWindow,
-    diff_on_box,
+    WindowInsufficientError,
     mul,
 )
 
@@ -276,8 +285,32 @@ def _map_mode(g: Series, m: int, target: FockVector) -> Series:
     return Series(g.windows(), data)
 
 
-def _as_vec(val) -> FockVector:
-    return val if isinstance(val, FockVector) else FockVector.zero()
+# ----------------------------------------------------------------------
+# Cell tables: a compared side maps exponent tuples, in sorted variable
+# order, to FockVector; an absent cell is the zero vector
+
+
+def _series_table(side: Series, box, name: str) -> "dict[tuple[int, ...], FockVector]":
+    """The cells of a series side as a table.  The side must be known on
+    the whole box, with the check and message of series' box comparison
+    (name "lhs" or "rhs"), and its variables must be the box's."""
+    if not side.known_on(box):
+        raise WindowInsufficientError(f"{name} not known on the whole box {box}")
+    if side.variables != tuple(sorted(box)):
+        raise VariableMismatchError(f"{name} has variables {side.variables}")
+    return dict(side.terms())
+
+
+def _cell_diffs(lhs, rhs, box):
+    """(cell, lhs cell, rhs cell) at every cell of box where two tables
+    differ, walking the box row-major over its sorted variables, the
+    order of series' box comparison.  Cells off the box are never read."""
+    zero = FockVector.zero()
+    ranges = [range(lo, hi + 1) for _, (lo, hi) in sorted(box.items())]
+    for cell in itertools.product(*ranges):
+        va, vb = lhs.get(cell, zero), rhs.get(cell, zero)
+        if va != vb:
+            yield cell, va, vb
 
 
 # ----------------------------------------------------------------------
@@ -285,23 +318,31 @@ def _as_vec(val) -> FockVector:
 
 
 @lru_cache(maxsize=None)
-def _log_pow_coeffs(n: int, order: int) -> "tuple[Fraction, ...]":
-    """Taylor coefficients of exp(n*log(1-t)) up to t^order.
+def _log_powers(order: int) -> "tuple[tuple[tuple[int, Fraction], ...], ...]":
+    """The powers log(1-t)^j, j = 0..order, truncated at t^order, as
+    (exponent, coefficient) items.
 
     Composed from the truncated logarithm itself rather than from the
-    binomial theorem, so the log series is exercised on every kernel."""
+    binomial theorem, so the log series is exercised on every kernel.
+    They do not depend on the exponent n of _log_pow_coeffs, so they are
+    built once per order."""
     log_coeffs = {e: c for (e,), c in ca.log1m("t", order).terms()}
-    out = {0: F(1)}
-    power = {0: F(1)}
-    fact = 1
-    for j in range(1, order + 1):
-        power = ca.u_mul(power, log_coeffs, order)
-        fact *= j
-        scale = F(n) ** j / fact
-        for e, c in power.items():
-            if c:
-                out[e] = out.get(e, F(0)) + scale * c
-    return tuple(out.get(e, F(0)) for e in range(order + 1))
+    powers = [{0: F(1)}]
+    for _ in range(order):
+        powers.append(ca.u_mul(powers[-1], log_coeffs, order))
+    return tuple(tuple(p.items()) for p in powers)
+
+
+@lru_cache(maxsize=None)
+def _log_pow_coeffs(n: int, order: int) -> "tuple[Fraction, ...]":
+    """Taylor coefficients of exp(n*log(1-t)) up to t^order: the sum
+    over j of n^j/j! log(1-t)^j."""
+    out = [F(0)] * (order + 1)
+    for j, power in enumerate(_log_powers(order)):
+        scale = F(n) ** j / math.factorial(j)
+        for e, c in power:
+            out[e] += scale * c
+    return tuple(out)
 
 
 # ----------------------------------------------------------------------
@@ -324,10 +365,10 @@ def jacobi_diffs(mismatches, prefix, u, v, targets, w) -> None:
         t1 = ca.delta_product(g1, "x0", "x1", "x2", cube)
         g2 = _y_pair_series(v, "x2", u, "x1", target, obox, ibox)
         t2 = ca.delta_product(g2, "x0", "x2", "x1", cube, n_sign=-1)
-        rhs = _box_series(cube, _jacobi_rhs_cells(inner, target, w))
-        for exps, va, vb in diff_on_box(t1 - t2, rhs, cube):
-            mono = [ti, exps["x0"], exps["x1"], exps["x2"]]
-            note_diff(mismatches, list(prefix) + mono, va, vb, target)
+        lhs = _series_table(t1 - t2, cube, "lhs")
+        rhs = _jacobi_rhs_cells(inner, target, w)
+        for cell, va, vb in _cell_diffs(lhs, rhs, cube):
+            note_diff(mismatches, [*prefix, ti, *cell], va, vb, target)
 
 
 def _jacobi_inner(u: FockVector, v: FockVector, w: int) -> "dict[int, FockVector]":
@@ -379,13 +420,6 @@ def _jacobi_rhs_cells(inner, target, w) -> "dict[tuple[int, int, int], FockVecto
                 if vec:
                     data[(a, b, c)] = vec
     return data
-
-
-def _box_series(box, data) -> Series:
-    """Cells computed on every point of a finite box, as a series known
-    on exactly that box."""
-    wins = [VarWindow(nm, lo, hi, NEG_INF, POS_INF) for nm, (lo, hi) in box.items()]
-    return Series(wins, data)
 
 
 def _y_series(u: FockVector, xvar: str, v: FockVector, box) -> Series:
@@ -480,8 +514,8 @@ def _newjacobi_rhs(u, v, win) -> "dict[tuple[int, int], FockVector]":
 def _newjacobi_sides(u, v, target, win, table):
     """Both sides of the exponential-delta identity applied to target.
 
-    Returns (lhs, rhs) series over x0, x1, x2, complete on the cube of
-    side 2*win.  The left side is built here; the right side is read off
+    Returns (lhs, rhs) cell tables over x0, x1, x2 on the cube of side
+    2*win.  The left side is built here; the right side is read off
     table, which _newjacobi_rhs(u, v, win) built once for every target."""
     w = win
     wt_t = _wt_max(target)
@@ -503,7 +537,7 @@ def _newjacobi_sides(u, v, target, win, table):
             img = x_mode(h, -(n + c + 1), target)
             if img:
                 data[(a, n - a, c)] = img
-    return (t1 - t2).restrict(box), _box_series(box, data)
+    return _series_table(t1 - t2, box, "lhs"), data
 
 
 def _comm_rhs(u, v, win, y_order) -> "dict[int, FockVector]":
@@ -540,11 +574,10 @@ def _comm_rhs(u, v, win, y_order) -> "dict[int, FockVector]":
 
 def _comm_sides(u, v, target, win, table):
     """Commutator of the weight-shifted fields vs the residue form, as
-    (lhs, rhs) series on the square [-win, win]^2 of x1/x2 exponents.
+    (lhs, rhs) cell tables on the square [-win, win]^2 of x1/x2 exponents.
     The right side is read off table, which _comm_rhs(u, v, win, .)
     built once for every target."""
     w = win
-    box = {"x1": (-w, w), "x2": (-w, w)}
     u_on = {b: x_mode(u, -b, target) for b in range(-w, w + 1)}
     v_on = {c: x_mode(v, -c, target) for c in range(-w, w + 1)}
     lhs, rhs = {}, {}
@@ -556,7 +589,7 @@ def _comm_sides(u, v, target, win, table):
             img = x_mode(table[b], -(b + c), target)
             if img:
                 rhs[(b, c)] = img
-    return _box_series(box, lhs), _box_series(box, rhs)
+    return lhs, rhs
 
 
 def residue_link_diffs(params: dict, mismatches: list) -> None:
@@ -574,6 +607,8 @@ def residue_link_diffs(params: dict, mismatches: list) -> None:
     Not a catalog entry (registering it would change verify all); the
     acceptance gate runs it on params u, v, targets and x-window."""
     u, v, win = params["u"], params["v"], params["x-window"]
+    if win < 1:
+        raise WindowInsufficientError("coefficient at x0^-1 outside known box of 'x0'")
     wt_uv = _wt_max(u) + _wt_max(v)
     nj_table = _newjacobi_rhs(u, v, win)
     c_table = _comm_rhs(u, v, win, wt_uv + 1)
@@ -582,10 +617,10 @@ def residue_link_diffs(params: dict, mismatches: list) -> None:
         c_lhs, c_rhs = _comm_sides(u, v, target, win, c_table)
         for b in range(-win, win + 1):
             for c in range(-win, win + 1):
-                direct = nj_rhs.coefficient({"x0": -1, "x1": b, "x2": c})
-                comm = c_rhs.coefficient({"x1": b, "x2": c})
-                left_slice = nj_lhs.coefficient({"x0": -1, "x1": b, "x2": c})
-                left_comm = c_lhs.coefficient({"x1": b, "x2": c})
+                direct = nj_rhs.get((-1, b, c))
+                comm = c_rhs.get((b, c))
+                left_slice = nj_lhs.get((-1, b, c))
+                left_comm = c_lhs.get((b, c))
                 note_diff(mismatches, [b, c, 1], direct, comm, target)
                 note_diff(mismatches, [b, c, 2], left_slice, left_comm, target)
                 note_diff(mismatches, [b, c, 3], left_slice, direct, target)
@@ -601,9 +636,8 @@ def newjacobi_diffs(params: dict, mismatches: list) -> None:
     table = _newjacobi_rhs(u, v, w)
     for target in basis_up_to(params["weight-cap"]):
         lhs, rhs = _newjacobi_sides(u, v, target, w, table)
-        for exps, va, vb in diff_on_box(lhs, rhs, cube):
-            mono = [exps["x0"], exps["x1"], exps["x2"]]
-            note_diff(mismatches, mono, va, vb, target)
+        for cell, va, vb in _cell_diffs(lhs, rhs, cube):
+            note_diff(mismatches, list(cell), va, vb, target)
 
 
 def comm_diffs(params: dict, mismatches: list) -> None:
@@ -612,8 +646,8 @@ def comm_diffs(params: dict, mismatches: list) -> None:
     table = _comm_rhs(u, v, w, params["y-order"])
     for target in basis_up_to(params["weight-cap"]):
         lhs, rhs = _comm_sides(u, v, target, w, table)
-        for exps, va, vb in diff_on_box(lhs, rhs, box):
-            note_diff(mismatches, [exps["x1"], exps["x2"]], va, vb, target)
+        for cell, va, vb in _cell_diffs(lhs, rhs, box):
+            note_diff(mismatches, list(cell), va, vb, target)
 
 
 def _slice_pairs(params: dict, build) -> list:
@@ -630,24 +664,22 @@ def _slice_pairs(params: dict, build) -> list:
     ]
 
 
-def _transported_mismatches(mismatches, diffs, w_orders, target, prefix):
-    """Record mismatches of a dilation-transported comparison: the x1/x2
-    exponent pair scales both sides by b^g1/g1! * c^g2/g2! at each
-    requested dilation order, so a bare mismatch is reported once per
-    order with a nonzero transport factor."""
+def _transported_mismatches(mismatches, sides, box, w_orders, target, prefix):
+    """Record mismatches of a dilation-transported comparison of the
+    tables sides = (lhs, rhs) on box, whose last two variables are x1
+    and x2: the exponent pair (b, c) scales both sides by
+    b^g1/g1! * c^g2/g2! at each requested dilation order, so a bare
+    mismatch is reported once per order with a nonzero transport
+    factor."""
     g1_cap, g2_cap = w_orders
-    for exps, va, vb in diffs:
-        b = exps["x1"]
-        c = exps["x2"]
+    for cell, va, vb in _cell_diffs(*sides, box):
+        b, c = cell[-2:]
         for g1 in range(g1_cap + 1):
             for g2 in range(g2_cap + 1):
                 fac = F(b**g1, math.factorial(g1)) * F(c**g2, math.factorial(g2))
-                if not fac:
-                    continue
-                mono = list(prefix) + [g1, g2] + [exps[k] for k in sorted(exps)]
-                note_diff(
-                    mismatches, mono, _as_vec(va).scaled(fac), _as_vec(vb).scaled(fac), target
-                )
+                if fac:
+                    mono = [*prefix, g1, g2, *cell]
+                    note_diff(mismatches, mono, va.scaled(fac), vb.scaled(fac), target)
 
 
 def genjacobi_diffs(params: dict, mismatches: list) -> None:
@@ -656,10 +688,9 @@ def genjacobi_diffs(params: dict, mismatches: list) -> None:
     pairs = _slice_pairs(params, lambda ua, vb: _newjacobi_rhs(ua, vb, w))
     for target in basis_up_to(params["weight-cap"]):
         for alpha, beta, ua, vb, table in pairs:
-            lhs, rhs = _newjacobi_sides(ua, vb, target, w, table)
-            diffs = diff_on_box(lhs, rhs, cube)
+            sides = _newjacobi_sides(ua, vb, target, w, table)
             _transported_mismatches(
-                mismatches, diffs, params["w-orders"], target, [alpha, beta]
+                mismatches, sides, cube, params["w-orders"], target, [alpha, beta]
             )
 
 
@@ -669,10 +700,9 @@ def gencomm_diffs(params: dict, mismatches: list) -> None:
     pairs = _slice_pairs(params, lambda ua, vb: _comm_rhs(ua, vb, w, params["y-order"]))
     for target in basis_up_to(params["weight-cap"]):
         for alpha, beta, ua, vb, table in pairs:
-            lhs, rhs = _comm_sides(ua, vb, target, w, table)
-            diffs = diff_on_box(lhs, rhs, box)
+            sides = _comm_sides(ua, vb, target, w, table)
             _transported_mismatches(
-                mismatches, diffs, params["w-orders"], target, [alpha, beta]
+                mismatches, sides, box, params["w-orders"], target, [alpha, beta]
             )
 
 
@@ -732,7 +762,7 @@ def _shift_merge_residue(f: Series, var: str, res: str, sign: int) -> Series:
     depth = _pole_depth(f, res)
     t_cap = max(depth - 1, 0)
     sh = ca.taylor_shift(f, var, "__sh", sign, t_cap)
-    merged = ca.subst_monomial(sh, "__sh", {res: 1}, {res: t_cap - depth})
+    merged = ca.subst_monomial(sh, "__sh", res, t_cap - depth)
     return merged.residue(res)
 
 
@@ -818,8 +848,8 @@ def _fourterm_rhs(chains, b):
         core, "__z", "y2", [(-1, "__a"), (-1, "__b")],
         {"__a": cap_a, "__b": cap_b},
     )
-    g = ca.subst_monomial(g, "__a", {"y1": 1}, {"y1": o1})
-    g = ca.subst_monomial(g, "__b", {"t4": 1}, {"t4": cap_b - _pole_depth(g, "t4")})
+    g = ca.subst_monomial(g, "__a", "y1", o1)
+    g = ca.subst_monomial(g, "__b", "t4", cap_b - _pole_depth(g, "t4"))
     term_d = g.residue("t4").restrict(ybox)
 
     out = term_a + term_b - term_c - term_d
@@ -852,11 +882,9 @@ def fourterm_diffs(params: dict, mismatches: list) -> None:
                         )
                         if vec:
                             data[(alpha, beta)] = vec
-                lhs = _box_series(box, data)
-                rhs = _map_mode(rhs_by_b[b], -b - c, target)
-                for exps, va, vb in diff_on_box(lhs, rhs, box):
-                    mono = [b, c, exps["y1"], exps["y2"]]
-                    note_diff(mismatches, mono, va, vb, target)
+                rhs = _series_table(_map_mode(rhs_by_b[b], -b - c, target), box, "rhs")
+                for cell, va, vb in _cell_diffs(data, rhs, box):
+                    note_diff(mismatches, [b, c, *cell], va, vb, target)
 
 
 def bridge_diffs(params: dict, mismatches: list) -> None:
@@ -920,28 +948,25 @@ def specialize_diffs(params: dict, mismatches: list) -> None:
             for beta in sorted(vslices):
                 vb = vslices[beta]
                 lhs, rhs = _comm_sides(ua, vb, target, w, rhs_tables[(alpha, beta)])
-                for exps, va, vv in diff_on_box(lhs, rhs, box):
-                    note_diff(
-                        mismatches, [alpha, beta, exps["x1"], exps["x2"]], va, vv, target
-                    )
+                for cell, va, vv in _cell_diffs(lhs, rhs, box):
+                    note_diff(mismatches, [alpha, beta, *cell], va, vv, target)
                 if alpha < 0 or beta < 0:
                     # scalar slices commute; the bracket engine has no
                     # monomials there, so both sides must vanish
                     for b in range(-w, w + 1):
                         for c in range(-w, w + 1):
-                            cell = _as_vec(lhs.coefficient({"x1": b, "x2": c}))
                             note_diff(
                                 mismatches,
                                 [alpha, beta, b, c],
-                                cell,
-                                FockVector.zero(),
+                                lhs.get((b, c)),
+                                None,
                                 target,
                             )
                     continue
                 for b in range(-w, w + 1):
                     for c in range(-w, w + 1):
                         mono_table = table.get((b, c), {})
-                        cell = _as_vec(lhs.coefficient({"x1": b, "x2": c}))
+                        lv = lhs.get((b, c), FockVector.zero())
                         for g1 in range(ow1 + 1):
                             for g2 in range(ow2 + 1):
                                 pred = FockVector.zero()
@@ -964,7 +989,7 @@ def specialize_diffs(params: dict, mismatches: list) -> None:
                                 note_diff(
                                     mismatches,
                                     [alpha, g1, beta, g2, b, c],
-                                    cell.scaled(fac),
+                                    lv.scaled(fac),
                                     pred.scaled(4),
                                     target,
                                 )

@@ -223,21 +223,6 @@ def test_substitute_valuation_vs_dict_oracle_seeded():
             assert g.coefficient({"t": e}) == want, (trial, e)
 
 
-def test_substitute_valuation_with_outer_shift():
-    # x0 -> x1 * (1 - exp(y)), applied to x0^2 x1
-    f = ca.monomial({"x0": 2, "x1": 1})
-
-    def neg_em1(order: int) -> "dict[int, Fraction]":
-        return {j: -c for j, c in ca.em1_unit(order).items()}
-
-    g = ca.substitute_valuation(f, "x0", "y", neg_em1, 4, shift_var="x1")
-    assert g.coefficient({"x1": 3, "y": 2}) == 1
-    assert g.coefficient({"x1": 3, "y": 3}) == 1
-    assert g.coefficient({"x1": 3, "y": 4}) == F(7, 12)
-    assert g.coefficient({"x1": 2, "y": 2}) == 0
-    assert g.window("y").high == 4
-
-
 def test_substitute_valuation_requires_known_slices():
     w = VarWindow("s", 0, 1, 0, POS_INF)
     f = Series([w], {(0,): F(1), (1,): F(2)})
@@ -254,21 +239,20 @@ def test_substitute_valuation_rejects_unbounded_laurent():
 
 def test_subst_monomial_ratio():
     f = fk("s", {0: 1, 1: 1, 2: 1})
-    g = ca.subst_monomial(f, "s", {"x0": 1, "x1": -1}, {"x0": 2})
-    assert g.coefficient({"x0": 0, "x1": 0}) == 1
-    assert g.coefficient({"x0": 1, "x1": -1}) == 1
-    assert g.coefficient({"x0": 2, "x1": -2}) == 1
+    g = ca.subst_monomial(f, "s", "x0", 2)
+    assert g.coefficient({"x0": 0}) == 1
+    assert g.coefficient({"x0": 1}) == 1
+    assert g.coefficient({"x0": 2}) == 1
     w0 = g.window("x0")
     assert (w0.support_low, w0.support_high) == (0, 2)
 
 
 def test_subst_monomial_widens_band_on_omitted_slices():
     f = Series([VarWindow("s", NEG_INF, 5, 0, POS_INF)], {(k,): F(1) for k in range(6)})
-    g = ca.subst_monomial(f, "s", {"x0": 1, "x1": -1}, {"x0": 3})
+    g = ca.subst_monomial(f, "s", "x0", 3)
     assert g.window("x0").support_high == POS_INF
-    assert g.window("x1").support_low == NEG_INF
     assert g.window("x0").high == 3
-    assert g.coefficient({"x0": 2, "x1": -2}) == 1
+    assert g.coefficient({"x0": 2}) == 1
 
 
 def test_subst_taylor_linear_inverse_slice():

@@ -12,6 +12,7 @@ oscillator action.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -63,6 +64,22 @@ def test_report_matches_golden(argv, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out == GOLDEN[argv[0]]
+
+
+# sha256 of the stdout of `zetafock verify all`
+VERIFY_ALL_SHA256 = "f30d459b761aecd5f6f29421fabebf40d8fca2932481dfe9d7428e18c4556401"
+
+
+def test_verify_all_bytes_are_pinned(capsys):
+    """The json-lines output of every catalog check at its default flags.
+
+    Only a change that declares a change of report content (new report
+    keys, a new default scale, a new catalog id) may update the hash,
+    and it says so in CHANGES.md."""
+    code = cli.main(["verify", "all"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_SHA256
 
 
 def test_mismatch_cap_keeps_the_total(monkeypatch):

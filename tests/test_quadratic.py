@@ -19,6 +19,7 @@ from zetafock import calculus as ca
 from zetafock import catalog
 from zetafock import quadratic as q
 from zetafock.fock import FockVector, basis_up_to, h_apply, weight_components
+from zetafock.reports import format_scalar
 
 F = Fraction
 
@@ -314,6 +315,21 @@ def test_theorem1_small_windows():
         params = {"y-orders": orders, "x-window": 2, "weight-cap": cap}
         rep = catalog.run_check("THEOREM1", params)
         assert rep.status == "pass", (orders, rep.mismatches[:3])
+
+
+def test_theorem1_compares_cells_that_only_the_scalar_sector_fills(monkeypatch):
+    # on the vacuum the operator sector vanishes on the diagonal, so with
+    # an empty left side the cells at (e1, e2) = (2, -2) hold only the
+    # scalar sector, and each of them must still be compared
+    monkeypatch.setattr(q, "dilated_bracket_lhs", lambda *a: {})
+    mismatches = []
+    params = {"y-orders": [1, 0, 1, 0], "x-window": 2, "weight-cap": 0}
+    q.theorem1_diffs(params, mismatches)
+    cells = [(m["monomial"][2:], m["rhs"]) for m in mismatches if m["monomial"][:2] == [2, -2]]
+    scalar = q._scalar_sector(2, (1, 0, 1, 0))
+    want = [(list(mono), format_scalar(c)) for mono, c in scalar.items()]
+    assert len(want) == 4
+    assert cells[:4] == sorted(want)
 
 
 def test_dilated_bracket_lhs_zero_slice_is_shifted_bracket():

@@ -22,7 +22,14 @@ from zetafock import quadratic as q
 from zetafock import voa
 from zetafock.fock import FockVector, basis_up_to, h_apply, weight
 from zetafock.reports import note_diff
-from zetafock.series import diff_on_box
+from zetafock.series import (
+    NEG_INF,
+    POS_INF,
+    Series,
+    VarWindow,
+    WindowInsufficientError,
+    diff_on_box,
+)
 
 F = Fraction
 
@@ -332,12 +339,86 @@ def test_identities_on_a_mixed_weight_target(u):
     assert mismatches == []
     table = voa._newjacobi_rhs(u, GEN, w)
     lhs, rhs = voa._newjacobi_sides(u, GEN, MIXED, w, table)
-    box = {"x0": (-w, w), "x1": (-w, w), "x2": (-w, w)}
     assert len(rhs) > 0
-    assert diff_on_box(lhs, rhs, box) == []
+    assert lhs == rhs
     lhs, rhs = voa._comm_sides(u, GEN, MIXED, w, voa._comm_rhs(u, GEN, w, 2))
     assert len(rhs) > 0
-    assert diff_on_box(lhs, rhs, {"x1": (-w, w), "x2": (-w, w)}) == []
+    assert lhs == rhs
+
+
+# ----------------------------------------------------------------------
+# cell tables against the Series comparison they replace
+
+
+def test_series_table_refuses_a_side_not_known_on_the_box():
+    box = {"x1": (-1, 1), "x2": (-1, 1)}
+    known = Series([VarWindow("x1", -1, 1), VarWindow("x2", -1, 1)], {(0, 0): GEN})
+    short = Series(
+        [VarWindow("x1", -1, 1), VarWindow("x2", -1, 0, NEG_INF, POS_INF)], {(0, 0): GEN}
+    )
+    for name, args in (("lhs", (short, known)), ("rhs", (known, short))):
+        with pytest.raises(WindowInsufficientError) as want:
+            diff_on_box(*args, box)
+        with pytest.raises(WindowInsufficientError) as got:
+            voa._series_table(short, box, name)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith(f"{name} not known on the whole box")
+    assert voa._series_table(known, box, "lhs") == {(0, 0): GEN}
+
+
+def _random_table(rng, spans, other):
+    """Cells on the box of spans widened by one in every variable: random
+    vectors, zero vectors, and copies of the cells of other."""
+    out = {}
+    for cell in itertools.product(*(range(lo - 1, hi + 2) for lo, hi in spans)):
+        roll = rng.random()
+        if roll < 0.3:
+            continue
+        if roll < 0.4:
+            out[cell] = FockVector.zero()
+        elif roll < 0.7 and cell in other:
+            out[cell] = other[cell]
+        else:
+            out[cell] = rand_vec(rng, 2).scaled(F(1, rng.randrange(1, 4)))
+    return out
+
+
+def test_cell_diffs_match_diff_on_box_seeded():
+    # the walk over cell tables reports the cells, values and order that
+    # diff_on_box gives on the same data built as Series
+    rng = random.Random(1107)
+    seen = {"differ": 0, "zero": 0, "absent": 0, "off box": 0}
+    for trial in range(60):
+        names = ["x0", "x1", "x2"][: rng.randrange(1, 4)]
+        rng.shuffle(names)
+        box = {nm: (-rng.randrange(0, 2), rng.randrange(0, 3)) for nm in names}
+        # tables are keyed in sorted variable order, whatever the box's
+        spans = [box[nm] for nm in sorted(box)]
+        lt = _random_table(rng, spans, {})
+        rt = _random_table(rng, spans, lt)
+        wins = [
+            VarWindow(nm, lo - 1, hi + 1, NEG_INF, POS_INF)
+            for nm, (lo, hi) in zip(sorted(box), spans)
+        ]
+        oracle = diff_on_box(Series(wins, lt), Series(wins, rt), box)
+        got = list(voa._cell_diffs(lt, rt, box))
+        assert [c for c, _, _ in got] == [tuple(exps.values()) for exps, _, _ in oracle]
+        zero = FockVector.zero()
+        assert [(va, vb) for _, va, vb in got] == [
+            (va or zero, vb or zero) for _, va, vb in oracle
+        ]
+        want_notes, got_notes = [], []
+        for exps, va, vb in oracle:
+            note_diff(want_notes, [trial, *exps.values()], va, vb, GEN)
+        for cell, va, vb in got:
+            note_diff(got_notes, [trial, *cell], va, vb, GEN)
+        assert got_notes == want_notes
+        inside = set(itertools.product(*(range(lo, hi + 1) for lo, hi in spans)))
+        seen["differ"] += bool(got)
+        seen["zero"] += any(not v for v in lt.values())
+        seen["absent"] += bool(inside - set(lt))
+        seen["off box"] += bool(set(lt) - inside)
+    assert min(seen.values()) >= 10, seen
 
 
 def test_theorem_check_rejects_bad_input():
