@@ -178,7 +178,8 @@ def render_table(reports: Sequence[CheckReport]) -> str:
         for m in r.mismatches[:5]:
             mono = ",".join(str(e) for e in m["monomial"])
             out.append(f"  at ({mono}): lhs={m['lhs']} rhs={m['rhs']}")
-        extra = len(r.mismatches) - 5
+        # a capped list keeps its full length as mismatches-total
+        extra = r.params.get("mismatches-total", len(r.mismatches)) - 5
         if extra > 0:
             out.append(f"  ... {extra} more mismatches")
     return "".join(line + "\n" for line in out)

@@ -17,14 +17,16 @@ and v alone.  So the right sides are built once per (u, v, window),
 before any target, as small tables of target-independent vectors
 (_jacobi_inner, _newjacobi_rhs, _comm_rhs, _fourterm_rhs), and each
 cell is read off with one or a few modes of those vectors on the
-target.  The left sides are still built per target.
+target.  The left sides are built per target, as the inner field acts
+on the target first; tabling it before the target would need the
+identity being checked.  The three-delta left sides are closed-form
+sums of mode images weighted by the binomial kernel (_delta_cells).
 
 Every compared side is a cell table: a dict from exponent tuples, in
 sorted variable order, to FockVector, where an absent cell is zero.
-Sides that are built as Series (the delta_product left sides, FOURTERM's
-mapped right side) become tables through _series_table, which first
-checks that they are known on the whole box, and _cell_diffs walks the
-box row-major to find the cells that differ.
+FOURTERM's right side is built as a Series and becomes a table through
+_series_table, which checks that it is known on the whole box, and
+_cell_diffs walks the box row-major to find the cells that differ.
 """
 
 from __future__ import annotations
@@ -247,45 +249,6 @@ def axioms_diffs(params: dict, mismatches: list) -> None:
 
 
 # ----------------------------------------------------------------------
-# Operator-product series on finite windows
-
-
-def _ordered_pair_series(outer, ovar, inner, ivar, target, obox, ibox):
-    """The two weight-shifted fields applied in order to target.
-
-    The inner variable's support band is truncated at its box top;
-    products against delta kernels never read above it because kernel
-    exponents in that slot are nonnegative."""
-    olo, ohi = obox
-    ilo, ihi = ibox
-    wt_t = _wt_max(target)
-    coeffs = {}
-    for ei in range(max(ilo, -wt_t), ihi + 1):
-        ivec = x_mode(inner, -ei, target)
-        if not ivec:
-            continue
-        for eo in range(max(olo, -(wt_t + ei)), ohi + 1):
-            img = x_mode(outer, -eo, ivec)
-            if img:
-                coeffs[(eo, ei)] = img
-    wins = [
-        VarWindow(ovar, olo, ohi, -(wt_t + ihi), POS_INF),
-        VarWindow(ivar, ilo, ihi, -wt_t, ihi),
-    ]
-    return Series(wins, coeffs)
-
-
-def _map_mode(g: Series, m: int, target: FockVector) -> Series:
-    """One fixed x-mode of every coefficient, applied to target."""
-    data = {}
-    for exps, vec in g.terms():
-        img = x_mode(vec, m, target)
-        if img:
-            data[exps] = img
-    return Series(g.windows(), data)
-
-
-# ----------------------------------------------------------------------
 # Cell tables: a compared side maps exponent tuples, in sorted variable
 # order, to FockVector; an absent cell is the zero vector
 
@@ -354,21 +317,27 @@ def jacobi_diffs(mismatches, prefix, u, v, targets, w) -> None:
     the cube [-w, w]^3 of x0/x1/x2 exponents, monomial prefix + (target
     index, x0, x1, x2).  The left side is built per target; the right
     side's inner field is built once (see _jacobi_inner)."""
-    wt_uv = _wt_max(u) + _wt_max(v)
     cube = {"x0": (-w, w), "x1": (-w, w), "x2": (-w, w)}
     inner = _jacobi_inner(u, v, w)
     for ti, target in enumerate(targets):
-        wt_t = _wt_max(target)
-        obox = (-(wt_uv + wt_t + w), 3 * w + 1 + wt_uv + wt_t)
-        ibox = (-(wt_uv + wt_t), w)
-        g1 = _y_pair_series(u, "x1", v, "x2", target, obox, ibox)
-        t1 = ca.delta_product(g1, "x0", "x1", "x2", cube)
-        g2 = _y_pair_series(v, "x2", u, "x1", target, obox, ibox)
-        t2 = ca.delta_product(g2, "x0", "x2", "x1", cube, n_sign=-1)
-        lhs = _series_table(t1 - t2, cube, "lhs")
-        rhs = _jacobi_rhs_cells(inner, target, w)
+        lhs, rhs = _jacobi_sides(u, v, target, w, inner)
         for cell, va, vb in _cell_diffs(lhs, rhs, cube):
             note_diff(mismatches, [*prefix, ti, *cell], va, vb, target)
+
+
+def _jacobi_sides(u, v, target, w, inner):
+    """Both sides of the three-delta identity applied to target, as
+    (lhs, rhs) cell tables over x0, x1, x2 on the cube [-w, w]^3.  The
+    left side takes plain modes, and an inner image vertex_mode(x, -e - 1,
+    target) has weight wt(x) + wt(target) + e, so it vanishes below
+    e = -(wt(x) + wt(target)); the right side is read off inner, which
+    _jacobi_inner(u, v, w) built once for every target."""
+    wt_t = _wt_max(target)
+    lhs = _delta_lhs(
+        u, v, target, w, lambda x, e, vec: vertex_mode(x, -e - 1, vec),
+        -(_wt_max(v) + wt_t), -(_wt_max(u) + wt_t),
+    )
+    return lhs, _jacobi_rhs_cells(inner, target, w)
 
 
 def _jacobi_inner(u: FockVector, v: FockVector, w: int) -> "dict[int, FockVector]":
@@ -395,7 +364,8 @@ def _jacobi_inner(u: FockVector, v: FockVector, w: int) -> "dict[int, FockVector
     I_e has weight at most wt(u) + wt(v) + w.  Here k runs over every
     stored slice at or below a, and no window is read from the target."""
     wt_uv = _wt_max(u) + _wt_max(v)
-    return {e: vec for (e,), vec in _y_series(u, "x0", v, (-wt_uv, w)).terms()}
+    slices = {e: vertex_mode(u, -e - 1, v) for e in range(-wt_uv, w + 1)}
+    return {e: vec for e, vec in slices.items() if vec}
 
 
 def _jacobi_rhs_cells(inner, target, w) -> "dict[tuple[int, int, int], FockVector]":
@@ -422,43 +392,62 @@ def _jacobi_rhs_cells(inner, target, w) -> "dict[tuple[int, int, int], FockVecto
     return data
 
 
-def _y_series(u: FockVector, xvar: str, v: FockVector, box) -> Series:
-    """Plain field of u in xvar, applied to v (classical mode exponents)."""
-    lo, hi = box
-    wt_uv = _wt_max(u) + _wt_max(v)
-    coeffs = {}
-    for e in range(max(lo, -wt_uv), hi + 1):
-        img = vertex_mode(u, -e - 1, v)
-        if img:
-            coeffs[(e,)] = img
-    return Series([VarWindow(xvar, lo, hi, -wt_uv, POS_INF)], coeffs)
+def _delta_cells(outer, inner, target, w, mode, floor, n_sign):
+    """One left-side term: Y(outer, xo) Y(inner, xi) target times
+    x0^-1 delta(n_sign (xo - xi)/x0), as a table keyed (a, p, q) for the
+    cell x0^a xo^p xi^q of the cube [-w, w]^3.
+
+    mode(x, e, vec) is the x^e coefficient of the field of x applied to
+    vec, and the inner images I_e = mode(inner, e, target) vanish below
+    e = floor.  The kernel term C(n, k) (-1)^k n_sign^n x0^(-n-1)
+    xo^(n-k) xi^k, k >= 0, meets the pair coefficient
+    mode(outer, e, I_f) xo^e xi^f at the cell exactly when n = -a - 1,
+    e = p - n + k and f = q - k, so
+
+        cell(a, p, q) = sum over 0 <= k <= q - floor of
+                        n_sign^n C(n, k) (-1)^k mode(outer, p - n + k, I_(q-k)).
+
+    The sum is exact: a larger k reads an inner image below the floor.
+    For n >= 0 C(n, k) vanishes when k > n, so those terms are skipped.
+    The kernel coefficients are integers, built once per a; n_sign^n is
+    taken from the parity of n, since a negative power of an int is a
+    float."""
+    images = {e: mode(inner, e, target) for e in range(floor, w + 1)}
+    outer_on: "dict[tuple[int, int], FockVector]" = {}
+    cells = {}
+    for a in range(-w, w + 1):
+        n = -a - 1
+        sign = n_sign if n % 2 else 1
+        kernel = [int(sign * (-1) ** k * ca.binom(n, k)) for k in range(w - floor + 1)]
+        for p in range(-w, w + 1):
+            for q in range(-w, w + 1):
+                vec = FockVector.zero()
+                for k in range(q - floor + 1):
+                    ivec = images[q - k]
+                    if not (kernel[k] and ivec):
+                        continue
+                    key = (p - n + k, q - k)
+                    img = outer_on.get(key)
+                    if img is None:
+                        img = outer_on[key] = mode(outer, key[0], ivec)
+                    if img:
+                        vec = vec + img.scaled(kernel[k])
+                if vec:
+                    cells[(a, p, q)] = vec
+    return cells
 
 
-def _y_pair_series(outer, ovar, inner, ivar, target, obox, ibox):
-    """Composition of two plain fields applied to target; inner acts first.
-
-    Same truncation convention as _ordered_pair_series, with classical
-    mode exponents x^(-n-1)."""
-    olo, ohi = obox
-    ilo, ihi = ibox
-    wt_t = _wt_max(target)
-    wt_i = _wt_max(inner)
-    wt_o = _wt_max(outer)
-    coeffs = {}
-    for ei in range(max(ilo, -(wt_i + wt_t)), ihi + 1):
-        ivec = vertex_mode(inner, -ei - 1, target)
-        if not ivec:
-            continue
-        floor_o = -(wt_o + wt_t + wt_i + ei)
-        for eo in range(max(olo, floor_o), ohi + 1):
-            img = vertex_mode(outer, -eo - 1, ivec)
-            if img:
-                coeffs[(eo, ei)] = img
-    wins = [
-        VarWindow(ovar, olo, ohi, -(wt_o + wt_t + wt_i + ihi), POS_INF),
-        VarWindow(ivar, ilo, ihi, -(wt_i + wt_t), ihi),
-    ]
-    return Series(wins, coeffs)
+def _delta_lhs(u, v, target, w, mode, floor_v, floor_u):
+    """The three-delta left side, keyed (a, b, c) for x0^a x1^b x2^c on
+    the cube [-w, w]^3, with u's field in x1 and v's in x2: the
+    _delta_cells term of (u, v) minus that of (v, u) under kernel sign
+    -1, whose outer field sits in x2, so lhs(a, b, c) =
+    first(a, b, c) - second(a, c, b).  floor_v and floor_u are the floors
+    of the inner images of v and of u."""
+    lhs = _delta_cells(u, v, target, w, mode, floor_v, 1)
+    for (a, c, b), vec in _delta_cells(v, u, target, w, mode, floor_u, -1).items():
+        lhs[(a, b, c)] = lhs.get((a, b, c), FockVector.zero()) - vec
+    return {cell: vec for cell, vec in lhs.items() if vec}
 
 
 # ----------------------------------------------------------------------
@@ -515,29 +504,22 @@ def _newjacobi_sides(u, v, target, win, table):
     """Both sides of the exponential-delta identity applied to target.
 
     Returns (lhs, rhs) cell tables over x0, x1, x2 on the cube of side
-    2*win.  The left side is built here; the right side is read off
-    table, which _newjacobi_rhs(u, v, win) built once for every target."""
+    2*win.  The left side takes weight-shifted modes, and an inner image
+    x_mode(x, -e, target) has weight wt(target) + e, so it vanishes
+    below e = -wt(target); the right side is read off table, which
+    _newjacobi_rhs(u, v, win) built once for every target."""
     w = win
     wt_t = _wt_max(target)
-    box = {"x0": (-w, w), "x1": (-w, w), "x2": (-w, w)}
-    k_cap = w + wt_t
-    g1 = _ordered_pair_series(
-        u, "x1", v, "x2", target, (-(wt_t + w), 2 * w + 1 + k_cap), (-wt_t, w)
+    lhs = _delta_lhs(
+        u, v, target, w, lambda x, e, vec: x_mode(x, -e, vec), -wt_t, -wt_t
     )
-    t1 = ca.delta_product(g1, "x0", "x1", "x2", box)
-    g2 = _ordered_pair_series(
-        v, "x2", u, "x1", target,
-        (-(wt_t + w), 2 * w + 1 + (w + wt_t)),
-        (-wt_t, w),
-    )
-    t2 = ca.delta_product(g2, "x0", "x2", "x1", box, n_sign=-1)
     data = {}
     for (a, n), h in table.items():
         for c in range(-w, w + 1):
             img = x_mode(h, -(n + c + 1), target)
             if img:
                 data[(a, n - a, c)] = img
-    return _series_table(t1 - t2, box, "lhs"), data
+    return lhs, data
 
 
 def _comm_rhs(u, v, win, y_order) -> "dict[int, FockVector]":
@@ -854,6 +836,16 @@ def _fourterm_rhs(chains, b):
 
     out = term_a + term_b - term_c - term_d
     return out.restrict(ybox)
+
+
+def _map_mode(g: Series, m: int, target: FockVector) -> Series:
+    """One fixed x-mode of every coefficient, applied to target."""
+    data = {}
+    for exps, vec in g.terms():
+        img = x_mode(vec, m, target)
+        if img:
+            data[exps] = img
+    return Series(g.windows(), data)
 
 
 def fourterm_diffs(params: dict, mismatches: list) -> None:

@@ -73,6 +73,17 @@ def test_table_format():
         rp.render_reports(reps, "yaml")
 
 
+def test_table_counts_mismatches_beyond_the_cap():
+    entries = [rp.mismatch_entry([n], F(1), F(0), FockVector.vacuum()) for n in range(207)]
+    rep = rp.timed_check("CAPPED", {}, lambda params, mismatches: mismatches.extend(entries))
+    assert len(rep.mismatches) == rp.MISMATCH_CAP
+    lines = rp.render_table([rep]).splitlines()
+    assert lines[-1] == "  ... 202 more mismatches"
+    short = rp.timed_check("SHORT", {}, lambda params, mismatches: mismatches.extend(entries[:7]))
+    assert short.params == {}
+    assert rp.render_table([short]).splitlines()[-1] == "  ... 2 more mismatches"
+
+
 def test_failure_rows_are_rendered(monkeypatch):
     # a zero central term breaks the shifted bracket at m + n = 0
     monkeypatch.setattr(catalog, "modvir_central", lambda m: F(0))

@@ -1,21 +1,26 @@
 """Failing runs of the vertex identity checks, pinned byte for byte.
 
 Each vertex check runs at its catalog test flags with one function of
-the voa module doubled: a left-side series of JACOBI, its right-side
-series, or the exponential-coordinate bracket that every other vertex
-check builds on.  Every such run fails, and its json-lines record,
-mismatch entries and their order included, must equal the line stored
-in vertex_failing_golden.jsonl.  That file was written by the
-per-target implementation that preceded the target-independent right
-sides, so a passing run here shows that the restructured code reports
-the same mismatches, not just the same passing bytes.
+the voa module doubled: the left-side term tables of JACOBI, its
+right-side inner field, or the exponential-coordinate bracket that
+every other vertex check builds on.  Every such run fails, and its
+json-lines record, mismatch entries and their order included, must
+equal the line stored in vertex_failing_golden.jsonl.  That file was
+written by the per-target implementation that preceded the
+target-independent right sides, when JACOBI's left side was two pair
+series through calculus.delta_product; doubling both term tables
+doubles the same two terms as doubling both pair series did, so a
+passing run here shows that the restructured code reports the same
+mismatches, not just the same passing bytes.
 
-The runs in vertex_delta_sign_golden.jsonl flip the sign convention of
-every calculus.delta_product call instead, so JACOBI and GENJACOBI
-fail through the left-side delta kernel.  That file was written by the
-per-monomial kernel that multiplied one clipped Series product per
-kernel term, so a passing run shows that the one-pass kernel reports
-the same mismatches.
+The runs in vertex_delta_sign_golden.jsonl flip the kernel sign of
+every left-side term (voa._delta_cells) instead, so JACOBI, GENJACOBI
+and NEWJACOBI fail through the left-side delta kernel.  Its first two
+lines were written by the per-monomial calculus.delta_product that
+multiplied one clipped Series product per kernel term, and its third
+by the one-pass delta_product, each flipping that kernel's n_sign; so
+a passing run shows that the closed-form term tables report the same
+mismatches.
 """
 
 from __future__ import annotations
@@ -32,10 +37,10 @@ from test_catalog import RUNS
 GOLDEN = Path(__file__).with_name("vertex_failing_golden.jsonl")
 SIGN_GOLDEN = Path(__file__).with_name("vertex_delta_sign_golden.jsonl")
 
-# (check id, voa function whose series result is doubled)
+# (check id, voa function whose result is doubled)
 FAULTS = [
-    ("JACOBI", "_y_pair_series"),
-    ("JACOBI", "_y_series"),
+    ("JACOBI", "_delta_cells"),
+    ("JACOBI", "_jacobi_inner"),
     ("NEWJACOBI", "y_bracket_apply"),
     ("COMM", "y_bracket_apply"),
     ("GENJACOBI", "y_bracket_apply"),
@@ -43,18 +48,24 @@ FAULTS = [
     ("SPECIALIZE", "y_bracket_apply"),
 ]
 
-# check ids run with the delta kernel's n_sign flipped
-SIGN_FAULTS = ["JACOBI", "GENJACOBI"]
+# check ids run with the left-side kernel's n_sign flipped
+SIGN_FAULTS = ["JACOBI", "GENJACOBI", "NEWJACOBI"]
 
 ARGV = {argv[0]: argv for argv in RUNS}
 
 
 def faulty_run(check_id: str, name: str, monkeypatch, capsys) -> str:
     """The json-lines record of check_id at its test flags, with the
-    series returned by voa.<name> doubled."""
+    series or cell table returned by voa.<name> doubled."""
     real = getattr(voa, name)
-    monkeypatch.setattr(voa, name, lambda *a, **k: real(*a, **k).scale(2))
+    monkeypatch.setattr(voa, name, lambda *a, **k: doubled(real(*a, **k)))
     return failing_output(check_id, capsys)
+
+
+def doubled(value):
+    if isinstance(value, dict):
+        return {key: vec.scaled(2) for key, vec in value.items()}
+    return value.scale(2)
 
 
 def failing_output(check_id: str, capsys) -> str:
@@ -80,13 +91,13 @@ def test_failing_run_matches_golden(index, monkeypatch, capsys):
 
 def flipped_sign_run(check_id: str, monkeypatch, capsys) -> str:
     """The json-lines record of check_id at its test flags, with every
-    delta_product call made under the opposite n_sign."""
-    real = voa.ca.delta_product
+    left-side term built under the opposite kernel sign n_sign."""
+    real = voa._delta_cells
 
-    def flipped(f, out_var, pos_var, neg_var, box, n_sign=1):
-        return real(f, out_var, pos_var, neg_var, box, n_sign=-n_sign)
+    def flipped(outer, inner, target, w, mode, floor, n_sign):
+        return real(outer, inner, target, w, mode, floor, -n_sign)
 
-    monkeypatch.setattr(voa.ca, "delta_product", flipped)
+    monkeypatch.setattr(voa, "_delta_cells", flipped)
     return failing_output(check_id, capsys)
 
 

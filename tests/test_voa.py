@@ -347,6 +347,68 @@ def test_identities_on_a_mixed_weight_target(u):
 
 
 # ----------------------------------------------------------------------
+# three-delta left sides against the pair-series pipeline they replace
+
+
+def _pair_series(outer, ovar, inner, ivar, target, w, plain):
+    """Y(outer, ovar) Y(inner, ivar) target as a windowed Series, with the
+    windows the three-delta left sides used before they became cell
+    tables: plain modes vertex_mode(x, -e - 1, .) (JACOBI) or weight-shifted
+    modes x_mode(x, -e, .) (NEWJACOBI, GENJACOBI, RES-LINK)."""
+    wt_i, wt_o, wt_t = voa._wt_max(inner), voa._wt_max(outer), voa._wt_max(target)
+    if plain:
+        mode = lambda x, e, vec: voa.vertex_mode(x, -e - 1, vec)
+        depth, i_floor, o_floor = wt_o + wt_i + wt_t, wt_i + wt_t, wt_o + wt_i + wt_t
+    else:
+        mode = lambda x, e, vec: voa.x_mode(x, -e, vec)
+        depth, i_floor, o_floor = wt_t, wt_t, wt_t
+    olo, ohi = -(depth + w), 3 * w + 1 + depth
+    coeffs = {}
+    for ei in range(max(-depth, -i_floor), w + 1):
+        ivec = mode(inner, ei, target)
+        if not ivec:
+            continue
+        for eo in range(max(olo, -(o_floor + ei)), ohi + 1):
+            img = mode(outer, eo, ivec)
+            if img:
+                coeffs[(eo, ei)] = img
+    wins = [
+        VarWindow(ovar, olo, ohi, -(o_floor + w), POS_INF),
+        VarWindow(ivar, -depth, w, -i_floor, w),
+    ]
+    return Series(wins, coeffs)
+
+
+def _pipeline_lhs(u, v, target, w, plain):
+    cube = {"x0": (-w, w), "x1": (-w, w), "x2": (-w, w)}
+    g1 = _pair_series(u, "x1", v, "x2", target, w, plain)
+    g2 = _pair_series(v, "x2", u, "x1", target, w, plain)
+    t1 = ca.delta_product(g1, "x0", "x1", "x2", cube)
+    t2 = ca.delta_product(g2, "x0", "x2", "x1", cube, n_sign=-1)
+    return voa._series_table(t1 - t2, cube, "lhs")
+
+
+def test_delta_lhs_equals_pair_series_pipeline_seeded():
+    # the closed-form left sides of JACOBI and of the exponential-delta
+    # identities must equal the old pair series through delta_product,
+    # cell for cell, including vanishing cells
+    mixed_uv = GEN - FockVector.basis((2,)).scaled(F(3, 2))
+    fields = [GEN, OMEGA, mixed_uv]
+    targets = basis_up_to(3) + [MIXED]
+    rng = random.Random(2913)
+    for w, plain in itertools.product([1, 2], [True, False]):
+        inputs = list(itertools.product(fields, fields, targets))
+        for u, v, target in rng.sample(inputs, k=18) + [(mixed_uv, OMEGA, MIXED)]:
+            want = _pipeline_lhs(u, v, target, w, plain)
+            if plain:
+                got = voa._jacobi_sides(u, v, target, w, {})[0]
+            else:
+                got = voa._newjacobi_sides(u, v, target, w, {})[0]
+            assert want
+            assert got == want, (u, v, target, w, plain)
+
+
+# ----------------------------------------------------------------------
 # cell tables against the Series comparison they replace
 
 
