@@ -1,10 +1,10 @@
 """Power-series toolbox built on the windowed series core.
 
-Univariate coefficient kernels (exponentials, logarithms, Bernoulli and
-Todd numbers), binomial expansions of variable differences, substitution
-of series into formal variables, and the pinned convolution routines
-that multiply a series by doubly infinite delta-type kernels which the
-generic product ruleset rightly refuses.
+Univariate coefficient kernels (exponentials, the unit -log(1 - t)/t,
+Bernoulli and Todd numbers), binomial expansions of variable
+differences, substitution of series into formal variables, and the
+pinned convolution routines that multiply a series by doubly infinite
+delta-type kernels which the generic product ruleset rightly refuses.
 
 Every routine preserves the window discipline: result boxes only cover
 coefficients fully determined by the input boxes, and result bands are
@@ -198,14 +198,6 @@ def binomial_difference(a_var: str, b_var: str, n: int, b_cap: int = 0) -> Serie
             VarWindow(b_var, NEG_INF, b_cap, 0, POS_INF),
         ]
     return Series(sorted(wins, key=lambda w: w.name), data)
-
-
-def log1m(t: str, order: int) -> Series:
-    """log(1 - t) = -sum_{k>=1} t^k / k, complete up to t^order."""
-    if order < 1:
-        raise ValueError("order must be at least 1")
-    win = VarWindow(t, NEG_INF, order, 1, POS_INF)
-    return Series([win], {(k,): Fraction(-1, k) for k in range(1, order + 1)})
 
 
 # ----------------------------------------------------------------------

@@ -500,13 +500,14 @@ def wick_diffs(params: dict, mismatches: list) -> None:
                 if a == 0 or b == 0:
                     continue
                 plain_lhs = h_apply(a, h_apply(b, v))
+                pair = pair_apply(a, b, v)
                 contraction = a if (a > 0 and b == -a) else 0
-                plain_rhs = pair_apply(a, b, v) + v.scaled(contraction)
+                plain_rhs = pair + v.scaled(contraction)
                 for c in range(y_order + 1):
                     for d in range(y_order + 1):
                         factor = F((-a) ** c * (-b) ** d, _fact(c) * _fact(d))
                         lhs = plain_lhs.scaled(factor)
-                        rhs = pair_apply(a, b, v).scaled(factor)
+                        rhs = pair.scaled(factor)
                         if contraction:
                             # at b = -a the kernel factor matches the
                             # operator dilation factor exactly
@@ -520,41 +521,31 @@ def wick_diffs(params: dict, mismatches: list) -> None:
 # ----------------------------------------------------------------------
 # The dilated-bracket identity (THEOREM1)
 #
-# Both sides are assembled coefficientwise from closed forms.  Numerator
-# integers accumulate separately from the shared denominator
-# 4 a1! a2! a3! a4!, and the scalar sector uses the entire kernel
+# Both sides are assembled coefficientwise from closed forms.  The
+# operator sectors of both sides are integer numerators over the shared
+# denominator 4 a1! a2! a3! a4!, weighted by one loop (_add_weighted).
+# The scalar sector is the multinomial expansion of the entire kernel
 #   Phi_n(u) = g''(u)(e^(nu) - 1) + n g'(u)(1 + e^(nu)),
 # g(u) = 1/(1 - e^(-u)), whose pole parts cancel identically.
 
 
 def _phi_coeffs(n: int, order: int) -> "list[Fraction]":
-    """Taylor coefficients 0..order of Phi_n; raises if a pole survives."""
-    G = ca.todd_coeffs(order + 6)
-    g1: dict[int, Fraction] = {}
-    g2: dict[int, Fraction] = {}
-    for k, gk in enumerate(G):
-        if (k - 1) * gk:
-            g1[k - 2] = (k - 1) * gk
-        if (k - 1) * (k - 2) * gk:
-            g2[k - 3] = (k - 1) * (k - 2) * gk
+    """Taylor coefficients 0..order of Phi_n; raises if a pole survives.
+
+    g(u) = sum over k of G_k u^(k-1), G_k the Todd coefficients, so g'
+    and g'' start at u^-2 and u^-3, and these truncations reach every
+    product term at or below u^order."""
+    G = ca.todd_coeffs(order + 3)
+    g1 = {k - 2: (k - 1) * gk for k, gk in enumerate(G)}
+    g2 = {k - 3: (k - 1) * (k - 2) * gk for k, gk in enumerate(G)}
     expn = {p: F(n**p, _fact(p)) for p in range(order + 4)}
-    em1 = dict(expn)
-    em1[0] = em1[0] - 1
+    em1 = {**expn, 0: F(0)}
     ep1 = {p: n * c for p, c in expn.items()}
-    ep1[0] = ep1[0] + n
-    phi: dict[int, Fraction] = {}
-    for src, mult in ((g2, em1), (g1, ep1)):
-        for e1, c1 in src.items():
-            for e2, c2 in mult.items():
-                e = e1 + e2
-                if e > order:
-                    continue
-                t = phi.get(e, F(0)) + c1 * c2
-                if t:
-                    phi[e] = t
-                else:
-                    phi.pop(e, None)
-    bad = [e for e in phi if e < 0]
+    ep1[0] += n
+    phi = ca.u_mul(g2, em1, order)
+    for e, c in ca.u_mul(g1, ep1, order).items():
+        phi[e] = phi.get(e, 0) + c
+    bad = sorted(e for e, c in phi.items() if e < 0 and c)
     if bad:
         raise ArithmeticError(f"scalar kernel kept pole terms at orders {bad}")
     return [phi.get(e, F(0)) for e in range(order + 1)]
@@ -568,74 +559,66 @@ def _int_items(vec: FockVector) -> "list[tuple[tuple[int, ...], int]]":
     return list(vec._num.items())
 
 
+def _pow_over_fact(x: "tuple[int, ...]", b: "tuple[int, ...]") -> Fraction:
+    """x^b / b!, the product over i of x_i^(b_i) / b_i!."""
+    return F(math.prod(map(pow, x, b)), math.prod(map(_fact, b)))
+
+
 def _scalar_sector(
     n: int, caps: "tuple[int, int, int, int]"
 ) -> "dict[tuple[int, int, int, int], Fraction]":
-    """Identity-coefficient of the bracket right side at (x1^n, x2^-n)."""
-    total_order = sum(caps)
-    phi = _phi_coeffs(n, total_order)
+    """Identity-coefficient of the bracket right side at (x1^n, x2^-n).
 
-    def exp4(cvec: "tuple[int, int, int, int]") -> dict:
-        out = {}
-        for a1 in range(caps[0] + 1):
-            for a2 in range(caps[1] + 1):
-                for a3 in range(caps[2] + 1):
-                    for a4 in range(caps[3] + 1):
-                        num = (
-                            cvec[0] ** a1 * cvec[1] ** a2 * cvec[2] ** a3 * cvec[3] ** a4
-                        )
-                        if num:
-                            out[(a1, a2, a3, a4)] = F(
-                                num, _fact(a1) * _fact(a2) * _fact(a3) * _fact(a4)
-                            )
-        return out
-
-    def mul4(A: dict, B: dict) -> dict:
-        out: dict = {}
-        for ka, va in A.items():
-            for kb, vb in B.items():
-                k = (ka[0] + kb[0], ka[1] + kb[1], ka[2] + kb[2], ka[3] + kb[3])
-                if (
-                    k[0] > caps[0]
-                    or k[1] > caps[1]
-                    or k[2] > caps[2]
-                    or k[3] > caps[3]
-                ):
-                    continue
-                t = out.get(k, F(0)) + va * vb
-                if t:
-                    out[k] = t
-                else:
-                    del out[k]
-        return out
-
-    acc: dict = {}
-    for u_coeffs, e_coeffs in (
-        ((-1, 1, 1, -1), (n, 0, -n, 0)),
-        ((-1, 1, -1, 1), (n, 0, 0, -n)),
-    ):
-        # linear form u in the four dilation variables, as a dict
-        u_lin = {}
-        units = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-        for c, key in zip(u_coeffs, units):
-            if c and key[0] <= caps[0] and key[1] <= caps[1] and key[2] <= caps[2] and key[3] <= caps[3]:
-                u_lin[key] = F(c)
-        env = exp4(e_coeffs)
-        upow = {(0, 0, 0, 0): F(1)}
-        for p, ph in enumerate(phi):
-            if p:
-                upow = mul4(upow, u_lin)
-                if not upow:
-                    break
-            if not ph:
+    It is 1/4 of the sum, over the two pairs (u, e) of linear forms
+    below, of Phi_n(u.y) e^(e.y) in the dilation variables y.  By the
+    multinomial theorem (u.y)^p is the sum over |b| = p of
+    p! (u^b / b!) y^b, so the y^a coefficient is the sum over b + c = a
+    of phi_|b| |b|! (u^b / b!) (e^c / c!), read for every a <= caps."""
+    phi = _phi_coeffs(n, sum(caps))
+    monos = list(itertools.product(*(range(c + 1) for c in caps)))
+    acc = dict.fromkeys(monos, F(0))
+    for u, e in (((-1, 1, 1, -1), (n, 0, -n, 0)), ((-1, 1, -1, 1), (n, 0, 0, -n))):
+        e_terms = [(c, _pow_over_fact(e, c)) for c in monos]
+        e_terms = [(c, wc) for c, wc in e_terms if wc]
+        for b in monos:
+            wb = phi[sum(b)] * _fact(sum(b)) * _pow_over_fact(u, b)
+            if not wb:
                 continue
-            for k, val in mul4(upow, env).items():
-                t = acc.get(k, F(0)) + ph * val
-                if t:
-                    acc[k] = t
-                else:
-                    del acc[k]
-    return {k: v / 4 for k, v in acc.items()}
+            for c, wc in e_terms:
+                a = tuple(bi + ci for bi, ci in zip(b, c))
+                if a in acc:  # a <= caps
+                    acc[a] += wb * wc
+    return {a: t / 4 for a, t in acc.items() if t}
+
+
+def _add_weighted(
+    block: list,
+    caps: "tuple[int, int, int, int]",
+    factor_sets: "Iterable[tuple[int, int, int, int]]",
+    scale: int,
+    vec: FockVector,
+) -> None:
+    """Add scale * (sum over f in factor_sets of prod_i f_i^(a_i)) * vec to
+    the integer numerators block[idx] of each dilation monomial
+    (a1, a2, a3, a4) <= caps, idx its row-major index.  The weights are
+    summed per monomial before any dict is touched."""
+    if not vec:
+        return
+    items = _int_items(vec)
+    weights = None
+    for f in factor_sets:
+        w = [scale]
+        for cap, x in zip(caps, f):
+            powers = [x**k for k in range(cap + 1)]
+            w = [wi * xk for wi in w for xk in powers]
+        weights = w if weights is None else [s + t for s, t in zip(weights, w)]
+    for idx, wgt in enumerate(weights):
+        if wgt:
+            d = block[idx]
+            if d is None:
+                d = block[idx] = {}
+            for p, cc in items:
+                d[p] = d.get(p, 0) + wgt * cc
 
 
 def _dilated_lhs_blocks(
@@ -651,8 +634,7 @@ def _dilated_lhs_blocks(
 
     wbound must dominate the weight of v; pair indices beyond
     wbound + |n1| + |n2| act as zero on both orderings."""
-    nm1, nm2, nm3, nm4 = (c + 1 for c in caps)
-    nmono = nm1 * nm2 * nm3 * nm4
+    nmono = math.prod(c + 1 for c in caps)
     lhs: dict[tuple[int, int], list] = {}
     for n1 in range(-N, N + 1):
         for n2 in range(-N, N + 1):
@@ -672,36 +654,22 @@ def _dilated_lhs_blocks(
                     com = pair_apply(j1, k1, inner) - pair_apply(
                         j2, k2, pair_apply(j1, k1, v)
                     )
-                    if not com:
-                        continue
-                    items = _int_items(com)
-                    idx = 0
-                    for a1 in range(nm1):
-                        w1 = (-j1) ** a1
-                        for a2 in range(nm2):
-                            w12 = w1 * (-k1) ** a2
-                            for a3 in range(nm3):
-                                w123 = w12 * (-j2) ** a3
-                                for a4 in range(nm4):
-                                    wgt = w123 * (-k2) ** a4
-                                    d = block[idx]
-                                    if d is None:
-                                        d = block[idx] = {}
-                                    for p, cc in items:
-                                        d[p] = d.get(p, 0) + wgt * cc
-                                    idx += 1
+                    _add_weighted(block, caps, [(-j1, -k1, -j2, -k2)], 1, com)
     return lhs
 
 
 def _dilated_rhs_blocks(
     v: FockVector, N: int, wbound: int, caps: "tuple[int, int, int, int]"
 ) -> dict:
-    """Operator sector of the closed bracket form applied to v: four
-    dilation-shifted families of pairs, in the block format of
-    _dilated_lhs_blocks (same keys, monomial order and implicit
-    denominators).  wbound must dominate the weight of v."""
-    nm1, nm2, nm3, nm4 = (c + 1 for c in caps)
-    nmono = nm1 * nm2 * nm3 * nm4
+    """Operator sector of the closed bracket form applied to v, in the
+    block format of _dilated_lhs_blocks (same keys, monomial order and
+    implicit denominators).  wbound must dominate the weight of v.
+
+    The pair h(jp) h(kp), kp = n2p - jp, at key (n, -n - n2p) carries
+    the dilation weight -P (P^a1 Q^a2 + Q^a1 P^a2)(A^a3 B^a4 + B^a3 A^a4)
+    with P = jp + n, Q = -jp, A = -P and B = -kp: the four factor sets
+    (P, Q, A, B), (Q, P, A, B), (P, Q, B, A), (Q, P, B, A), scaled by -P."""
+    nmono = math.prod(c + 1 for c in caps)
     rhs: dict[tuple[int, int], list] = {}
     for n in range(-N, N + 1):
         for n2p in range(-n - N, -n + N + 1):
@@ -714,34 +682,9 @@ def _dilated_rhs_blocks(
                 kp = n2p - jp
                 if jp == 0 or kp == 0 or jp + n == 0:
                     continue
-                base = pair_apply(jp, kp, v)
-                if not base:
-                    continue
-                items = _int_items(base)
-                mult = -(jp + n)
-                A, B = -jp - n, -kp
-                idx = 0
-                for a1 in range(nm1):
-                    for a2 in range(nm2):
-                        ls = (
-                            (jp + n) ** a1 * (-jp) ** a2
-                            + (-jp) ** a1 * (jp + n) ** a2
-                        )
-                        if not ls:
-                            idx += nm3 * nm4
-                            continue
-                        lsm = mult * ls
-                        for a3 in range(nm3):
-                            for a4 in range(nm4):
-                                q = A**a3 * B**a4 + B**a3 * A**a4
-                                if q:
-                                    wgt = lsm * q
-                                    d = block[idx]
-                                    if d is None:
-                                        d = block[idx] = {}
-                                    for p, cc in items:
-                                        d[p] = d.get(p, 0) + wgt * cc
-                                idx += 1
+                P, Q, B = jp + n, -jp, -kp
+                factor_sets = ((P, Q, -P, B), (Q, P, -P, B), (P, Q, B, -P), (Q, P, B, -P))
+                _add_weighted(block, caps, factor_sets, -P, pair_apply(jp, kp, v))
     return rhs
 
 

@@ -277,38 +277,6 @@ def _cell_diffs(lhs, rhs, box):
 
 
 # ----------------------------------------------------------------------
-# Exponential-of-logarithm kernel tables
-
-
-@lru_cache(maxsize=None)
-def _log_powers(order: int) -> "tuple[tuple[tuple[int, Fraction], ...], ...]":
-    """The powers log(1-t)^j, j = 0..order, truncated at t^order, as
-    (exponent, coefficient) items.
-
-    Composed from the truncated logarithm itself rather than from the
-    binomial theorem, so the log series is exercised on every kernel.
-    They do not depend on the exponent n of _log_pow_coeffs, so they are
-    built once per order."""
-    log_coeffs = {e: c for (e,), c in ca.log1m("t", order).terms()}
-    powers = [{0: F(1)}]
-    for _ in range(order):
-        powers.append(ca.u_mul(powers[-1], log_coeffs, order))
-    return tuple(tuple(p.items()) for p in powers)
-
-
-@lru_cache(maxsize=None)
-def _log_pow_coeffs(n: int, order: int) -> "tuple[Fraction, ...]":
-    """Taylor coefficients of exp(n*log(1-t)) up to t^order: the sum
-    over j of n^j/j! log(1-t)^j."""
-    out = [F(0)] * (order + 1)
-    for j, power in enumerate(_log_powers(order)):
-        scale = F(n) ** j / math.factorial(j)
-        for e, c in power:
-            out[e] += scale * c
-    return tuple(out)
-
-
-# ----------------------------------------------------------------------
 # Classical three-delta identity
 
 
@@ -353,16 +321,12 @@ def _jacobi_inner(u: FockVector, v: FockVector, w: int) -> "dict[int, FockVector
         rhs(a, b, c) = sum over k >= 0 of
                        C(b + k, k) (-1)^k vertex_mode(I_(a-k), -(b+c+k+2), target).
 
-    The per-target pipeline this replaces built the same sum through a
-    series in x0/x2 and delta_product, and its windows drop no nonzero
-    term of it: I_e vanishes below e = -wt(u) - wt(v) by lower
-    truncation, so its kernel cap k <= w + wt(u) + wt(v) stops where the
-    slices stop; the x1 clip only removes cells off the cube; its x2
-    box top 3w + wt(u) + wt(v) + 1 is the largest f = b + c + k + 1, and
-    its floor -(wt(u) + wt(v) + wt(target) + w) lies at or below the
-    lowest f where vertex_mode(I_e, -f - 1, target) can be nonzero, as
-    I_e has weight at most wt(u) + wt(v) + w.  Here k runs over every
-    stored slice at or below a, and no window is read from the target."""
+    The sum drops no nonzero term: I_e vanishes below e = -wt(u) - wt(v)
+    by lower truncation, and a cell on the cube reads only e = a - k <=
+    a <= w, so the slices stored for e in [-wt(u) - wt(v), w] are every
+    slice the sum meets.  _jacobi_rhs_cells takes every k >= 0 with a
+    stored slice at a - k, each as one mode of that slice on the target,
+    so no window is read from the target."""
     wt_uv = _wt_max(u) + _wt_max(v)
     slices = {e: vertex_mode(u, -e - 1, v) for e in range(-wt_uv, w + 1)}
     return {e: vec for e, vec in slices.items() if vec}
@@ -469,32 +433,26 @@ def _newjacobi_rhs(u, v, win) -> "dict[tuple[int, int], FockVector]":
     x_mode(H(a, a+b), -(a+b+c+1), target) with
     H(a, n) = sum over j of L(n)_j W_(a-j).
 
-    The per-target pipeline this replaces built the same sum through a
-    series in s/x1/x2, and its windows drop no nonzero term of it.  W_i
-    vanishes below i = -wt(u) - wt(v) (the pole depth of the bracket),
-    so every cell with a + b below its kernel range -win - wt(u) - wt(v)
-    is zero, and its kernel top 2 win is the largest a + b.
-    The kernel table reaches j_hi = s_cap + wt(u) + wt(v), beyond the
-    largest j = a - i <= win + wt(u) + wt(v) that meets a slice.  Its
-    x2 box [-2 win - wt(u) - wt(v) - 1, 2 win + 1] holds every
-    a + b + c + 1 with a stored slice, and its floor -wt(target) only
-    cut modes that lower the target below weight zero.  Here H(a, n)
-    sums over every stored slice, and no window is read from the
-    target."""
+    The kernel is the binomial theorem, L(n)_j = C(n, j) (-1)^j, exact
+    for every integer n.  H(a, n) drops no nonzero term: W_i vanishes
+    below i = -wt(u) - wt(v) (the pole depth of the bracket), a cell
+    reads only i <= a <= win, and the bracket is built to the s-order
+    win + wt(u) + wt(v) >= win, so the stored slices are every slice
+    with i <= a.  H(a, n) sums over all of them, a below the lowest
+    slice gives H = 0, and each x2 exponent is one mode of H on the
+    target, so no window is read from the target."""
     wt_uv = _wt_max(u) + _wt_max(v)
     s_cap = win + wt_uv
     bser = y_bracket_apply(u, v, s_cap)
     wser = ca.substitute_valuation(bser, "y", "s", ca.neg_log1m_unit, s_cap)
     slices = {i: vec for (i,), vec in wser.terms()}
-    j_hi = s_cap + wt_uv
     table = {}
     for a in range(max(-win, min(slices, default=win + 1)), win + 1):
         for n in range(a - win, a + win + 1):
-            kernel = _log_pow_coeffs(n, j_hi)
             h = FockVector.zero()
             for i, vec in slices.items():
-                if i <= a and kernel[a - i]:
-                    h = h + vec.scaled(kernel[a - i])
+                if i <= a:
+                    h = h + vec.scaled(ca.binom(n, a - i) * (-1) ** (a - i))
             if h:
                 table[(a, n)] = h
     return table
@@ -535,13 +493,10 @@ def _comm_rhs(u, v, win, y_order) -> "dict[int, FockVector]":
     x_mode(R_b, -(b+c), target) with
     R_b = sum over k <= -1 of (-b)^(-1-k)/(-1-k)! B_k.
 
-    The per-target pipeline this replaces built the same sum through a
-    series in x1/x2/y, and its windows drop no nonzero term of it: its
-    exponential reached y^(y_order + wt(u) + wt(v)) and its y clip
-    started at -wt(u) - wt(v), the pole depth of B; its x2 box
-    [-2 win - 1, 2 win + 1] holds every b + c, and its floor
-    -wt(target) only cut modes that lower the target below weight
-    zero.  Here R_b sums over every stored negative slice, and no
+    R_b drops no nonzero term: only the slices k <= -1 meet y^(-1), B_k
+    vanishes below k = -wt(u) - wt(v) (the pole depth of B), and every
+    negative slice is stored whatever y_order is, so R_b sums over all
+    of them.  Each x2 exponent is one mode of R_b on the target, so no
     window is read from the target."""
     slices = _bracket_slices(u, v, max(y_order, 0))
     table = {}
@@ -797,11 +752,10 @@ def _fourterm_rhs(chains, b):
     The truncation orders below grow with pole depths read off the
     bands (_mul_exp, _shift_merge_residue).  The map keeps every window
     and only drops coefficients, and bands shrink to the surviving
-    data, so a mapped chain's pole depths are at most the unmapped
-    ones: orders read here are at least as high as per-target ones, and
-    every term the per-target pipeline kept is kept.  The t4
-    substitution offsets its cap by the depth, so it too keeps at
-    least the slices a per-target run kept."""
+    data, so the pole depths of the unmapped chains bound those of the
+    chain mapped to any target: each order read here reaches every
+    slice that can meet a cell of any target.  The t4 substitution
+    offsets its cap by the depth, so it reaches those slices too."""
     o1, o2 = chains["orders"]
     ybox = {"y1": (NEG_INF, o1), "y2": (NEG_INF, o2)}
 

@@ -731,14 +731,7 @@ def test_aligned_sum_adjoins_constants():
 # named builders
 
 
-def test_log1m_frozen_and_exp_inverse():
-    s = ca.log1m("t", 3)
-    assert s.coefficient({"t": 1}) == F(-1)
-    assert s.coefficient({"t": 2}) == F(-1, 2)
-    assert s.coefficient({"t": 3}) == F(-1, 3)
-    assert ca.log1m("t", 1).coefficient({"t": 1}) == -1
-    with pytest.raises(ValueError):
-        ca.log1m("t", 0)
+def test_exp_of_log_recovers_one_minus_t():
     # exp(log(1-t)) recovers 1 - t: compose with the exponential as dicts
     order = 8
     ell = {k: F(-1, k) for k in range(1, order + 1)}

@@ -9,6 +9,7 @@ central values and against deliberately wrong targets that must fail.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -361,3 +362,95 @@ def test_phi_kernel_is_entire():
         assert len(coeffs) == 7
     # zero mode kills the whole kernel
     assert all(c == 0 for c in q._phi_coeffs(0, 6))
+
+
+def _phi_oracle(n, order):
+    # Phi_n as a hand-rolled convolution of the Laurent series g'', g'
+    # with e^(nu) - 1 and n(1 + e^(nu))
+    G = ca.todd_coeffs(order + 6)
+    g1 = {k - 2: (k - 1) * gk for k, gk in enumerate(G) if (k - 1) * gk}
+    g2 = {k - 3: (k - 1) * (k - 2) * gk for k, gk in enumerate(G) if (k - 1) * (k - 2) * gk}
+    expn = {p: F(n**p, math.factorial(p)) for p in range(order + 4)}
+    em1 = dict(expn)
+    em1[0] -= 1
+    ep1 = {p: n * c for p, c in expn.items()}
+    ep1[0] += n
+    phi = {}
+    for src, mult in ((g2, em1), (g1, ep1)):
+        for e1, c1 in src.items():
+            for e2, c2 in mult.items():
+                if e1 + e2 <= order:
+                    phi[e1 + e2] = phi.get(e1 + e2, F(0)) + c1 * c2
+    assert all(c == 0 for e, c in phi.items() if e < 0)
+    return [phi.get(e, F(0)) for e in range(order + 1)]
+
+
+def _scalar_sector_oracle(n, caps):
+    # generating-series form: sum over p of phi_p (u.y)^p e^(e.y) in a
+    # truncated four-variable power series ring, 1/4 of the sum over the
+    # two (u, e) pairs
+    monos = list(itertools.product(*(range(c + 1) for c in caps)))
+
+    def exp4(cvec):
+        out = {}
+        for a in monos:
+            num = math.prod(x**k for x, k in zip(cvec, a))
+            if num:
+                out[a] = F(num, math.prod(math.factorial(k) for k in a))
+        return out
+
+    def mul4(A, B):
+        out = {}
+        for ka, va in A.items():
+            for kb, vb in B.items():
+                k = tuple(x + y for x, y in zip(ka, kb))
+                if all(x <= c for x, c in zip(k, caps)):
+                    out[k] = out.get(k, F(0)) + va * vb
+        return {k: v for k, v in out.items() if v}
+
+    phi = _phi_oracle(n, sum(caps))
+    acc = {}
+    for u_coeffs, e_coeffs in (((-1, 1, 1, -1), (n, 0, -n, 0)), ((-1, 1, -1, 1), (n, 0, 0, -n))):
+        units = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+        u_lin = {key: F(c) for c, key in zip(u_coeffs, units) if c and key in monos}
+        env = exp4(e_coeffs)
+        upow = {(0, 0, 0, 0): F(1)}
+        for p, ph in enumerate(phi):
+            if p:
+                upow = mul4(upow, u_lin)
+            for k, val in mul4(upow, env).items():
+                acc[k] = acc.get(k, F(0)) + ph * val
+    return {k: v / 4 for k, v in acc.items() if v}
+
+
+def test_scalar_sector_matches_generating_series_seeded():
+    # the closed multinomial form against the series-ring product, caps
+    # with zero entries included
+    rng = random.Random(14)
+    cases = [(n, tuple(rng.randint(0, 2) for _ in range(4))) for n in range(-3, 4) for _ in range(6)]
+    cases += [(2, (0, 0, 0, 0)), (-1, (2, 2, 2, 2)), (3, (2, 0, 2, 0)), (1, (0, 2, 0, 2))]
+    for n, caps in cases:
+        assert q._scalar_sector(n, caps) == _scalar_sector_oracle(n, caps), (n, caps)
+    assert any(q._scalar_sector(n, caps) for n, caps in cases)
+
+
+def test_dilated_bracket_lhs_is_the_commutator_of_quad_fields():
+    # the pair engine (pair_apply) against the quad engine
+    # (gen_quadratic_coeff through quad_apply), at every dilation order:
+    # [G(a1, a2, n1), G(a3, a4, n2)] v with zero entries dropped
+    G = q.gen_quadratic_coeff
+    for N in (1, 2):
+        for caps in ((1, 1, 1, 1), (2, 1, 2, 1), (0, 2, 1, 0)):
+            monos = list(itertools.product(*(range(c + 1) for c in caps)))
+            for v in basis_up_to(3):
+                want = {}
+                for n1 in range(-N, N + 1):
+                    for n2 in range(-N, N + 1):
+                        cells = {}
+                        for a1, a2, a3, a4 in monos:
+                            com = G(a1, a2, n1, G(a3, a4, n2, v)) - G(a3, a4, n2, G(a1, a2, n1, v))
+                            if com:
+                                cells[(a1, a2, a3, a4)] = com
+                        if cells:
+                            want[(-n1, -n2)] = cells
+                assert q.dilated_bracket_lhs(v, N, caps) == want, (N, caps, v)

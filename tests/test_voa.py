@@ -194,13 +194,6 @@ def test_bracket_vacuum_scalars_match_todd_numbers():
         assert slices[qq].coeff(()) == -(qq + 1) * todd[qq + 2], qq
 
 
-def test_log_pow_coeffs_are_binomial():
-    for n in range(-3, 4):
-        row = voa._log_pow_coeffs(n, 6)
-        for k in range(7):
-            assert row[k] == F(-1) ** k * ca.binom(n, k), (n, k)
-
-
 # ----------------------------------------------------------------------
 # identity checks at small windows
 
