@@ -1,10 +1,10 @@
 """Power-series toolbox built on the windowed series core.
 
-Univariate coefficient kernels (exponentials, the unit -log(1 - t)/t,
-Bernoulli and Todd numbers), binomial expansions of variable
-differences, substitution of series into formal variables, and the
-pinned convolution routines that multiply a series by doubly infinite
-delta-type kernels which the generic product ruleset rightly refuses.
+Univariate coefficient kernels (exponentials, Bernoulli and Todd
+numbers), binomial expansions of variable differences, substitution of
+series into formal variables, and the pinned convolution routines that
+multiply a series by doubly infinite delta-type kernels which the
+generic product ruleset rightly refuses.
 
 Every routine preserves the window discipline: result boxes only cover
 coefficients fully determined by the input boxes, and result bands are
@@ -114,11 +114,6 @@ def binom(a: int, k: int) -> Fraction:
 def em1_unit(order: int) -> "dict[int, Fraction]":
     """Coefficients of (exp(t) - 1)/t."""
     return {j: Fraction(1, math.factorial(j + 1)) for j in range(order + 1)}
-
-
-def neg_log1m_unit(order: int) -> "dict[int, Fraction]":
-    """Coefficients of -log(1 - t)/t."""
-    return {j: Fraction(1, j + 1) for j in range(order + 1)}
 
 
 def bernoulli_list(n: int) -> "list[Fraction]":
@@ -319,11 +314,6 @@ def substitute_valuation(
         )
         terms.append(mul(f.slice_at(s, a), rep))
     return aligned_sum(terms)
-
-
-def subst_exp_minus_one(f: Series, s: str, t: str, t_cap: int) -> Series:
-    """Substitute s = exp(t) - 1."""
-    return substitute_valuation(f, s, t, em1_unit, t_cap)
 
 
 def subst_monomial(f: Series, s: str, v: str, cap: int) -> Series:

@@ -633,8 +633,10 @@ def _dilated_lhs_blocks(
     carries an implicit denominator 4 * a1! * a2! * a3! * a4!.
 
     wbound must dominate the weight of v; pair indices beyond
-    wbound + |n1| + |n2| act as zero on both orderings."""
+    wbound + |n1| + |n2| act as zero on both orderings.  Each pair image
+    of v itself is computed once per (j, k)."""
     nmono = math.prod(c + 1 for c in caps)
+    pair_on_v = lru_cache(maxsize=None)(lambda j, k: pair_apply(j, k, v))
     lhs: dict[tuple[int, int], list] = {}
     for n1 in range(-N, N + 1):
         for n2 in range(-N, N + 1):
@@ -646,14 +648,12 @@ def _dilated_lhs_blocks(
                 if j2 == 0 or k2 == 0:
                     continue
                 cands = {-j2, -k2, n1 + j2, n1 + k2}
-                inner = pair_apply(j2, k2, v)
+                inner = pair_on_v(j2, k2)
                 for j1 in cands:
                     k1 = n1 - j1
                     if j1 == 0 or k1 == 0:
                         continue
-                    com = pair_apply(j1, k1, inner) - pair_apply(
-                        j2, k2, pair_apply(j1, k1, v)
-                    )
+                    com = pair_apply(j1, k1, inner) - pair_apply(j2, k2, pair_on_v(j1, k1))
                     _add_weighted(block, caps, [(-j1, -k1, -j2, -k2)], 1, com)
     return lhs
 

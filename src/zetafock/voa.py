@@ -3,9 +3,11 @@
 The field attached to a basis monomial is the normal-ordered product of
 derivative fields of the single generating current; vertex_mode extracts
 its modes exactly.  On top of that sit the weight-shifted fields
-(x_mode), the exponential-coordinate bracket (y_bracket_apply), the
-defining axioms, the classical three-delta identity (jacobi_diffs) and
-the exponential-substitution identities reached from it.
+(x_mode), the exponential-coordinate bracket Y[u, y]v =
+Y(e^(y L(0)) u, e^y - 1)v (y_bracket_apply), the defining axioms, the
+classical three-delta identity (jacobi_diffs) and the
+exponential-substitution identities reached from it.  The bracket field
+and the right sides that read it are finite sums of mode images.
 
 Every check compares finitely many coefficients of an identity applied
 to a target vector, exactly over Fraction.  The *_diffs functions are
@@ -160,39 +162,50 @@ def x_mode(u: FockVector, n: int, v: FockVector) -> FockVector:
 # Bracket coordinates
 
 
-def y_bracket_apply(u: FockVector, v: FockVector, y_order: int) -> Series:
-    """Field of u in exponential coordinates, applied to v.
+@lru_cache(maxsize=None)
+def _em1_power(e: int, order: int) -> "dict[int, Fraction]":
+    """Coefficients of ((e^y - 1)/y)^e, complete to y^order."""
+    return ca.u_pow(ca.em1_unit(order), e, order)
 
-    Substitutes x = e^y - 1 into the mode expansion and scales each
-    weight component of u by e^(y*weight); the result is a Laurent
-    series in y with FockVector coefficients, complete up to y_order,
-    with pole depth at most wt(u) + wt(v)."""
+
+def _bracket_images(u: FockVector, v: FockVector, e_hi: int) -> list:
+    """(w, e, I^w_e) for the nonzero x^e coefficients I^w_e =
+    vertex_mode(u_w, -e - 1, v), e <= e_hi, of the weight-w components
+    u_w of u.  I^w_e has weight w + wt(v) + e, so none is dropped below
+    e = -(w + wt(v))."""
     wt_v = _wt_max(v)
-    terms = []
-    for wu, comp in weight_components(u):
-        lo = -(wu + wt_v)
-        win = VarWindow("x", lo, y_order, lo, POS_INF)
-        coeffs = {}
-        for e in range(lo, y_order + 1):
+    out = []
+    for w, comp in weight_components(u):
+        for e in range(-(w + wt_v), e_hi + 1):
             img = vertex_mode(comp, -e - 1, v)
             if img:
-                coeffs[(e,)] = img
-        g = Series([win], coeffs)
-        g = ca.subst_exp_minus_one(g, "x", "y", y_order)
-        if wu:
-            g = mul(g, ca.exp_series("y", y_order + wu + wt_v, wu))
-        terms.append(g.restrict({"y": (NEG_INF, y_order)}))
-    if not terms:
-        return Series([VarWindow("y", NEG_INF, y_order, 0, POS_INF)], {})
-    return ca.aligned_sum(terms)
+                out.append((w, e, img))
+    return out
+
+
+def y_bracket_apply(u: FockVector, v: FockVector, y_order: int) -> Series:
+    """The bracket field Y[u, y]v = Y(e^(y L(0)) u, e^y - 1)v, a Laurent
+    series in y complete up to y_order, of pole depth <= wt(u) + wt(v).
+
+    The image I^w_e (see _bracket_images) carries (e^y - 1)^e e^(w y) =
+    y^e kappa, with the power series kappa = _em1_power(e) e^(w y), so
+    the y^q slice is the sum over w and e <= q of kappa_(q-e) I^w_e.
+    Every image with e <= y_order is summed: each slice is exact."""
+    if y_order < 0:
+        raise ValueError("bracket order must be >= 0")
+    zero = FockVector.zero()
+    data: "dict[tuple[int], FockVector]" = {}
+    for w, e, img in _bracket_images(u, v, y_order):
+        n = y_order - e
+        ew = {j: F(w**j, math.factorial(j)) for j in range(n + 1)}
+        for j, c in ca.u_mul(_em1_power(e, n), ew, n).items():
+            data[(e + j,)] = data.get((e + j,), zero) + img.scaled(c)
+    return Series([VarWindow("y", NEG_INF, y_order, NEG_INF, POS_INF)], data)
 
 
 def _bracket_slices(u: FockVector, v: FockVector, order: int) -> "dict[int, FockVector]":
     """y-coefficients of y_bracket_apply as a plain dict."""
-    out: "dict[int, FockVector]" = {}
-    for (q,), vec in y_bracket_apply(u, v, order).terms():
-        out[q] = vec
-    return out
+    return {q: vec for (q,), vec in y_bracket_apply(u, v, order).terms()}
 
 
 # ----------------------------------------------------------------------
@@ -424,35 +437,32 @@ def _newjacobi_rhs(u, v, win) -> "dict[tuple[int, int], FockVector]":
     x0^a x1^(n-a) x2^c cell, for a <= win and n = a + b, b in
     [-win, win].
 
-    With W_i the s-slices of the bracket field after y = -log(1 - s),
-    the right side is the sum over n of (1 - s)^n x1^n x2^(-n-1) times
-    Y_x(W(s), x2) target, then s = x0/x1.  Its x0^a x1^b x2^c cell takes
-    s^a = s^j s^(a-j) from the kernel coefficient L(n)_j of (1 - s)^n at
-    n = a + b and from the x2^(a+b+c+1) coefficient
-    x_mode(W_(a-j), -(a+b+c+1), target), so it is
-    x_mode(H(a, a+b), -(a+b+c+1), target) with
-    H(a, n) = sum over j of L(n)_j W_(a-j).
+    With W(s) the bracket field after y = -log(1 - s), the right side
+    is the sum over n of (1 - s)^n x1^n x2^(-n-1) times Y_x(W(s), x2)
+    target, then s = x0/x1, so its x0^a x1^b x2^c cell is
+    x_mode(H(a, a+b), -(a+b+c+1), target) with H(a, n) = [s^a] (1 - s)^n
+    W(s).  At y = -log(1 - s), e^y - 1 = s/(1 - s) and e^(w y) =
+    (1 - s)^(-w), so the image I^w_e of Y[u, y]v (see _bracket_images)
+    enters W as I^w_e s^e (1 - s)^(-e-w), and the binomial theorem gives
 
-    The kernel is the binomial theorem, L(n)_j = C(n, j) (-1)^j, exact
-    for every integer n.  H(a, n) drops no nonzero term: W_i vanishes
-    below i = -wt(u) - wt(v) (the pole depth of the bracket), a cell
-    reads only i <= a <= win, and the bracket is built to the s-order
-    win + wt(u) + wt(v) >= win, so the stored slices are every slice
-    with i <= a.  H(a, n) sums over all of them, a below the lowest
-    slice gives H = 0, and each x2 exponent is one mode of H on the
-    target, so no window is read from the target."""
-    wt_uv = _wt_max(u) + _wt_max(v)
-    s_cap = win + wt_uv
-    bser = y_bracket_apply(u, v, s_cap)
-    wser = ca.substitute_valuation(bser, "y", "s", ca.neg_log1m_unit, s_cap)
-    slices = {i: vec for (i,), vec in wser.terms()}
+        H(a, n) = sum over w and e <= a of
+                  (-1)^(a-e) C(n - e - w, a - e) I^w_e,
+
+    exact for every integer n.  H(a, n) drops no nonzero term: the
+    images below e = -(w + wt(v)) vanish, and a cell reads only e <= a
+    <= win, so _bracket_images(u, v, win) holds every image the sum
+    meets.  a below the lowest image gives H = 0, and each x2 exponent
+    is one mode of H on the target, so no window is read from the
+    target."""
+    images = _bracket_images(u, v, win)
+    lowest = min((e for _, e, _ in images), default=win + 1)
     table = {}
-    for a in range(max(-win, min(slices, default=win + 1)), win + 1):
+    for a in range(max(-win, lowest), win + 1):
         for n in range(a - win, a + win + 1):
             h = FockVector.zero()
-            for i, vec in slices.items():
-                if i <= a:
-                    h = h + vec.scaled(ca.binom(n, a - i) * (-1) ** (a - i))
+            for w, e, img in images:
+                if e <= a:
+                    h = h + img.scaled(ca.binom(n - e - w, a - e) * (-1) ** (a - e))
             if h:
                 table[(a, n)] = h
     return table
@@ -480,31 +490,31 @@ def _newjacobi_sides(u, v, target, win, table):
     return lhs, data
 
 
-def _comm_rhs(u, v, win, y_order) -> "dict[int, FockVector]":
+def _comm_rhs(u, v, win) -> "dict[int, FockVector]":
     """Right side of the commutator identity before the target: the
     vectors R_b whose x-mode -(b + c) on a target is the x1^b x2^c cell,
     for b in [-win, win].
 
     The right side is the y-residue of the sum over n of x1^n x2^(-n)
-    e^(-n y) times Y_x(B(y), x2) target, with B_k the y-slices of
-    y_bracket_apply(u, v, max(y_order, 0)).  Its x1^b x2^c cell has n = b,
-    takes y^(-1) = y^j y^k with j = -1 - k from e^(-b y), and reads the
-    x2^(b+c) coefficient x_mode(B_k, -(b+c), target), so it is
-    x_mode(R_b, -(b+c), target) with
-    R_b = sum over k <= -1 of (-b)^(-1-k)/(-1-k)! B_k.
+    e^(-n y) times Y_x(Y[u, y]v, x2) target, whose x1^b x2^c cell has
+    n = b and reads the x2^(b+c) coefficient, so it is
+    x_mode(R_b, -(b+c), target) with R_b = Res_y e^(-b y) Y[u, y]v.
+    The change of variable t = e^y - 1, dy = dt/(1 + t), leaves the
+    formal residue unchanged, and the image I^w_e of Y[u, y]v (see
+    _bracket_images) enters as t^e (1 + t)^(w - b - 1), so
 
-    R_b drops no nonzero term: only the slices k <= -1 meet y^(-1), B_k
-    vanishes below k = -wt(u) - wt(v) (the pole depth of B), and every
-    negative slice is stored whatever y_order is, so R_b sums over all
-    of them.  Each x2 exponent is one mode of R_b on the target, so no
-    window is read from the target."""
-    slices = _bracket_slices(u, v, max(y_order, 0))
+        R_b = sum over w and e <= -1 of C(w - b - 1, -e - 1) I^w_e.
+
+    R_b drops no nonzero term: only e <= -1 meets t^(-1), and the images
+    below e = -(w + wt(v)) vanish, so _bracket_images(u, v, -1) holds
+    every image the sum meets.  Each x2 exponent is one mode of R_b on
+    the target, so no window is read from the target."""
+    images = _bracket_images(u, v, -1)
     table = {}
     for b in range(-win, win + 1):
         r = FockVector.zero()
-        for k, vec in slices.items():
-            if k < 0:
-                r = r + vec.scaled(F((-b) ** (-1 - k), math.factorial(-1 - k)))
+        for w, e, img in images:
+            r = r + img.scaled(ca.binom(w - b - 1, -e - 1))
         table[b] = r
     return table
 
@@ -512,8 +522,8 @@ def _comm_rhs(u, v, win, y_order) -> "dict[int, FockVector]":
 def _comm_sides(u, v, target, win, table):
     """Commutator of the weight-shifted fields vs the residue form, as
     (lhs, rhs) cell tables on the square [-win, win]^2 of x1/x2 exponents.
-    The right side is read off table, which _comm_rhs(u, v, win, .)
-    built once for every target."""
+    The right side is read off table, which _comm_rhs(u, v, win) built
+    once for every target."""
     w = win
     u_on = {b: x_mode(u, -b, target) for b in range(-w, w + 1)}
     v_on = {c: x_mode(v, -c, target) for c in range(-w, w + 1)}
@@ -546,9 +556,8 @@ def residue_link_diffs(params: dict, mismatches: list) -> None:
     u, v, win = params["u"], params["v"], params["x-window"]
     if win < 1:
         raise WindowInsufficientError("coefficient at x0^-1 outside known box of 'x0'")
-    wt_uv = _wt_max(u) + _wt_max(v)
     nj_table = _newjacobi_rhs(u, v, win)
-    c_table = _comm_rhs(u, v, win, wt_uv + 1)
+    c_table = _comm_rhs(u, v, win)
     for target in params["targets"]:
         nj_lhs, nj_rhs = _newjacobi_sides(u, v, target, win, nj_table)
         c_lhs, c_rhs = _comm_sides(u, v, target, win, c_table)
@@ -580,7 +589,7 @@ def newjacobi_diffs(params: dict, mismatches: list) -> None:
 def comm_diffs(params: dict, mismatches: list) -> None:
     u, v, w = params["u"], params["v"], params["x-window"]
     box = {"x1": (-w, w), "x2": (-w, w)}
-    table = _comm_rhs(u, v, w, params["y-order"])
+    table = _comm_rhs(u, v, w)
     for target in basis_up_to(params["weight-cap"]):
         lhs, rhs = _comm_sides(u, v, target, w, table)
         for cell, va, vb in _cell_diffs(lhs, rhs, box):
@@ -634,7 +643,7 @@ def genjacobi_diffs(params: dict, mismatches: list) -> None:
 def gencomm_diffs(params: dict, mismatches: list) -> None:
     w = params["x-window"]
     box = {"x1": (-w, w), "x2": (-w, w)}
-    pairs = _slice_pairs(params, lambda ua, vb: _comm_rhs(ua, vb, w, params["y-order"]))
+    pairs = _slice_pairs(params, lambda ua, vb: _comm_rhs(ua, vb, w))
     for target in basis_up_to(params["weight-cap"]):
         for alpha, beta, ua, vb, table in pairs:
             sides = _comm_sides(ua, vb, target, w, table)
@@ -882,7 +891,7 @@ def specialize_diffs(params: dict, mismatches: list) -> None:
     uslices = _bracket_slices(g, g, oy1)
     vslices = _bracket_slices(g, g, oy2)
     rhs_tables = {
-        (alpha, beta): _comm_rhs(ua, vb, w, params["y-order"])
+        (alpha, beta): _comm_rhs(ua, vb, w)
         for alpha, ua in uslices.items()
         for beta, vb in vslices.items()
     }

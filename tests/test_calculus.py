@@ -190,9 +190,9 @@ def test_inv_one_minus_exp_counterterm_values():
 # substitutions
 
 
-def test_subst_exp_minus_one_inverse_block():
+def test_substitute_valuation_exp_minus_one_inverse_block():
     f = ca.monomial({"x": -1})
-    g = ca.subst_exp_minus_one(f, "x", "t", 3)
+    g = ca.substitute_valuation(f, "x", "t", ca.em1_unit, 3)
     assert g.coefficient({"t": -1}) == 1
     assert g.coefficient({"t": 0}) == F(-1, 2)
     assert g.coefficient({"t": 1}) == F(1, 12)

@@ -2,7 +2,8 @@
 
 Modes of the current and of the conformal vector are checked against
 the bare oscillator action and the quadratic-operator engine; the
-exponential-coordinate bracket against the Todd-number vacuum oracle;
+exponential-coordinate bracket against the Todd-number vacuum oracle,
+and it and the right sides that read it against the series route;
 each named identity check runs at small windows, together with the
 degenerations that tie the checks to one another.
 """
@@ -20,7 +21,7 @@ from zetafock import calculus as ca
 from zetafock import catalog
 from zetafock import quadratic as q
 from zetafock import voa
-from zetafock.fock import FockVector, basis_up_to, h_apply, weight
+from zetafock.fock import FockVector, basis_up_to, h_apply, weight, weight_components
 from zetafock.reports import note_diff
 from zetafock.series import (
     NEG_INF,
@@ -29,6 +30,7 @@ from zetafock.series import (
     VarWindow,
     WindowInsufficientError,
     diff_on_box,
+    mul,
 )
 
 F = Fraction
@@ -304,10 +306,14 @@ def test_residue_link_small():
 
 def test_residue_link_fails_on_a_doubled_bracket(monkeypatch):
     # comparisons 1 and 2 set right side against right side or left
-    # against left, so a wrong bracket is seen only where the x0^-1
-    # slices of the exponential-delta left and right sides are compared
-    real = voa.y_bracket_apply
-    monkeypatch.setattr(voa, "y_bracket_apply", lambda *a: real(*a).scale(2))
+    # against left, so a wrong bracket, doubled in both right-side
+    # tables that read it, is seen only where the x0^-1 slices of the
+    # exponential-delta left and right sides are compared
+    for name in ("_newjacobi_rhs", "_comm_rhs"):
+        real = getattr(voa, name)
+        monkeypatch.setattr(
+            voa, name, lambda *a, real=real: {k: vec.scaled(2) for k, vec in real(*a).items()}
+        )
     mismatches = []
     params = {"u": GEN, "v": GEN, "targets": [VAC, GEN], "x-window": 1}
     voa.residue_link_diffs(params, mismatches)
@@ -334,7 +340,7 @@ def test_identities_on_a_mixed_weight_target(u):
     lhs, rhs = voa._newjacobi_sides(u, GEN, MIXED, w, table)
     assert len(rhs) > 0
     assert lhs == rhs
-    lhs, rhs = voa._comm_sides(u, GEN, MIXED, w, voa._comm_rhs(u, GEN, w, 2))
+    lhs, rhs = voa._comm_sides(u, GEN, MIXED, w, voa._comm_rhs(u, GEN, w))
     assert len(rhs) > 0
     assert lhs == rhs
 
@@ -399,6 +405,94 @@ def test_delta_lhs_equals_pair_series_pipeline_seeded():
                 got = voa._newjacobi_sides(u, v, target, w, {})[0]
             assert want
             assert got == want, (u, v, target, w, plain)
+
+
+# ----------------------------------------------------------------------
+# the closed-form bracket field and right sides against the series route
+
+
+def _series_bracket(u, v, y_order):
+    """Y[u, y]v through the series ring: per weight component, x = e^y - 1
+    by substitute_valuation, then the factor e^(y wt), summed with the
+    variables aligned."""
+    wt_v = voa._wt_max(v)
+    terms = []
+    for wu, comp in weight_components(u):
+        lo = -(wu + wt_v)
+        coeffs = {}
+        for e in range(lo, y_order + 1):
+            img = voa.vertex_mode(comp, -e - 1, v)
+            if img:
+                coeffs[(e,)] = img
+        g = Series([VarWindow("x", lo, y_order, lo, POS_INF)], coeffs)
+        g = ca.substitute_valuation(g, "x", "y", ca.em1_unit, y_order)
+        if wu:
+            g = mul(g, ca.exp_series("y", y_order + wu + wt_v, wu))
+        terms.append(g.restrict({"y": (NEG_INF, y_order)}))
+    if not terms:
+        return Series([VarWindow("y", NEG_INF, y_order, 0, POS_INF)], {})
+    return ca.aligned_sum(terms)
+
+
+def _series_newjacobi_rhs(u, v, win):
+    """H(a, n) from the series bracket after y = -log(1 - s)."""
+    s_cap = win + voa._wt_max(u) + voa._wt_max(v)
+    unit = lambda order: {j: F(1, j + 1) for j in range(order + 1)}
+    wser = ca.substitute_valuation(_series_bracket(u, v, s_cap), "y", "s", unit, s_cap)
+    slices = {i: vec for (i,), vec in wser.terms()}
+    table = {}
+    for a in range(max(-win, min(slices, default=win + 1)), win + 1):
+        for n in range(a - win, a + win + 1):
+            h = FockVector.zero()
+            for i, vec in slices.items():
+                if i <= a:
+                    h = h + vec.scaled(ca.binom(n, a - i) * (-1) ** (a - i))
+            if h:
+                table[(a, n)] = h
+    return table
+
+
+def _series_comm_rhs(u, v, win, y_order):
+    """R_b = sum over k <= -1 of (-b)^(-1-k)/(-1-k)! B_k."""
+    slices = {k: vec for (k,), vec in _series_bracket(u, v, y_order).terms()}
+    table = {}
+    for b in range(-win, win + 1):
+        r = FockVector.zero()
+        for k, vec in slices.items():
+            if k < 0:
+                r = r + vec.scaled(F((-b) ** (-1 - k), math.factorial(-1 - k)))
+        table[b] = r
+    return table
+
+
+def test_bracket_and_right_sides_equal_series_route_seeded():
+    # windows and coefficients of the bracket field, and both right-side
+    # tables, equal the substitutions they replace, on homogeneous and
+    # mixed-weight inputs
+    mixed_uv = GEN - FockVector.basis((2,)).scaled(F(3, 2))
+    vectors = basis_up_to(3) + [MIXED, mixed_uv, FockVector.zero()]
+    rng = random.Random(5107)
+    seen_rhs = 0
+    for trial in range(40):
+        u, v = rng.choice(vectors), rng.choice(vectors)
+        if trial < 3:
+            u, v = (MIXED, mixed_uv, MIXED)[trial], (mixed_uv, MIXED, OMEGA)[trial]
+        y_order, win = rng.randrange(0, 5), rng.randrange(1, 4)
+        got, want = voa.y_bracket_apply(u, v, y_order), _series_bracket(u, v, y_order)
+        assert got.windows() == want.windows(), (trial, u, v, y_order)
+        assert dict(got.terms()) == dict(want.terms()), (trial, u, v, y_order)
+        table = voa._newjacobi_rhs(u, v, win)
+        assert table == _series_newjacobi_rhs(u, v, win), (trial, u, v, win)
+        comm = voa._comm_rhs(u, v, win)
+        assert comm == _series_comm_rhs(u, v, win, y_order), (trial, u, v, win)
+        seen_rhs += bool(table) and any(comm.values())
+    assert seen_rhs >= 20
+
+
+def test_bracket_refuses_a_negative_order():
+    for u, v in ((VAC, VAC), (GEN, GEN), (OMEGA, MIXED), (FockVector.zero(), GEN)):
+        with pytest.raises(ValueError):
+            voa.y_bracket_apply(u, v, -1)
 
 
 # ----------------------------------------------------------------------
