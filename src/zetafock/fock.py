@@ -14,6 +14,10 @@ The single field obeys the commutation rule
 ``[h(m), h(n)] = m * delta(m + n, 0)``: negative modes create (append a
 part), positive modes annihilate (remove a matching part, weighted by
 the mode number times its multiplicity), and ``h(0)`` kills everything.
+The two halves of a vertex-operator mode live here too: the states that
+a product of annihilators reaches from a basis state (``_annihilated``)
+and the cached partitions that a product of creators makes
+(``_created``); voa._mode_on_basis joins them.
 """
 
 from __future__ import annotations
@@ -226,6 +230,63 @@ def h_apply(n: int, v: FockVector) -> FockVector:
             i = part.index(n)
             out[part[:i] + part[i + 1 :]] = x * n * count
     return FockVector.from_ints(out, v._den)
+
+
+# The partitions in voa's cached mode images and in the creation tables,
+# one tuple object per partition: equal keys in different cache entries
+# are shared
+_PARTS: "dict[tuple[int, ...], tuple[int, ...]]" = {}
+
+
+def _annihilated(u_parts, v_parts) -> list:
+    """The annihilating half of a vertex mode (see voa._mode_on_basis):
+    (C, split weight, A_S(v, .)) for every sub-multiset S of the factors
+    u_parts, with C the complement of S as a descending tuple and
+    A_S(v, .) as {(rest, a): coefficient}.  The multisets grow one
+    distinct part x of u at a time, taking j of its copies into S with
+    weight C(mult_u(x), j), one _annihilate step per copy."""
+    levels = [((), 1, {(v_parts, 0): 1})]
+    for x in sorted(set(u_parts), reverse=True):
+        mult = u_parts.count(x)
+        grown = []
+        for c_parts, split, states in levels:
+            for j in range(mult + 1):
+                if j:
+                    states = _annihilate(states, x - 1)
+                grown.append((c_parts + (x,) * (mult - j), split * math.comb(mult, j), states))
+        levels = grown
+    return levels
+
+
+def _annihilate(states, k):
+    """One annihilating factor of part k + 1 on {(rest, a): coefficient}:
+    h(m) removes the first of the count copies of a part m of rest, which
+    keeps it descending, with weight (-1)^k C(m+k, k) * m * count."""
+    out: "dict[tuple, int]" = {}
+    for (rest, a), c in states.items():
+        for m in set(rest):
+            i = rest.index(m)
+            key = (rest[:i] + rest[i + 1 :], a + m)
+            out[key] = out.get(key, 0) + c * (-1) ** k * math.comb(m + k, k) * m * rest.count(m)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _created(c_parts: "tuple[int, ...]", c: int) -> "tuple[tuple[tuple[int, ...], int], ...]":
+    """The creating half of a vertex mode (see voa._mode_on_basis): the
+    (partition, coefficient) pairs K_C(c) that the factors c_parts = C
+    make at created weight c, each factor n_i a part p_i >= n_i with
+    weight C(p_i - 1, n_i - 1)."""
+    if not c_parts:
+        return (((), 1),) if c == 0 else ()
+    ni, more = c_parts[0], c_parts[1:]
+    acc: "dict[tuple[int, ...], int]" = {}
+    for p in range(ni, c - sum(more) + 1):
+        for q, y in _created(more, c - p):
+            key = tuple(sorted(q + (p,), reverse=True))
+            acc[key] = acc.get(key, 0) + math.comb(p - 1, ni - 1) * y
+    intern = _PARTS.setdefault
+    return tuple((intern(q, q), y) for q, y in acc.items())
 
 
 @lru_cache(maxsize=None)

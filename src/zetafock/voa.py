@@ -2,8 +2,12 @@
 
 The field attached to a basis monomial is the normal-ordered product of
 derivative fields of the single generating current; vertex_mode extracts
-its modes exactly.  On top of that sit the weight-shifted fields
-(x_mode), the exponential-coordinate bracket Y[u, y]v =
+its modes exactly.  The mode kernel _mode_on_basis is the product of two
+halves from fock: for each split of the monomial's factors into
+annihilators and creators, the states the annihilators reach from the
+target (built per miss) joined with the parts the creators make (cached
+per creator multiset and weight).  On top of that sit the weight-shifted
+fields (x_mode), the exponential-coordinate bracket Y[u, y]v =
 Y(e^(y L(0)) u, e^y - 1)v (y_bracket_apply), the defining axioms, the
 classical three-delta identity (jacobi_diffs) and the
 exponential-substitution identities reached from it.  The bracket field
@@ -23,6 +27,9 @@ target.  The left sides are built per target, as the inner field acts
 on the target first; tabling it before the target would need the
 identity being checked.  The three-delta left sides are closed-form
 sums of mode images weighted by the binomial kernel (_delta_cells).
+Those builders and the right-side tables sum their integer-weighted
+images with _weighted_sum, which adds numerators over a common
+denominator and reduces once.
 
 Every compared side is a cell table: a dict from exponent tuples, in
 sorted variable order, to FockVector, where an absent cell is zero.
@@ -40,9 +47,11 @@ from functools import lru_cache
 
 from . import calculus as ca
 from .fock import (
+    _PARTS,
     FockVector,
+    _annihilated,
+    _created,
     basis_up_to,
-    make_partition,
     weight,
     weight_components,
 )
@@ -82,50 +91,68 @@ def _wt_max(v: FockVector) -> int:
 def _mode_on_basis(
     u_parts: "tuple[int, ...]", n: int, v_parts: "tuple[int, ...]"
 ) -> FockVector:
-    """Mode n of the field of one basis monomial, applied to another.
+    """Mode n of the field of one basis monomial, applied to another,
+    both descending partitions.
 
     The field of h(-n1)...h(-nk)|0> is the normal-ordered product of the
     (ni-1)-th derivative fields of the current scaled by 1/(ni-1)!, so
-    the x^(-n-1) coefficient is a sum over current-mode tuples (m_i)
-    with sum(m_i) = n + 1 - sum(n_i), each weighted by a product of
-    binomial coefficients C(-m_i-1, n_i-1).
+    the x^(-n-1) coefficient is the sum over current-mode tuples (m_i)
+    with sum(m_i) = total = n + 1 - sum(n_i) of
+    prod C(-m_i-1, n_i-1) :h(m_1)...h(m_k): v, where normal order
+    applies every h(m) with m > 0 first.  h(0) kills every state, so no
+    m_i is zero.  The sum is the product of two halves:
 
-    The tuples are built one factor at a time.  A factor either
-    annihilates a part m > 0 still present in the target, or creates a
-    part p = -m >= n_i (below that its binomial vanishes); normal order
-    applies every creator after every annihilator, so a state is the
-    remaining target parts, the created parts and the running mode sum,
-    with an integer coefficient.
-    """
+    - Split.  Let I be the factors of a tuple with m_i > 0 and J the
+      rest, with p_i = -m_i > 0.  Annihilators commute, as do creators,
+      so the term is the creators h(-p_i), i in J, applied to the image
+      of v under the annihilators h(m_i), i in I.  Its weight is
+      prod over I of C(-m_i-1, k_i) = (-1)^k_i C(m_i+k_i, k_i), k_i =
+      n_i - 1, times prod over J of C(p_i-1, k_i).  With a = sum over I
+      of m_i and c = sum over J of p_i, the tuple sums to total exactly
+      when c = a - total.  So the sum over tuples is the sum over I and
+      a of A_I(v, a) joined with K_J(a - total): A_I(v, a) sums the
+      annihilators' images over positive (m_i), i in I, of weight a,
+      each times its weight, and K_J(c) sums the created parts over
+      (p_i), i in J, of weight c, each times its weight.  A creator
+      appends its part with coefficient one, so a state r with
+      coefficient x joined with created parts q with coefficient y is
+      the partition r + q with coefficient x y.
+    - Split multiplicities.  A_I and K_J depend on I only through the
+      multisets S = {n_i : i in I} and C = {n_i : i in J}: swapping two
+      factors with equal n_i maps the tuples of either sum one to one
+      onto themselves, with equal weights and operators.  The sets I of
+      one multiset S choose, for each part x of u, which mult_S(x) of
+      its mult_u(x) factors annihilate, so there are
+      prod over x of C(mult_u(x), mult_S(x)) of them, and summing over
+      the multisets S with that split weight counts every I once.
+    - A_S(v, a) is built one factor of S at a time (fock._annihilate),
+      from the states {(rest, a): coefficient} with (v, 0) at 1.  h(m)
+      removes one of the count copies of a part m of rest, times
+      m * count, so a step adds (-1)^k C(m+k, k) * m * count for the
+      factor's k.  It does not depend on n, so it is built per miss and
+      dropped (fock._annihilated).
+    - K_C(c) is built one factor of C at a time over p_i >= n_i only,
+      since C(p-1, n_i-1) vanishes for 1 <= p < n_i; so c >= sum(C).  It
+      depends on neither v nor n and is cached (fock._created).
+
+    Every step is exact integer arithmetic, so the image is the sum over
+    tuples term for term.  The created weight a - total is >= 0 and
+    a <= wt(v), so the image is zero when total > wt(v)."""
     if not u_parts:
         return FockVector.basis(v_parts) if n == -1 else FockVector.zero()
     total = n + 1 - sum(u_parts)
-    # created weight = annihilated weight - total <= weight(v) - total
-    room = sum(v_parts) - total
-    states = {(make_partition(v_parts), (), 0): 1}
-    for ni in u_parts:
-        k = ni - 1
-        sign = -1 if k % 2 else 1
-        step: "dict[tuple, int]" = {}
-        for (rest, made, s), c in states.items():
-            for m in set(rest):
-                # h(m) removes one copy of m, times m * multiplicity;
-                # C(-m-1, k) = (-1)^k C(m+k, k)
-                left = list(rest)
-                left.remove(m)
-                key = (tuple(left), made, s + m)
-                gain = sign * math.comb(m + k, k) * m * rest.count(m)
-                step[key] = step.get(key, 0) + c * gain
-            for p in range(ni, room - sum(made) + 1):
-                key = (rest, make_partition(made + (p,)), s - p)
-                step[key] = step.get(key, 0) + c * math.comb(p - 1, k)
-        states = step
     out: "dict[tuple[int, ...], int]" = {}
-    for (rest, made, s), c in states.items():
-        if s == total:
-            key = make_partition(rest + made)
-            out[key] = out.get(key, 0) + c
-    return FockVector.from_ints({key: c for key, c in out.items() if c})
+    if total <= sum(v_parts):
+        for c_parts, split, states in _annihilated(u_parts, v_parts):
+            floor = total + sum(c_parts)
+            for (rest, a), x in states.items():
+                if a < floor:
+                    continue
+                for q, y in _created(c_parts, a - total):
+                    key = tuple(sorted(rest + q, reverse=True))
+                    out[key] = out.get(key, 0) + split * x * y
+    intern = _PARTS.setdefault
+    return FockVector.from_ints({intern(p, p): c for p, c in out.items() if c})
 
 
 def _mode_sum(u: FockVector, v: FockVector, mode_of) -> FockVector:
@@ -143,6 +170,20 @@ def _mode_sum(u: FockVector, v: FockVector, mode_of) -> FockVector:
                 for p, x in w._num.items():
                     acc[p] = acc.get(p, 0) + c * x
     return FockVector.from_ints({p: x for p, x in acc.items() if x}, u._den * v._den)
+
+
+def _weighted_sum(terms) -> FockVector:
+    """The sum of c * vec over (c, vec) pairs with int c.  The numerators
+    are summed over the lcm of the denominators and reduced once, as in
+    _mode_sum, with no vector built per term."""
+    terms = [(c, vec) for c, vec in terms if c and vec]
+    den = math.lcm(*(vec._den for _, vec in terms))
+    acc: "dict[tuple[int, ...], int]" = {}
+    for c, vec in terms:
+        c *= den // vec._den
+        for p, x in vec._num.items():
+            acc[p] = acc.get(p, 0) + c * x
+    return FockVector.from_ints({p: x for p, x in acc.items() if x}, den)
 
 
 def vertex_mode(u: FockVector, n: int, v: FockVector) -> FockVector:
@@ -347,23 +388,26 @@ def _jacobi_inner(u: FockVector, v: FockVector, w: int) -> "dict[int, FockVector
 
 def _jacobi_rhs_cells(inner, target, w) -> "dict[tuple[int, int, int], FockVector]":
     """The three-delta right side on the cube [-w, w]^3 (see _jacobi_inner),
-    one mode of one inner slice per term."""
+    one mode of one inner slice per term, with the integer kernel
+    C(b + k, k) (-1)^k built once per (a, b)."""
     modes: "dict[tuple[int, int], FockVector]" = {}
     data = {}
     for a in range(-w, w + 1):
         for b in range(-w, w + 1):
+            kernel = [
+                (a - e, int(ca.binom(b + a - e, a - e)) * (-1) ** (a - e), e, ie)
+                for e, ie in inner.items()
+                if e <= a
+            ]
             for c in range(-w, w + 1):
-                vec = FockVector.zero()
-                for e, ie in inner.items():
-                    k = a - e
-                    if k < 0:
-                        continue
+                terms = []
+                for k, kw, e, ie in kernel:
                     m = -(b + c + k + 2)
                     img = modes.get((e, m))
                     if img is None:
                         img = modes[(e, m)] = vertex_mode(ie, m, target)
-                    if img:
-                        vec = vec + img.scaled(ca.binom(b + k, k) * (-1) ** k)
+                    terms.append((kw, img))
+                vec = _weighted_sum(terms)
                 if vec:
                     data[(a, b, c)] = vec
     return data
@@ -386,9 +430,9 @@ def _delta_cells(outer, inner, target, w, mode, floor, n_sign):
 
     The sum is exact: a larger k reads an inner image below the floor.
     For n >= 0 C(n, k) vanishes when k > n, so those terms are skipped.
-    The kernel coefficients are integers, built once per a; n_sign^n is
-    taken from the parity of n, since a negative power of an int is a
-    float."""
+    The kernel coefficients are integers, built once per a, and each cell
+    is one _weighted_sum of its images; n_sign^n is taken from the parity
+    of n, since a negative power of an int is a float."""
     images = {e: mode(inner, e, target) for e in range(floor, w + 1)}
     outer_on: "dict[tuple[int, int], FockVector]" = {}
     cells = {}
@@ -398,7 +442,7 @@ def _delta_cells(outer, inner, target, w, mode, floor, n_sign):
         kernel = [int(sign * (-1) ** k * ca.binom(n, k)) for k in range(w - floor + 1)]
         for p in range(-w, w + 1):
             for q in range(-w, w + 1):
-                vec = FockVector.zero()
+                terms = []
                 for k in range(q - floor + 1):
                     ivec = images[q - k]
                     if not (kernel[k] and ivec):
@@ -407,8 +451,8 @@ def _delta_cells(outer, inner, target, w, mode, floor, n_sign):
                     img = outer_on.get(key)
                     if img is None:
                         img = outer_on[key] = mode(outer, key[0], ivec)
-                    if img:
-                        vec = vec + img.scaled(kernel[k])
+                    terms.append((kernel[k], img))
+                vec = _weighted_sum(terms)
                 if vec:
                     cells[(a, p, q)] = vec
     return cells
@@ -459,10 +503,11 @@ def _newjacobi_rhs(u, v, win) -> "dict[tuple[int, int], FockVector]":
     table = {}
     for a in range(max(-win, lowest), win + 1):
         for n in range(a - win, a + win + 1):
-            h = FockVector.zero()
-            for w, e, img in images:
-                if e <= a:
-                    h = h + img.scaled(ca.binom(n - e - w, a - e) * (-1) ** (a - e))
+            h = _weighted_sum(
+                (int(ca.binom(n - e - w, a - e)) * (-1) ** (a - e), img)
+                for w, e, img in images
+                if e <= a
+            )
             if h:
                 table[(a, n)] = h
     return table
@@ -512,10 +557,9 @@ def _comm_rhs(u, v, win) -> "dict[int, FockVector]":
     images = _bracket_images(u, v, -1)
     table = {}
     for b in range(-win, win + 1):
-        r = FockVector.zero()
-        for w, e, img in images:
-            r = r + img.scaled(ca.binom(w - b - 1, -e - 1))
-        table[b] = r
+        table[b] = _weighted_sum(
+            (int(ca.binom(w - b - 1, -e - 1)), img) for w, e, img in images
+        )
     return table
 
 

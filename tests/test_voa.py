@@ -1,7 +1,9 @@
 """Vertex-operator tests.
 
 Modes of the current and of the conformal vector are checked against
-the bare oscillator action and the quadratic-operator engine; the
+the bare oscillator action and the quadratic-operator engine, and the
+two-half mode kernel against the current-mode tuple sum and against
+the factor-by-factor kernel it replaced; the
 exponential-coordinate bracket against the Todd-number vacuum oracle,
 and it and the right sides that read it against the series route;
 each named identity check runs at small windows, together with the
@@ -21,7 +23,15 @@ from zetafock import calculus as ca
 from zetafock import catalog
 from zetafock import quadratic as q
 from zetafock import voa
-from zetafock.fock import FockVector, basis_up_to, h_apply, weight, weight_components
+from zetafock.fock import (
+    FockVector,
+    basis_up_to,
+    h_apply,
+    make_partition,
+    partitions_of,
+    weight,
+    weight_components,
+)
 from zetafock.reports import note_diff
 from zetafock.series import (
     NEG_INF,
@@ -85,27 +95,93 @@ def test_derivative_state_modes():
 def test_modes_match_mode_tuple_sum():
     # oracle: the x^(-n-1) coefficient of the normal-ordered product,
     # summed over every current-mode tuple (m_i) in a box wide enough to
-    # hold all nonzero terms, annihilators applied first
-    for u in basis_up_to(3)[1:]:
+    # hold all nonzero terms, annihilators applied first; u of weight 4
+    # gives (2, 2), (2, 1, 1) and (1, 1, 1, 1), whose annihilating
+    # sub-multisets take more than one copy of a part, on targets with
+    # repeated parts
+    for u in basis_up_to(4)[1:]:
         (u_parts, _), = u.terms()
         for v in basis_up_to(4):
             wv = weight(next(iter(v.terms()))[0])
             for n in range(-weight(u_parts) - 2, weight(u_parts) + wv + 1):
                 total = n + 1 - weight(u_parts)
                 span = range(total - wv, wv + 1)
+                # h(0) kills, and C(-m-1, ni-1) vanishes for -ni < m < 0
+                heads = [[m for m in span if m > 0 or -m >= ni] for ni in u_parts[:-1]]
                 want = FockVector.zero()
-                for head in itertools.product(span, repeat=len(u_parts) - 1):
+                for head in itertools.product(*heads):
                     ms = head + (total - sum(head),)
                     if ms[-1] not in span or 0 in ms:
                         continue
-                    c = F(1)
-                    for m, ni in zip(ms, u_parts):
-                        c *= ca.binom(-m - 1, ni - 1)
                     vec = v
                     for m in sorted(ms, reverse=True):
                         vec = h_apply(m, vec)
-                    want = want + vec.scaled(c)
+                        if not vec:
+                            break
+                    else:
+                        c = F(1)
+                        for m, ni in zip(ms, u_parts):
+                            c *= ca.binom(-m - 1, ni - 1)
+                        want = want + vec.scaled(c)
                 assert voa.vertex_mode(u, n, v) == want, (u, n, v)
+
+
+def _factor_state_mode(u_parts, n, v_parts):
+    """The mode kernel before its split into an annihilating and a
+    creating half, kept as the oracle: (rest, made, sum) states built
+    one factor of u at a time, each factor either annihilating a part m
+    of the target, with weight (-1)^k C(m+k, k) * m * multiplicity, or
+    creating a part p >= n_i, with weight C(p-1, k), k = n_i - 1."""
+    if not u_parts:
+        return FockVector.basis(v_parts) if n == -1 else FockVector.zero()
+    total = n + 1 - sum(u_parts)
+    # created weight = annihilated weight - total <= weight(v) - total
+    room = sum(v_parts) - total
+    states = {(make_partition(v_parts), (), 0): 1}
+    for ni in u_parts:
+        k = ni - 1
+        sign = -1 if k % 2 else 1
+        step = {}
+        for (rest, made, s), c in states.items():
+            for m in set(rest):
+                left = list(rest)
+                left.remove(m)
+                key = (tuple(left), made, s + m)
+                gain = sign * math.comb(m + k, k) * m * rest.count(m)
+                step[key] = step.get(key, 0) + c * gain
+            for p in range(ni, room - sum(made) + 1):
+                key = (rest, make_partition(made + (p,)), s - p)
+                step[key] = step.get(key, 0) + c * math.comb(p - 1, k)
+        states = step
+    out = {}
+    for (rest, made, s), c in states.items():
+        if s == total:
+            key = make_partition(rest + made)
+            out[key] = out.get(key, 0) + c
+    return FockVector.from_ints({key: c for key, c in out.items() if c})
+
+
+def test_mode_kernel_matches_factor_state_oracle_seeded():
+    # the two-half kernel against the factor-by-factor states it
+    # replaced, on u and v with repeated parts and n on both sides of
+    # the lower-truncation bound wt(u) + wt(v) - 1, above which every
+    # image vanishes
+    rng = random.Random(16021)
+    us = [p for w in range(1, 6) for p in partitions_of(w)]
+    vs = [p for w in range(7) for p in partitions_of(w)]
+    repeated = [(2, 2), (2, 1, 1), (1, 1, 1, 1)]
+    pairs = [(u, v) for u in repeated for v in repeated + [(3, 2, 2), (2, 2, 1, 1)]]
+    pairs += [(rng.choice(us), rng.choice(vs)) for _ in range(250)]
+    zero = nonzero = 0
+    for u, v in pairs:
+        bound = sum(u) + sum(v) - 1
+        for n in sorted({bound - 2, bound, bound + 1, bound + 2, rng.randrange(-8, 9)}):
+            got = voa._mode_on_basis(u, n, v)
+            assert got == _factor_state_mode(u, n, v), (u, n, v)
+            assert not (n > bound and got), (u, n, v)
+            zero += not got
+            nonzero += bool(got)
+    assert zero and nonzero
 
 
 def test_mode_weight_law_and_linearity_seeded():
