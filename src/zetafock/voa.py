@@ -21,21 +21,23 @@ them into reports.
 Each right side is Y(W, x2) applied to the target, with W built from u
 and v alone.  So the right sides are built once per (u, v, window),
 before any target, as small tables of target-independent vectors
-(_jacobi_inner, _newjacobi_rhs, _comm_rhs, _fourterm_rhs), and each
+(_jacobi_inner, _newjacobi_rhs, _comm_rhs, _fourterm_table), and each
 cell is read off with one or a few modes of those vectors on the
-target.  The left sides are built per target, as the inner field acts
-on the target first; tabling it before the target would need the
-identity being checked.  The three-delta left sides are closed-form
-sums of mode images weighted by the binomial kernel (_delta_cells).
-Those builders and the right-side tables sum their integer-weighted
-images with _weighted_sum, which adds numerators over a common
-denominator and reduces once.
+target.  FOURTERM's table sums nested bracket images (images of images
+from _bracket_images) with scalar weights, Laurent polynomials in the
+two bracket variables on plain Fraction dicts.  The left sides are
+built per target, as the inner field acts on the target first; tabling
+it before the target would need the identity being checked.  The
+three-delta left sides are closed-form sums of mode images weighted by
+the binomial kernel (_delta_cells).  Those builders and the right-side
+tables sum their weighted images with _weighted_sum, which adds
+numerators over a common denominator and reduces once.
 
 Every compared side is a cell table: a dict from exponent tuples, in
-sorted variable order, to FockVector, where an absent cell is zero.
-FOURTERM's right side is built as a Series and becomes a table through
-_series_table, which checks that it is known on the whole box, and
-_cell_diffs walks the box row-major to find the cells that differ.
+sorted variable order, to FockVector, where an absent cell is zero, and
+_cell_diffs walks the box row-major to find the cells that differ.  No
+compared side goes through the Series ring; y_bracket_apply still
+returns its slices as a Series.
 """
 
 from __future__ import annotations
@@ -57,15 +59,7 @@ from .fock import (
 )
 from .quadratic import dilated_bracket_lhs, gen_quadratic_coeff
 from .reports import note_diff
-from .series import (
-    NEG_INF,
-    POS_INF,
-    Series,
-    VariableMismatchError,
-    VarWindow,
-    WindowInsufficientError,
-    mul,
-)
+from .series import NEG_INF, POS_INF, Series, VarWindow, WindowInsufficientError
 
 F = Fraction
 
@@ -172,18 +166,18 @@ def _mode_sum(u: FockVector, v: FockVector, mode_of) -> FockVector:
     return FockVector.from_ints({p: x for p, x in acc.items() if x}, u._den * v._den)
 
 
-def _weighted_sum(terms) -> FockVector:
-    """The sum of c * vec over (c, vec) pairs with int c.  The numerators
-    are summed over the lcm of the denominators and reduced once, as in
-    _mode_sum, with no vector built per term."""
+def _weighted_sum(terms, den: int = 1) -> FockVector:
+    """The sum of c * vec over (c, vec) pairs with int c, divided by den.
+    The numerators are summed over the lcm of the denominators and
+    reduced once, as in _mode_sum, with no vector built per term."""
     terms = [(c, vec) for c, vec in terms if c and vec]
-    den = math.lcm(*(vec._den for _, vec in terms))
+    lcm = math.lcm(*(vec._den for _, vec in terms))
     acc: "dict[tuple[int, ...], int]" = {}
     for c, vec in terms:
-        c *= den // vec._den
+        c *= lcm // vec._den
         for p, x in vec._num.items():
             acc[p] = acc.get(p, 0) + c * x
-    return FockVector.from_ints({p: x for p, x in acc.items() if x}, den)
+    return FockVector.from_ints({p: x for p, x in acc.items() if x}, den * lcm)
 
 
 def vertex_mode(u: FockVector, n: int, v: FockVector) -> FockVector:
@@ -209,6 +203,15 @@ def _em1_power(e: int, order: int) -> "dict[int, Fraction]":
     return ca.u_pow(ca.em1_unit(order), e, order)
 
 
+def _kappa(e: int, w: int, order: int) -> "dict[int, Fraction]":
+    """Coefficients of kappa_(e,w)(y) = ((e^y - 1)/y)^e e^(w y), complete
+    to y^order (none for a negative order)."""
+    if order < 0:
+        return {}
+    ew = {j: F(w**j, math.factorial(j)) for j in range(order + 1)}
+    return ca.u_mul(_em1_power(e, order), ew, order)
+
+
 def _bracket_images(u: FockVector, v: FockVector, e_hi: int) -> list:
     """(w, e, I^w_e) for the nonzero x^e coefficients I^w_e =
     vertex_mode(u_w, -e - 1, v), e <= e_hi, of the weight-w components
@@ -229,17 +232,15 @@ def y_bracket_apply(u: FockVector, v: FockVector, y_order: int) -> Series:
     series in y complete up to y_order, of pole depth <= wt(u) + wt(v).
 
     The image I^w_e (see _bracket_images) carries (e^y - 1)^e e^(w y) =
-    y^e kappa, with the power series kappa = _em1_power(e) e^(w y), so
-    the y^q slice is the sum over w and e <= q of kappa_(q-e) I^w_e.
+    y^e kappa_(e,w)(y) (see _kappa), so the y^q slice is the sum over w
+    and e <= q of the y^(q-e) coefficient of kappa_(e,w) times I^w_e.
     Every image with e <= y_order is summed: each slice is exact."""
     if y_order < 0:
         raise ValueError("bracket order must be >= 0")
     zero = FockVector.zero()
     data: "dict[tuple[int], FockVector]" = {}
     for w, e, img in _bracket_images(u, v, y_order):
-        n = y_order - e
-        ew = {j: F(w**j, math.factorial(j)) for j in range(n + 1)}
-        for j, c in ca.u_mul(_em1_power(e, n), ew, n).items():
+        for j, c in _kappa(e, w, y_order - e).items():
             data[(e + j,)] = data.get((e + j,), zero) + img.scaled(c)
     return Series([VarWindow("y", NEG_INF, y_order, NEG_INF, POS_INF)], data)
 
@@ -305,17 +306,6 @@ def axioms_diffs(params: dict, mismatches: list) -> None:
 # ----------------------------------------------------------------------
 # Cell tables: a compared side maps exponent tuples, in sorted variable
 # order, to FockVector; an absent cell is the zero vector
-
-
-def _series_table(side: Series, box, name: str) -> "dict[tuple[int, ...], FockVector]":
-    """The cells of a series side as a table.  The side must be known on
-    the whole box, with the check and message of series' box comparison
-    (name "lhs" or "rhs"), and its variables must be the box's."""
-    if not side.known_on(box):
-        raise WindowInsufficientError(f"{name} not known on the whole box {box}")
-    if side.variables != tuple(sorted(box)):
-        raise VariableMismatchError(f"{name} has variables {side.variables}")
-    return dict(side.terms())
 
 
 def _cell_diffs(lhs, rhs, box):
@@ -389,15 +379,16 @@ def _jacobi_inner(u: FockVector, v: FockVector, w: int) -> "dict[int, FockVector
 def _jacobi_rhs_cells(inner, target, w) -> "dict[tuple[int, int, int], FockVector]":
     """The three-delta right side on the cube [-w, w]^3 (see _jacobi_inner),
     one mode of one inner slice per term, with the integer kernel
-    C(b + k, k) (-1)^k built once per (a, b)."""
+    C(b + k, k) (-1)^k built once per (a, b).  Terms with a zero kernel
+    entry or a zero mode are skipped, and so is a cell with no term."""
     modes: "dict[tuple[int, int], FockVector]" = {}
     data = {}
     for a in range(-w, w + 1):
         for b in range(-w, w + 1):
             kernel = [
-                (a - e, int(ca.binom(b + a - e, a - e)) * (-1) ** (a - e), e, ie)
+                (a - e, kw, e, ie)
                 for e, ie in inner.items()
-                if e <= a
+                if e <= a and (kw := int(ca.binom(b + a - e, a - e)) * (-1) ** (a - e))
             ]
             for c in range(-w, w + 1):
                 terms = []
@@ -406,7 +397,10 @@ def _jacobi_rhs_cells(inner, target, w) -> "dict[tuple[int, int, int], FockVecto
                     img = modes.get((e, m))
                     if img is None:
                         img = modes[(e, m)] = vertex_mode(ie, m, target)
-                    terms.append((kw, img))
+                    if img:
+                        terms.append((kw, img))
+                if not terms:
+                    continue
                 vec = _weighted_sum(terms)
                 if vec:
                     data[(a, b, c)] = vec
@@ -431,8 +425,9 @@ def _delta_cells(outer, inner, target, w, mode, floor, n_sign):
     The sum is exact: a larger k reads an inner image below the floor.
     For n >= 0 C(n, k) vanishes when k > n, so those terms are skipped.
     The kernel coefficients are integers, built once per a, and each cell
-    is one _weighted_sum of its images; n_sign^n is taken from the parity
-    of n, since a negative power of an int is a float."""
+    is one _weighted_sum of its nonzero images, skipped when it has none;
+    n_sign^n is taken from the parity of n, since a negative power of an
+    int is a float."""
     images = {e: mode(inner, e, target) for e in range(floor, w + 1)}
     outer_on: "dict[tuple[int, int], FockVector]" = {}
     cells = {}
@@ -451,7 +446,10 @@ def _delta_cells(outer, inner, target, w, mode, floor, n_sign):
                     img = outer_on.get(key)
                     if img is None:
                         img = outer_on[key] = mode(outer, key[0], ivec)
-                    terms.append((kernel[k], img))
+                    if img:
+                        terms.append((kernel[k], img))
+                if not terms:
+                    continue
                 vec = _weighted_sum(terms)
                 if vec:
                     cells[(a, p, q)] = vec
@@ -696,170 +694,145 @@ def gencomm_diffs(params: dict, mismatches: list) -> None:
             )
 
 
-def _bracket_on_series(g: Series, yvar: str, order: int, u=None, v=None) -> Series:
-    """Bracket field y_bracket_apply(u, v) in a fresh variable, applied
-    coefficientwise: each coefficient of g fills the slot left None."""
-    pieces = []
-    for exps, vec in g.terms():
-        br = y_bracket_apply(vec if u is None else u, vec if v is None else v, order)
-        br = br.rename({"y": yvar})
-        pieces.append(mul(br, ca.monomial(dict(zip(g.variables, exps)))))
-    if not pieces:
-        wins = list(g.windows()) + [VarWindow(yvar, NEG_INF, order, 0, POS_INF)]
-        return Series(wins, {})
-    out = ca.aligned_sum(pieces)
-    out = _inherit_claims(out, g)
-    return out.restrict({yvar: (NEG_INF, order)})
+def _fourterm_table(u1, v1, u2, v2, box, win) -> "dict[int, dict[tuple[int, int], FockVector]]":
+    """Right side of the four-term identity before the target: for each
+    kernel exponent b in [-win, win], the vectors R_b(p, q) on box whose
+    x-mode -(b + c) on a target is the y1^p y2^q cell at (b, c).
+
+    With B(x, y; z) = Y[x, y]z = sum over w, e of y^e kappa_(e,w)(y)
+    I^w_e(x, z) (_kappa, _bracket_images), the right side is a + b - c - d,
+    read for y1 <= o1 and y2 <= o2:
+
+        a = Res_t e^(-b t) B(u2, y2; B(u1, y1 + t; B(v1, t; v2))),
+        b = Res_t e^(b (y1 - t)) B(u2, y2; B(v1, t - y1; B(u1, t; v2))),
+        c = Res_t e^(-b (y2 - t)) B(B(u1, y1; B(u2, t; v1)), y2 - t; v2),
+        d = Res_t e^(-b (y2 - y1 - t)) B(B(B(u2, t; u1), y1; v1), y2 - y1 - t; v2),
+
+    each shifted argument expanded in nonnegative powers of t and y1.  B
+    is linear in x and z, so a term is a sum over nested images I3
+    (innermost bracket, in t), I2 and I1 (outer) of I1 times the
+    t-residue of f3 f2 f1, f(z) = z^e kappa_(e,w)(z) at each bracket's
+    argument.  The exponential is e^(-b z) for the argument z of one
+    bracket (t in a, t - y1 in b, the outer one in c and d), and
+    e^(-b z) kappa_(e,w)(z) = kappa_(e,w-b)(z): it lowers that w by b.
+
+    Weights (_fourterm_weight).  The s^k coefficient of f(y + s) is the
+    sum over i of kappa_i C(e + i, k) y^(e+i-k) (_taylor).  f3(t) is the
+    sum over j of g_j t^(e3+j) and the other factors bring t^k, k >= 0,
+    so the residue takes j = top - k, top = -1 - e3: only images with
+    e3 <= -1 meet it, with 0 <= k <= top, and I1 weighs the sum over k of
+    g_(top-k) times ([t^k] is the t^k coefficient)
+
+        a: [t^k] f2(y1 + t) f1(y2),         c: f2(y1) [t^k] f1(y2 - t),
+        b: [t^k] f2(Y + t) at Y = -y1, times f1(y2),
+        d: sum over l >= 0 of C(k + l, k) y1^l f2(y1) [s^(k+l)] f1(y2 - s),
+
+    the last as (y1 + t)^K = sum over k of C(K, k) t^k y1^(K-k).
+
+    Nothing nonzero is dropped.  The lower end of each level is exact
+    (_bracket_images), and the upper ends follow from p <= o1, q <= o2:
+    [t^k] f(y + t) has y-exponents >= e - top, so e2 <= o1 + top in a and
+    b and e1 <= o2 + top in c; an unshifted f has exponents >= e, so
+    e1 <= o2 in a and b and e2 <= o1 in c and d; in d, y1^l f2(y1) has
+    exponents >= e2 + l, so l <= o1 - e2 and e1 <= o2 + top + o1 - e2.
+    Each kappa reaches exponent o1 or o2 (i <= o1 + k - e2 for the
+    shifted f2 of a and b, and so on), so every cell on box is exact, and
+    cells below box are never read.  A cell sums its images over the
+    common denominator of their weights and is reduced once.
+
+    So inner-orders cannot change a value: it set the orders of the
+    innermost brackets on the series route this replaced, and any order
+    >= 0 holds every e3 <= -1 image the residue reads.  fourterm_diffs
+    still refuses a negative order, as y_bracket_apply does."""
+    kappa = lru_cache(maxsize=None)(_kappa)
+    cells: "dict[tuple[int, int, int], list]" = {}
+    for key, sign in (("a", 1), ("b", 1), ("c", -1), ("d", -1)):
+        for levels, img in _fourterm_images(key, u1, v1, u2, v2, box["y1"][1], box["y2"][1]):
+            for b in range(-win, win + 1):
+                for (p, q), c in _fourterm_weight(key, b, levels, box, kappa).items():
+                    if c:
+                        cells.setdefault((b, p, q), []).append((sign * c, img))
+    table: "dict[int, dict[tuple[int, int], FockVector]]" = {b: {} for b in range(-win, win + 1)}
+    for (b, p, q), terms in cells.items():
+        den = math.lcm(*(c.denominator for c, _ in terms))
+        vec = _weighted_sum(((c.numerator * (den // c.denominator), img) for c, img in terms), den)
+        if vec:
+            table[b][(p, q)] = vec
+    return table
 
 
-def _inherit_claims(out: Series, g: Series) -> Series:
-    """Clamp completeness claims of a coefficientwise expansion to the
-    box of the series it came from, and widen bands to match."""
-    out = out.restrict({v: (g.window(v).low, g.window(v).high) for v in g.variables})
-    for v in g.variables:
-        gw = g.window(v)
-        out = ca.widen_band(out, v, gw.support_low, gw.support_high)
+def _fourterm_images(key, u1, v1, u2, v2, o1, o2):
+    """(levels, I1) for each nested image I1 of the right-side term key
+    that can meet a cell with p <= o1 and q <= o2, levels = ((e3, w3),
+    (e2, w2), (e1, w1)) from the innermost bracket out; each level is one
+    _bracket_images call per image of the level inside it."""
+    inner = {"a": (v1, v2), "b": (u1, v2), "c": (u2, v1), "d": (u2, u1)}[key]
+    for w3, e3, i3 in _bracket_images(*inner, -1):
+        top = -1 - e3
+        mid = {"a": (u1, i3, o1 + top), "b": (v1, i3, o1 + top), "c": (u1, i3, o1), "d": (i3, v1, o1)}
+        for w2, e2, i2 in _bracket_images(*mid[key]):
+            if key in "ab":
+                outer = _bracket_images(u2, i2, o2)
+            else:
+                outer = _bracket_images(i2, v2, o2 + top + (o1 - e2 if key == "d" else 0))
+            for w1, e1, i1 in outer:
+                yield ((e3, w3), (e2, w2), (e1, w1)), i1
+
+
+def _taylor(e, kap, k, sign) -> "dict[int, Fraction]":
+    """The s^k coefficient of f(y + sign s), f(y) = y^e kap(y), as a dict
+    of y-exponents: each y^m gives C(m, k) sign^k y^(m-k)."""
+    out = {}
+    for i, c in kap.items():
+        x = ca.binom(e + i, k) * c
+        if x:
+            out[e + i - k] = x if sign > 0 or k % 2 == 0 else -x
     return out
 
 
-def _negate_var(f: Series, var: str, new_name: str) -> Series:
-    """Substitute var = -new_name: exponents survive, odd ones flip sign."""
-    g = f.rename({var: new_name})
-    idx = g.variables.index(new_name)
-    data = {}
-    for exps, val in g.terms():
-        data[exps] = val if exps[idx] % 2 == 0 else -val
-    return Series(g.windows(), data)
-
-
-def _pole_depth(f: Series, var: str) -> int:
-    lo = f.window(var).support_low
-    return -int(min(0, lo)) if lo != NEG_INF else 0
-
-
-def _mul_exp(f: Series, var: str, scale, hi_needed: int) -> Series:
-    """Multiply by exp(scale*var), keeping completeness up to var^hi_needed."""
-    cap = hi_needed + (_pole_depth(f, var) if var in f.variables else 0)
-    return mul(f, ca.exp_series(var, max(cap, 0), scale))
-
-
-def _shift_merge_residue(f: Series, var: str, res: str, sign: int) -> Series:
-    """Residue in res of f with var replaced by var + sign*res.
-
-    Only the res^(-1) cell is read afterwards, so shift slices beyond
-    the pole depth of res are dropped: merged into res they land at
-    res^0 and above, never at the residue cell."""
-    depth = _pole_depth(f, res)
-    t_cap = max(depth - 1, 0)
-    sh = ca.taylor_shift(f, var, "__sh", sign, t_cap)
-    merged = ca.subst_monomial(sh, "__sh", res, t_cap - depth)
-    return merged.residue(res)
-
-
-def _fourterm_chains(u1, v1, u2, v2, orders, levels):
-    """Target-independent bracket chains of the four right-side terms."""
-    o1, o2 = orders
-    l1, l2, l3 = levels
-    dv = _wt_max(v1) + _wt_max(v2)
-    du = _wt_max(u1) + _wt_max(v2)
-    dt4 = _wt_max(u2) + _wt_max(u1)
-
-    r1 = y_bracket_apply(v1, v2, l1).rename({"y": "t1"})
-    r3 = _bracket_on_series(
-        _bracket_on_series(r1, "y1", o1 + max(dv - 1, 0), u=u1), "y2", o2, u=u2
-    )
-
-    q1 = y_bracket_apply(u1, v2, l1).rename({"y": "t2"})
-    q2 = _negate_var(_bracket_on_series(q1, "__z", o1 + max(du - 1, 0), u=v1), "__z", "y1")
-    q3 = _bracket_on_series(q2, "y2", o2, u=u2)
-
-    s1 = y_bracket_apply(u2, v1, l2).rename({"y": "t3"})
-    s2 = _bracket_on_series(s1, "y1", o1, u=u1)
-    s3 = _bracket_on_series(s2, "y2", o2 + max(_wt_max(u2) + _wt_max(v1) - 1, 0), v=v2)
-
-    p1 = y_bracket_apply(u2, u1, l3).rename({"y": "t4"})
-    p2 = _bracket_on_series(p1, "y1", o1, v=v1)
-    cap_a = o1 + _pole_depth(p2, "y1")
-    cap_b = max(dt4 - 1, 0)
-    z_hi = o2 + cap_a + cap_b
-    p3 = _bracket_on_series(p2, "__z", z_hi, v=v2)
-
-    return {
-        "a": r3,
-        "b": (q3, o1 + max(du - 1, 0)),
-        "c": (s3, o2 + _pole_depth(s1, "t3")),
-        "d": (p3, cap_a, cap_b, z_hi),
-        "orders": (o1, o2),
-    }
-
-
-def _fourterm_rhs(chains, b):
-    """Right side of the four-term identity at kernel exponent b, before
-    the mode map: a series in y1, y2 with vector coefficients.
-
-    Every step after the chains (products with scalar exponentials,
-    Taylor shifts, monomial substitutions, residues, restrictions) is
-    linear with scalar coefficients, so it commutes with the
-    coefficientwise map x_mode(., m, target), which is linear in its
-    first slot; fourterm_diffs applies that map last, per cell.
-    The truncation orders below grow with pole depths read off the
-    bands (_mul_exp, _shift_merge_residue).  The map keeps every window
-    and only drops coefficients, and bands shrink to the surviving
-    data, so the pole depths of the unmapped chains bound those of the
-    chain mapped to any target: each order read here reaches every
-    slice that can meet a cell of any target.  The t4 substitution
-    offsets its cap by the depth, so it reaches those slices too."""
-    o1, o2 = chains["orders"]
-    ybox = {"y1": (NEG_INF, o1), "y2": (NEG_INF, o2)}
-
-    # first term: innermost bracket in t1, y1 shifted upward by t1
-    core = _mul_exp(chains["a"], "t1", -b, 0)
-    term_a = _shift_merge_residue(core, "y1", "t1", 1).restrict(ybox)
-
-    # second term: innermost bracket in t2, reversed middle bracket in -y1
-    q3, y1_hi = chains["b"]
-    core = _mul_exp(q3, "y1", b, y1_hi)
-    term_b = _shift_merge_residue(core, "y1", "t2", -1).restrict(ybox)
-
-    # third term: nested first slot, outer bracket in y2 shifted by -t3
-    s3, y2_hi = chains["c"]
-    core = _mul_exp(s3, "y2", -b, y2_hi)
-    term_c = _shift_merge_residue(core, "y2", "t3", -1).restrict(ybox)
-
-    # fourth term: doubly nested first slot, outer bracket evaluated at
-    # y2 - y1 - t4 (the residue shift moves the whole kernel, so the
-    # substituted variable absorbs it; the kernel factor
-    # exp(b*(y1 - y2 + t4)) is exp(-b*z) on the nose, multiplied in
-    # before the substitution)
-    p3, cap_a, cap_b, z_hi = chains["d"]
-    core = _mul_exp(p3, "__z", -b, z_hi)
-    g = ca.subst_taylor_linear(
-        core, "__z", "y2", [(-1, "__a"), (-1, "__b")],
-        {"__a": cap_a, "__b": cap_b},
-    )
-    g = ca.subst_monomial(g, "__a", "y1", o1)
-    g = ca.subst_monomial(g, "__b", "t4", cap_b - _pole_depth(g, "t4"))
-    term_d = g.residue("t4").restrict(ybox)
-
-    out = term_a + term_b - term_c - term_d
-    return out.restrict(ybox)
-
-
-def _map_mode(g: Series, m: int, target: FockVector) -> Series:
-    """One fixed x-mode of every coefficient, applied to target."""
-    data = {}
-    for exps, vec in g.terms():
-        img = x_mode(vec, m, target)
-        if img:
-            data[exps] = img
-    return Series(g.windows(), data)
+def _fourterm_weight(key, b, levels, box, kappa) -> "dict[tuple[int, int], Fraction]":
+    """The weight of one nested image of term key at kernel exponent b on
+    each cell (p, q) of box (see _fourterm_table); kappa is _kappa."""
+    (lo1, o1), (lo2, o2) = box["y1"], box["y2"]
+    (e3, w3), (e2, w2), (e1, w1) = levels
+    w3, w2, w1 = {"a": (w3 - b, w2, w1), "b": (w3, w2 - b, w1)}.get(key, (w3, w2, w1 - b))
+    top = -1 - e3
+    g = kappa(e3, w3, top)
+    pieces = []  # (scalar, y1 part, y2 part)
+    for k in range(top + 1):
+        r = g.get(top - k)
+        if not r:
+            continue
+        if key in "ab":
+            ps = _taylor(e2, kappa(e2, w2, o1 + top - e2), k, 1)
+            if key == "b":
+                ps = {p: x if p % 2 == 0 else -x for p, x in ps.items()}
+            pieces.append((r, ps, _taylor(e1, kappa(e1, w1, o2 - e1), 0, 1)))
+            continue
+        ps = _taylor(e2, kappa(e2, w2, o1 - e2), 0, 1)
+        if key == "c":
+            pieces.append((r, ps, _taylor(e1, kappa(e1, w1, o2 + top - e1), k, -1)))
+            continue
+        kap1 = kappa(e1, w1, o2 + top + o1 - e2 - e1)
+        for l in range(o1 - e2 + 1):
+            shifted = {p + l: x for p, x in ps.items()}
+            pieces.append((r * ca.binom(k + l, k), shifted, _taylor(e1, kap1, k + l, -1)))
+    out: "dict[tuple[int, int], Fraction]" = {}
+    for r, ps, qs in pieces:
+        for p, x in ps.items():
+            if lo1 <= p <= o1:
+                for q, y in qs.items():
+                    if lo2 <= q <= o2:
+                        out[(p, q)] = out.get((p, q), 0) + r * x * y
+    return out
 
 
 def fourterm_diffs(params: dict, mismatches: list) -> None:
     """Commutator of two bracket fields against the four-term right side
     on every (target, b, c) cell.  The right side depends on the target
-    and on c only through the final mode map x_mode(., -b - c, target),
-    so it is built once per b (see _fourterm_rhs) and mapped per cell."""
+    and on c only through the mode x_mode(., -b - c, target), so its
+    table is built once, before any target (see _fourterm_table), and
+    mapped per cell."""
     u1, v1, u2, v2 = params["u1"], params["v1"], params["u2"], params["v2"]
     o1, o2 = params["y-orders"]
     w = params["x-window"]
@@ -867,9 +840,11 @@ def fourterm_diffs(params: dict, mismatches: list) -> None:
     d2 = _wt_max(u2) + _wt_max(v2)
     uslices = _bracket_slices(u1, v1, o1)
     vslices = _bracket_slices(u2, v2, o2)
-    chains = _fourterm_chains(u1, v1, u2, v2, (o1, o2), tuple(params["inner-orders"]))
-    rhs_by_b = {b: _fourterm_rhs(chains, b) for b in range(-w, w + 1)}
+    l1, l2, l3 = params["inner-orders"]
+    if min(l1, l2, l3) < 0:
+        raise ValueError("bracket order must be >= 0")
     box = {"y1": (-d1, o1), "y2": (-d2, o2)}
+    table = _fourterm_table(u1, v1, u2, v2, box, w)
     for target in basis_up_to(params["weight-cap"]):
         for b in range(-w, w + 1):
             for c in range(-w, w + 1):
@@ -881,7 +856,11 @@ def fourterm_diffs(params: dict, mismatches: list) -> None:
                         )
                         if vec:
                             data[(alpha, beta)] = vec
-                rhs = _series_table(_map_mode(rhs_by_b[b], -b - c, target), box, "rhs")
+                rhs = {}
+                for cell, vec in table[b].items():
+                    img = x_mode(vec, -b - c, target)
+                    if img:
+                        rhs[cell] = img
                 for cell, va, vb in _cell_diffs(data, rhs, box):
                     note_diff(mismatches, [b, c, *cell], va, vb, target)
 

@@ -20,7 +20,8 @@ from zetafock import calculus as ca
 from zetafock import catalog
 from zetafock import quadratic as q
 from zetafock.fock import FockVector, basis_up_to, h_apply, weight_components
-from zetafock.reports import format_scalar
+from zetafock.reports import format_scalar, mismatch_entry
+from zetafock.series import NEG_INF, POS_INF, Series, VarWindow, diff_on_box
 
 F = Fraction
 
@@ -309,6 +310,43 @@ def test_wick_check():
     rep = catalog.run_check("WICK", {"x-window": 2, "weight-cap": 3})
     assert rep.status == "pass", rep.mismatches[:3]
     assert rep.params["x-window"] == 2
+
+
+def test_kernel_mismatches_match_diff_on_box_seeded():
+    # WICK's kernel identity on plain dicts reports the entries, values
+    # and order that diff_on_box gives on the same kernel built as a
+    # Series, with the windows WICK used; perturbed kernels must fail
+    rng = random.Random(1712)
+    vac = FockVector.vacuum()
+    failing = 0
+    for trial in range(40):
+        N, y_order = rng.randrange(3), rng.randrange(3)
+        geo = q._dilated_geometric(N, y_order)
+        box = [range(-N, 1), range(N + 1), range(y_order + 1), range(y_order + 1)]
+        cells = list(itertools.product(*box))
+        for cell in rng.sample(cells, k=min(len(cells), rng.randrange(1, 4))):
+            geo[cell] = F(rng.randrange(-3, 4), rng.randrange(1, 4))
+            if not geo[cell] or rng.random() < 0.3:
+                del geo[cell]
+        wins = (
+            VarWindow("x1", -N, 0, NEG_INF, 0),
+            VarWindow("x2", 0, N, 0, POS_INF),
+            VarWindow("y1", 0, y_order, 0, POS_INF),
+            VarWindow("y2", 0, y_order, 0, POS_INF),
+        )
+        kernel = Series(wins, geo)
+        kernel_box = {"x1": (-N, 0), "x2": (0, N), "y1": (0, y_order - 1), "y2": (0, y_order)}
+        oracle = diff_on_box(kernel.euler_derivative("x2"), kernel.derivative("y1").scale(-1), kernel_box)
+        want = [
+            mismatch_entry([exps[nm] for nm in ("x1", "x2", "y1", "y2")], va, vb, vac)
+            for exps, va, vb in oracle
+        ]
+        got = [mismatch_entry(list(c), va, vb, vac) for c, va, vb in q._kernel_mismatches(geo, N, y_order)]
+        assert got == want, (trial, N, y_order)
+        failing += bool(want)
+    assert failing >= 10, failing
+    for N, y_order in ((0, 0), (2, 0), (3, 3)):
+        assert q._kernel_mismatches(q._dilated_geometric(N, y_order), N, y_order) == []
 
 
 def test_theorem1_small_windows():

@@ -33,12 +33,13 @@ from zetafock.fock import (
     weight_components,
 )
 from zetafock.reports import note_diff
+
+from test_fourterm import _series_table
 from zetafock.series import (
     NEG_INF,
     POS_INF,
     Series,
     VarWindow,
-    WindowInsufficientError,
     diff_on_box,
     mul,
 )
@@ -318,21 +319,16 @@ def test_gen_identities_pass_small():
 
 @pytest.mark.parametrize("key", ["a", "b", "c", "d"])
 def test_fourterm_fails_with_a_doubled_rhs_chain(monkeypatch, key):
-    # the right side is built once per kernel exponent and mapped onto
-    # each target last; doubling any one of its four chains must still
-    # be seen on some (target, b, c) cell
-    real = voa._fourterm_chains
+    # the right side is built once, before any target, and mapped onto
+    # each target last; doubling the weights of any one of its four
+    # terms must still be seen on some (target, b, c) cell
+    real = voa._fourterm_weight
 
-    def doubled(*args):
-        chains = dict(real(*args))
-        entry = chains[key]
-        if isinstance(entry, tuple):
-            chains[key] = (entry[0].scale(2),) + entry[1:]
-        else:
-            chains[key] = entry.scale(2)
-        return chains
+    def doubled(term, *args):
+        weights = real(term, *args)
+        return {cell: 2 * x for cell, x in weights.items()} if term == key else weights
 
-    monkeypatch.setattr(voa, "_fourterm_chains", doubled)
+    monkeypatch.setattr(voa, "_fourterm_weight", doubled)
     rep = catalog.run_check("FOURTERM", {"weight-cap": 1, "x-window": 1})
     assert rep.status == "fail"
     assert rep.mismatches
@@ -460,7 +456,7 @@ def _pipeline_lhs(u, v, target, w, plain):
     g2 = _pair_series(v, "x2", u, "x1", target, w, plain)
     t1 = ca.delta_product(g1, "x0", "x1", "x2", cube)
     t2 = ca.delta_product(g2, "x0", "x2", "x1", cube, n_sign=-1)
-    return voa._series_table(t1 - t2, cube, "lhs")
+    return _series_table(t1 - t2, cube, "lhs")
 
 
 def test_delta_lhs_equals_pair_series_pipeline_seeded():
@@ -573,22 +569,6 @@ def test_bracket_refuses_a_negative_order():
 
 # ----------------------------------------------------------------------
 # cell tables against the Series comparison they replace
-
-
-def test_series_table_refuses_a_side_not_known_on_the_box():
-    box = {"x1": (-1, 1), "x2": (-1, 1)}
-    known = Series([VarWindow("x1", -1, 1), VarWindow("x2", -1, 1)], {(0, 0): GEN})
-    short = Series(
-        [VarWindow("x1", -1, 1), VarWindow("x2", -1, 0, NEG_INF, POS_INF)], {(0, 0): GEN}
-    )
-    for name, args in (("lhs", (short, known)), ("rhs", (known, short))):
-        with pytest.raises(WindowInsufficientError) as want:
-            diff_on_box(*args, box)
-        with pytest.raises(WindowInsufficientError) as got:
-            voa._series_table(short, box, name)
-        assert str(got.value) == str(want.value)
-        assert str(got.value).startswith(f"{name} not known on the whole box")
-    assert voa._series_table(known, box, "lhs") == {(0, 0): GEN}
 
 
 def _random_table(rng, spans, other):
