@@ -2,8 +2,10 @@
 
 Each catalog id is declared once in REGISTRY: the body that compares
 its identity, its parameters with their defaults, and the parameters
-that --y-order values fill.  run_check resolves the parameters, runs
-the body under reports.timed_check and returns one CheckReport.
+that --y-order values fill.  Every default is one its body reads, so no
+flag or override is accepted and then ignored.  run_check resolves the
+parameters, runs the body under reports.timed_check and returns one
+CheckReport, pass or fail.
 Grid-style entries fold a family of single checks into one report,
 prefixing every mismatch monomial with the grid point it came from.
 """
@@ -265,8 +267,7 @@ REGISTRY: "dict[str, Check]" = {
     ),
     "COMM": Check(
         voa.comm_diffs,
-        {"u": _G, "v": _G, "weight-cap": 3, "x-window": 3, "y-order": 3},
-        ("y-order",),
+        {"u": _G, "v": _G, "weight-cap": 3, "x-window": 3},
     ),
     "GENJACOBI": Check(
         voa.genjacobi_diffs,
@@ -286,15 +287,13 @@ REGISTRY: "dict[str, Check]" = {
             "w-orders": [1, 1],
             "weight-cap": 2,
             "x-window": 2,
-            "y-order": 2,
             "y-orders": [1, 1],
         },
-        ("y-orders", "y-order"),
+        ("y-orders",),
     ),
     "FOURTERM": Check(
         voa.fourterm_diffs,
         {
-            "inner-orders": [2, 2, 2],
             **_PAIRS,
             "weight-cap": 2,
             "x-window": 2,
@@ -304,7 +303,7 @@ REGISTRY: "dict[str, Check]" = {
     ),
     "SPECIALIZE": Check(
         voa.specialize_diffs,
-        {"weight-cap": 4, "x-window": 2, "y-order": 3, "y-orders": [1, 1, 1, 1]},
+        {"weight-cap": 4, "x-window": 2, "y-orders": [1, 1, 1, 1]},
         ("y-orders",),
     ),
     "BRIDGE": Check(

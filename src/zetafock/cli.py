@@ -3,8 +3,7 @@
 ``zetafock verify <suite|check-id>`` runs catalog checks and emits
 deterministic reports; ``zetafock table <name> --max K`` prints scalar
 tables.  Exit code 0 means every selected check passed, 1 means at
-least one failed or hit an insufficient window, 2 means a usage or
-configuration error.
+least one failed, 2 means a usage or configuration error.
 """
 
 from __future__ import annotations

@@ -17,7 +17,10 @@ the mode number times its multiplicity), and ``h(0)`` kills everything.
 The two halves of a vertex-operator mode live here too: the states that
 a product of annihilators reaches from a basis state (``_annihilated``)
 and the cached partitions that a product of creators makes
-(``_created``); voa._mode_on_basis joins them.
+(``_created``); voa._mode_on_basis joins them.  The weighted sum that
+voa's cell tables are built with lives here as well (``_weighted_sum``,
+and ``_fraction_sum`` for Fraction weights), since it reads the integer
+numerators directly.
 """
 
 from __future__ import annotations
@@ -197,6 +200,32 @@ def _reduced(num: "dict[tuple[int, ...], int]", den: int) -> FockVector:
     out._num = num
     out._den = den
     return out
+
+
+def _weighted_sum(terms, den: int = 1) -> FockVector:
+    """The sum of c * vec over (c, vec) pairs with int c, divided by den.
+    The numerators are summed over the lcm of the denominators and
+    reduced once, with no vector built per term; voa's cell tables sum
+    their weighted mode images with it."""
+    terms = [(c, vec) for c, vec in terms if c and vec]
+    # a list, not a generator: unpacking a generator resizes the argument
+    # tuple, and freeing a resized tuple grows the tuple free list
+    lcm = math.lcm(*[vec._den for _, vec in terms])
+    acc: "dict[tuple[int, ...], int]" = {}
+    for c, vec in terms:
+        c *= lcm // vec._den
+        for p, x in vec._num.items():
+            acc[p] = acc.get(p, 0) + c * x
+    return FockVector.from_ints({p: x for p, x in acc.items() if x}, den * lcm)
+
+
+def _fraction_sum(terms) -> FockVector:
+    """The sum of c * vec over (c, vec) pairs with Fraction c and vec a
+    FockVector or None for zero: one _weighted_sum of the numerators
+    over the common denominator of the weights."""
+    terms = list(terms)
+    den = math.lcm(*[c.denominator for c, _ in terms])
+    return _weighted_sum(((c.numerator * (den // c.denominator), vec) for c, vec in terms), den)
 
 
 def _exact(c: object) -> Fraction:

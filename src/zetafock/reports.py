@@ -1,8 +1,8 @@
 """Check outcome records and their deterministic serialization.
 
 Every catalog check returns a CheckReport: the check id, the parameter
-block it ran with, a status, and the list of coefficient mismatches
-(empty on success).  Reports serialize to
+block it ran with, a status (pass or fail), and the list of
+coefficient mismatches (empty on success).  Reports serialize to
 json-lines for machine use and to a aligned-column table for humans.
 The json-lines form is byte-identical across reruns with the same
 configuration, so volatile fields (elapsed time) stay out of it.
@@ -17,11 +17,9 @@ from fractions import Fraction
 from typing import Any, Callable, Mapping, Sequence
 
 from .fock import FockVector
-from .series import WindowInsufficientError
 
 STATUS_PASS = "pass"
 STATUS_FAIL = "fail"
-STATUS_WINDOW = "window-insufficient"
 
 # most mismatch entries a report lists; the total is kept in its params
 MISMATCH_CAP = 200
@@ -68,7 +66,7 @@ def note_diff(
     """Append one entry per basis state where two vectors differ.
 
     The entry's monomial is prefix followed by the parts of that basis
-    state; None stands for the zero vector (a cell absent from a series)."""
+    state; None stands for the zero vector (a cell absent from a table)."""
     lhs = lhs or FockVector.zero()
     rhs = rhs or FockVector.zero()
     if lhs == rhs:
@@ -109,18 +107,12 @@ def timed_check(
     """Run body(params, mismatches) and report it.
 
     The body appends mismatch entries and may add derived fields to
-    params.  The status is pass iff the body raised no
-    WindowInsufficientError and listed no mismatch; an insufficient
-    window discards the list and records window-error.  FockVector params
-    are serialized; a mismatch list longer than MISMATCH_CAP is cut and
-    its full length kept as mismatches-total."""
+    params.  The status is pass iff the body listed no mismatch.
+    FockVector params are serialized; a mismatch list longer than
+    MISMATCH_CAP is cut and its full length kept as mismatches-total."""
     t0 = time.monotonic()
     mismatches: list[dict[str, Any]] = []
-    window_error = None
-    try:
-        body(params, mismatches)
-    except WindowInsufficientError as exc:
-        mismatches, window_error = [], str(exc)
+    body(params, mismatches)
     shown = {
         k: serialize_vector(v) if isinstance(v, FockVector) else v
         for k, v in params.items()
@@ -128,11 +120,7 @@ def timed_check(
     if len(mismatches) > MISMATCH_CAP:
         shown["mismatches-total"] = len(mismatches)
         mismatches = mismatches[:MISMATCH_CAP]
-    if window_error is not None:
-        shown["window-error"] = window_error
-        status = STATUS_WINDOW
-    else:
-        status = STATUS_FAIL if mismatches else STATUS_PASS
+    status = STATUS_FAIL if mismatches else STATUS_PASS
     elapsed = int((time.monotonic() - t0) * 1000)
     return CheckReport(check_id, shown, status, mismatches, elapsed)
 

@@ -29,15 +29,16 @@ two bracket variables on plain Fraction dicts.  The left sides are
 built per target, as the inner field acts on the target first; tabling
 it before the target would need the identity being checked.  The
 three-delta left sides are closed-form sums of mode images weighted by
-the binomial kernel (_delta_cells).  Those builders and the right-side
-tables sum their weighted images with _weighted_sum, which adds
-numerators over a common denominator and reduces once.
+the binomial kernel (_delta_cells).  Those builders, the right-side
+tables and the bracket slices sum their weighted images with
+fock._weighted_sum (fock._fraction_sum for Fraction weights), which
+adds numerators over a common denominator and reduces once.
 
 Every compared side is a cell table: a dict from exponent tuples, in
 sorted variable order, to FockVector, where an absent cell is zero, and
 _cell_diffs walks the box row-major to find the cells that differ.  No
-compared side goes through the Series ring; y_bracket_apply still
-returns its slices as a Series.
+side goes through the Series ring: y_bracket_apply returns its y-slices
+as a plain dict too.
 """
 
 from __future__ import annotations
@@ -53,13 +54,14 @@ from .fock import (
     FockVector,
     _annihilated,
     _created,
+    _fraction_sum,
+    _weighted_sum,
     basis_up_to,
     weight,
     weight_components,
 )
 from .quadratic import dilated_bracket_lhs, gen_quadratic_coeff
 from .reports import note_diff
-from .series import NEG_INF, POS_INF, Series, VarWindow, WindowInsufficientError
 
 F = Fraction
 
@@ -166,20 +168,6 @@ def _mode_sum(u: FockVector, v: FockVector, mode_of) -> FockVector:
     return FockVector.from_ints({p: x for p, x in acc.items() if x}, u._den * v._den)
 
 
-def _weighted_sum(terms, den: int = 1) -> FockVector:
-    """The sum of c * vec over (c, vec) pairs with int c, divided by den.
-    The numerators are summed over the lcm of the denominators and
-    reduced once, as in _mode_sum, with no vector built per term."""
-    terms = [(c, vec) for c, vec in terms if c and vec]
-    lcm = math.lcm(*(vec._den for _, vec in terms))
-    acc: "dict[tuple[int, ...], int]" = {}
-    for c, vec in terms:
-        c *= lcm // vec._den
-        for p, x in vec._num.items():
-            acc[p] = acc.get(p, 0) + c * x
-    return FockVector.from_ints({p: x for p, x in acc.items() if x}, den * lcm)
-
-
 def vertex_mode(u: FockVector, n: int, v: FockVector) -> FockVector:
     """Coefficient of x^(-n-1) in the field of u, applied to v."""
     return _mode_sum(u, v, lambda up: n)
@@ -227,27 +215,24 @@ def _bracket_images(u: FockVector, v: FockVector, e_hi: int) -> list:
     return out
 
 
-def y_bracket_apply(u: FockVector, v: FockVector, y_order: int) -> Series:
-    """The bracket field Y[u, y]v = Y(e^(y L(0)) u, e^y - 1)v, a Laurent
-    series in y complete up to y_order, of pole depth <= wt(u) + wt(v).
+def y_bracket_apply(u: FockVector, v: FockVector, y_order: int) -> "dict[int, FockVector]":
+    """The bracket field Y[u, y]v = Y(e^(y L(0)) u, e^y - 1)v up to
+    y_order: its nonzero y^q slices, q <= y_order, in ascending q.  The
+    pole depth is at most wt(u) + wt(v).
 
     The image I^w_e (see _bracket_images) carries (e^y - 1)^e e^(w y) =
     y^e kappa_(e,w)(y) (see _kappa), so the y^q slice is the sum over w
     and e <= q of the y^(q-e) coefficient of kappa_(e,w) times I^w_e.
-    Every image with e <= y_order is summed: each slice is exact."""
+    Every image with e <= y_order is summed, so each slice is exact; a
+    slice is one _fraction_sum of its kappa weights."""
     if y_order < 0:
         raise ValueError("bracket order must be >= 0")
-    zero = FockVector.zero()
-    data: "dict[tuple[int], FockVector]" = {}
+    cells: "dict[int, list]" = {}
     for w, e, img in _bracket_images(u, v, y_order):
         for j, c in _kappa(e, w, y_order - e).items():
-            data[(e + j,)] = data.get((e + j,), zero) + img.scaled(c)
-    return Series([VarWindow("y", NEG_INF, y_order, NEG_INF, POS_INF)], data)
-
-
-def _bracket_slices(u: FockVector, v: FockVector, order: int) -> "dict[int, FockVector]":
-    """y-coefficients of y_bracket_apply as a plain dict."""
-    return {q: vec for (q,), vec in y_bracket_apply(u, v, order).terms()}
+            cells.setdefault(e + j, []).append((c, img))
+    slices = ((q, _fraction_sum(cells[q])) for q in sorted(cells))
+    return {q: vec for q, vec in slices if vec}
 
 
 # ----------------------------------------------------------------------
@@ -597,7 +582,7 @@ def residue_link_diffs(params: dict, mismatches: list) -> None:
     acceptance gate runs it on params u, v, targets and x-window."""
     u, v, win = params["u"], params["v"], params["x-window"]
     if win < 1:
-        raise WindowInsufficientError("coefficient at x0^-1 outside known box of 'x0'")
+        raise ValueError(f"x-window must be at least 1, got {win}")
     nj_table = _newjacobi_rhs(u, v, win)
     c_table = _comm_rhs(u, v, win)
     for target in params["targets"]:
@@ -638,17 +623,17 @@ def comm_diffs(params: dict, mismatches: list) -> None:
             note_diff(mismatches, list(cell), va, vb, target)
 
 
-def _slice_pairs(params: dict, build) -> list:
-    """(alpha, beta, ua, vb, build(ua, vb)) for the bracket slices
-    ua of (u1, v1) and vb of (u2, v2), in sorted (alpha, beta) order:
-    each right-side table is built once, before any target."""
-    o1, o2 = params["y-orders"]
-    uslices = _bracket_slices(params["u1"], params["v1"], o1)
-    vslices = _bracket_slices(params["u2"], params["v2"], o2)
+def _slice_pairs(u1, v1, o1, u2, v2, o2, build) -> list:
+    """(alpha, beta, ua, vb, build(ua, vb)) for the bracket slices ua of
+    (u1, v1) up to o1 and vb of (u2, v2) up to o2, in sorted
+    (alpha, beta) order: each right-side table is built once, before any
+    target."""
+    uslices = y_bracket_apply(u1, v1, o1)
+    vslices = y_bracket_apply(u2, v2, o2)
     return [
         (alpha, beta, ua, vb, build(ua, vb))
-        for alpha, ua in sorted(uslices.items())
-        for beta, vb in sorted(vslices.items())
+        for alpha, ua in uslices.items()
+        for beta, vb in vslices.items()
     ]
 
 
@@ -673,7 +658,11 @@ def _transported_mismatches(mismatches, sides, box, w_orders, target, prefix):
 def genjacobi_diffs(params: dict, mismatches: list) -> None:
     w = params["x-window"]
     cube = {"x0": (-w, w), "x1": (-w, w), "x2": (-w, w)}
-    pairs = _slice_pairs(params, lambda ua, vb: _newjacobi_rhs(ua, vb, w))
+    o1, o2 = params["y-orders"]
+    pairs = _slice_pairs(
+        params["u1"], params["v1"], o1, params["u2"], params["v2"], o2,
+        lambda ua, vb: _newjacobi_rhs(ua, vb, w),
+    )
     for target in basis_up_to(params["weight-cap"]):
         for alpha, beta, ua, vb, table in pairs:
             sides = _newjacobi_sides(ua, vb, target, w, table)
@@ -685,7 +674,11 @@ def genjacobi_diffs(params: dict, mismatches: list) -> None:
 def gencomm_diffs(params: dict, mismatches: list) -> None:
     w = params["x-window"]
     box = {"x1": (-w, w), "x2": (-w, w)}
-    pairs = _slice_pairs(params, lambda ua, vb: _comm_rhs(ua, vb, w))
+    o1, o2 = params["y-orders"]
+    pairs = _slice_pairs(
+        params["u1"], params["v1"], o1, params["u2"], params["v2"], o2,
+        lambda ua, vb: _comm_rhs(ua, vb, w),
+    )
     for target in basis_up_to(params["weight-cap"]):
         for alpha, beta, ua, vb, table in pairs:
             sides = _comm_sides(ua, vb, target, w, table)
@@ -738,12 +731,7 @@ def _fourterm_table(u1, v1, u2, v2, box, win) -> "dict[int, dict[tuple[int, int]
     Each kappa reaches exponent o1 or o2 (i <= o1 + k - e2 for the
     shifted f2 of a and b, and so on), so every cell on box is exact, and
     cells below box are never read.  A cell sums its images over the
-    common denominator of their weights and is reduced once.
-
-    So inner-orders cannot change a value: it set the orders of the
-    innermost brackets on the series route this replaced, and any order
-    >= 0 holds every e3 <= -1 image the residue reads.  fourterm_diffs
-    still refuses a negative order, as y_bracket_apply does."""
+    common denominator of their weights and is reduced once."""
     kappa = lru_cache(maxsize=None)(_kappa)
     cells: "dict[tuple[int, int, int], list]" = {}
     for key, sign in (("a", 1), ("b", 1), ("c", -1), ("d", -1)):
@@ -754,8 +742,7 @@ def _fourterm_table(u1, v1, u2, v2, box, win) -> "dict[int, dict[tuple[int, int]
                         cells.setdefault((b, p, q), []).append((sign * c, img))
     table: "dict[int, dict[tuple[int, int], FockVector]]" = {b: {} for b in range(-win, win + 1)}
     for (b, p, q), terms in cells.items():
-        den = math.lcm(*(c.denominator for c, _ in terms))
-        vec = _weighted_sum(((c.numerator * (den // c.denominator), img) for c, img in terms), den)
+        vec = _fraction_sum(terms)
         if vec:
             table[b][(p, q)] = vec
     return table
@@ -838,11 +825,8 @@ def fourterm_diffs(params: dict, mismatches: list) -> None:
     w = params["x-window"]
     d1 = _wt_max(u1) + _wt_max(v1)
     d2 = _wt_max(u2) + _wt_max(v2)
-    uslices = _bracket_slices(u1, v1, o1)
-    vslices = _bracket_slices(u2, v2, o2)
-    l1, l2, l3 = params["inner-orders"]
-    if min(l1, l2, l3) < 0:
-        raise ValueError("bracket order must be >= 0")
+    uslices = y_bracket_apply(u1, v1, o1)
+    vslices = y_bracket_apply(u2, v2, o2)
     box = {"y1": (-d1, o1), "y2": (-d2, o2)}
     table = _fourterm_table(u1, v1, u2, v2, box, w)
     for target in basis_up_to(params["weight-cap"]):
@@ -872,7 +856,7 @@ def bridge_diffs(params: dict, mismatches: list) -> None:
     w_cap = params["w-order"]
     n_rng = params["mode-range"]
     g = generator()
-    slices = _bracket_slices(g, g, y_cap + w_cap)
+    slices = y_bracket_apply(g, g, y_cap + w_cap)
     gprime = _pole_scalar_coeffs()
     for target in basis_up_to(params["weight-cap"]):
         for n in range(-n_rng, n_rng + 1):
@@ -885,15 +869,14 @@ def bridge_diffs(params: dict, mismatches: list) -> None:
                     else:
                         scal = gprime.get(a, F(0)) if (n == 0 and bb == 0) else F(0)
                         lhs = target.scaled(scal)
-                    rhs = FockVector.zero()
-                    for k in range(bb + 1):
-                        vec = xw.get(a + k)
-                        if vec is None:
-                            continue
-                        fac = ca.binom(a + k, k) * F(-1) ** k
-                        fac *= F((-n) ** (bb - k), math.factorial(bb - k))
-                        if fac:
-                            rhs = rhs + vec.scaled(fac)
+                    rhs = _fraction_sum(
+                        (
+                            ca.binom(a + k, k) * (-1) ** k
+                            * F((-n) ** (bb - k), math.factorial(bb - k)),
+                            xw.get(a + k),
+                        )
+                        for k in range(bb + 1)
+                    )
                     note_diff(mismatches, [a, bb, n], lhs, rhs, target)
 
 
@@ -911,63 +894,44 @@ def specialize_diffs(params: dict, mismatches: list) -> None:
     w = params["x-window"]
     caps = (oy1 + ow1, ow1, oy2 + ow2, ow2)
     g = generator()
-    uslices = _bracket_slices(g, g, oy1)
-    vslices = _bracket_slices(g, g, oy2)
-    rhs_tables = {
-        (alpha, beta): _comm_rhs(ua, vb, w)
-        for alpha, ua in uslices.items()
-        for beta, vb in vslices.items()
-    }
+    pairs = _slice_pairs(g, g, oy1, g, g, oy2, lambda ua, vb: _comm_rhs(ua, vb, w))
     box = {"x1": (-w, w), "x2": (-w, w)}
     for target in basis_up_to(params["weight-cap"]):
         table = dilated_bracket_lhs(target, w, caps)
-        for alpha in sorted(uslices):
-            ua = uslices[alpha]
-            for beta in sorted(vslices):
-                vb = vslices[beta]
-                lhs, rhs = _comm_sides(ua, vb, target, w, rhs_tables[(alpha, beta)])
-                for cell, va, vv in _cell_diffs(lhs, rhs, box):
-                    note_diff(mismatches, [alpha, beta, *cell], va, vv, target)
-                if alpha < 0 or beta < 0:
-                    # scalar slices commute; the bracket engine has no
-                    # monomials there, so both sides must vanish
-                    for b in range(-w, w + 1):
-                        for c in range(-w, w + 1):
-                            note_diff(
-                                mismatches,
-                                [alpha, beta, b, c],
-                                lhs.get((b, c)),
-                                None,
-                                target,
-                            )
-                    continue
+        for alpha, beta, ua, vb, rhs_table in pairs:
+            lhs, rhs = _comm_sides(ua, vb, target, w, rhs_table)
+            for cell, va, vv in _cell_diffs(lhs, rhs, box):
+                note_diff(mismatches, [alpha, beta, *cell], va, vv, target)
+            if alpha < 0 or beta < 0:
+                # scalar slices commute; the bracket engine has no
+                # monomials there, so both sides must vanish
                 for b in range(-w, w + 1):
                     for c in range(-w, w + 1):
-                        mono_table = table.get((b, c), {})
-                        lv = lhs.get((b, c), FockVector.zero())
-                        for g1 in range(ow1 + 1):
-                            for g2 in range(ow2 + 1):
-                                pred = FockVector.zero()
-                                for a1 in range(alpha, alpha + g1 + 1):
-                                    a2 = g1 - (a1 - alpha)
-                                    for a3 in range(beta, beta + g2 + 1):
-                                        a4 = g2 - (a3 - beta)
-                                        vec = mono_table.get((a1, a2, a3, a4))
-                                        if vec is None:
-                                            continue
-                                        fac = ca.binom(a1, alpha) * ca.binom(a3, beta)
-                                        if fac:
-                                            pred = pred + vec.scaled(fac)
-                                # the binomial resummation of the table
-                                # already carries one transport factor
-                                # b^g1/g1! c^g2/g2!, so only the cell is
-                                # scaled before comparing
-                                fac = F(b**g1, math.factorial(g1))
-                                fac *= F(c**g2, math.factorial(g2))
-                                note_diff(
-                                    mismatches,
-                                    [alpha, g1, beta, g2, b, c],
-                                    lv.scaled(fac),
-                                    pred.scaled(4),
-                                    target,
-                                )
+                        note_diff(mismatches, [alpha, beta, b, c], lhs.get((b, c)), None, target)
+                continue
+            for b in range(-w, w + 1):
+                for c in range(-w, w + 1):
+                    mono_table = table.get((b, c), {})
+                    lv = lhs.get((b, c), FockVector.zero())
+                    for g1 in range(ow1 + 1):
+                        for g2 in range(ow2 + 1):
+                            # a1 >= alpha >= 0 and a3 >= beta >= 0: integer weights
+                            pred = _weighted_sum(
+                                (math.comb(a1, alpha) * math.comb(a3, beta), vec)
+                                for a1 in range(alpha, alpha + g1 + 1)
+                                for a3 in range(beta, beta + g2 + 1)
+                                if (vec := mono_table.get((a1, g1 - (a1 - alpha), a3, g2 - (a3 - beta))))
+                            )
+                            # the binomial resummation of the table
+                            # already carries one transport factor
+                            # b^g1/g1! c^g2/g2!, so only the cell is
+                            # scaled before comparing
+                            fac = F(b**g1, math.factorial(g1))
+                            fac *= F(c**g2, math.factorial(g2))
+                            note_diff(
+                                mismatches,
+                                [alpha, g1, beta, g2, b, c],
+                                lv.scaled(fac),
+                                pred.scaled(4),
+                                target,
+                            )

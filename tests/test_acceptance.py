@@ -129,12 +129,12 @@ def test_criterion_07_bracket_identities():
     runs = [
         ("NEWJACOBI", {"x-window": 3, "weight-cap": 4}),
         ("NEWJACOBI", {"u": OMEGA, "x-window": 3, "weight-cap": 4}),
-        ("COMM", {"x-window": 3, "y-order": 2, "weight-cap": 4}),
-        ("COMM", {"u": OMEGA, "x-window": 3, "y-order": 2, "weight-cap": 4}),
+        ("COMM", {"x-window": 3, "weight-cap": 4}),
+        ("COMM", {"u": OMEGA, "x-window": 3, "weight-cap": 4}),
         ("GENJACOBI", {"y-orders": [2, 2], "w-orders": [2, 2], "x-window": 2, "weight-cap": 4}),
         ("GENJACOBI", {"u1": OMEGA, "y-orders": [1, 1], "w-orders": [1, 1], "x-window": 1, "weight-cap": 4}),
-        ("GENCOMM", {"y-orders": [2, 2], "y-order": 2, "x-window": 2, "weight-cap": 4}),
-        ("GENCOMM", {"u1": OMEGA, "y-orders": [2, 2], "y-order": 2, "x-window": 2, "weight-cap": 4}),
+        ("GENCOMM", {"y-orders": [2, 2], "x-window": 2, "weight-cap": 4}),
+        ("GENCOMM", {"u1": OMEGA, "y-orders": [2, 2], "x-window": 2, "weight-cap": 4}),
     ]
     ok = True
     for cid, params in runs:

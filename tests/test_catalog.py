@@ -42,10 +42,9 @@ RUNS = [
     ["AXIOMS", "--weight-cap", "2", "--x-window", "2"],
     ["JACOBI", "--weight-cap", "1", "--x-window", "1"],
     ["NEWJACOBI", "--weight-cap", "1", "--x-window", "1"],
-    ["COMM", "--weight-cap", "2", "--x-window", "2", "--y-order", "2"],
+    ["COMM", "--weight-cap", "2", "--x-window", "2"],
     ["GENJACOBI", "--weight-cap", "1", "--x-window", "1", "--y-order", "1", "--y-order", "0"],
-    ["GENCOMM", "--weight-cap", "1", "--x-window", "1"]
-    + ["--y-order", "1", "--y-order", "1", "--y-order", "2"],
+    ["GENCOMM", "--weight-cap", "1", "--x-window", "1", "--y-order", "1", "--y-order", "1"],
     ["FOURTERM", "--weight-cap", "1", "--x-window", "1", "--y-order", "1", "--y-order", "1"],
     ["SPECIALIZE", "--weight-cap", "2", "--x-window", "1", "--y-order", "1", "--y-order", "0"],
     ["BRIDGE", "--weight-cap", "2", "--mode-range", "1", "--y-order", "1", "--y-order", "1"],
@@ -67,7 +66,7 @@ def test_report_matches_golden(argv, capsys):
 
 
 # sha256 of the stdout of `zetafock verify all`
-VERIFY_ALL_SHA256 = "f30d459b761aecd5f6f29421fabebf40d8fca2932481dfe9d7428e18c4556401"
+VERIFY_ALL_SHA256 = "b956217644fae66646d4029e9346d4786e7a7d2ccd5b44847f2ee5fa80a433ab"
 
 
 def test_verify_all_bytes_are_pinned(capsys):
@@ -80,6 +79,46 @@ def test_verify_all_bytes_are_pinned(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_SHA256
+
+
+class _ReadRecorder(dict):
+    """A parameter block that records every key a check body reads."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def pop(self, key, *default):
+        self.read.add(key)
+        return super().pop(key, *default)
+
+
+def test_every_default_is_read(monkeypatch):
+    # a default its body never reads would take a flag or an override and
+    # echo it in the report without using it
+    blocks = []
+
+    def recording(check_id, params, body):
+        blocks.append(_ReadRecorder(params))
+        return real(check_id, blocks[-1], body)
+
+    real = catalog.timed_check
+    monkeypatch.setattr(catalog, "timed_check", recording)
+    unread = {}
+    for cid in catalog.CATALOG_IDS:
+        assert catalog.run_check(cid).passed
+        missed = sorted(set(catalog.REGISTRY[cid].defaults) - blocks[-1].read)
+        if missed:
+            unread[cid] = missed
+    assert unread == {}
 
 
 def test_mismatch_cap_keeps_the_total(monkeypatch):

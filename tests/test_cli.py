@@ -104,7 +104,7 @@ def test_config_rejects_malformed_line(tmp_path, capsys):
 def test_nonpositive_bounds_rejected(capsys):
     assert run(["verify", "core", "--weight-cap", "0"], capsys)[0] == 2
     assert run(["verify", "COMM", "--x-window", "-1"], capsys)[0] == 2
-    assert run(["verify", "COMM", "--y-order", "-1"], capsys)[0] == 2
+    assert run(["verify", "BRIDGE", "--y-order", "-1"], capsys)[0] == 2
 
 
 @pytest.mark.parametrize("value", ["0", "-2", "x", "2.5", ""])
@@ -150,7 +150,7 @@ def test_config_rejects_an_empty_y_order_entry(value, tmp_path, capsys):
 
 def test_y_order_flag_reaches_check(capsys):
     code, out, _ = run(
-        ["verify", "COMM", "--y-order", "1", "--weight-cap", "2", "--x-window", "2"],
+        ["verify", "BRIDGE", "--y-order", "1", "--weight-cap", "2", "--mode-range", "1"],
         capsys,
     )
     assert code == 0
@@ -187,6 +187,16 @@ def test_y_order_values_fill_the_first_slots(tmp_path, capsys):
             "suite=COMM\ny-order=1,2\n",
             ["--y-order", "COMM"],
         ),
+        (
+            ["COMM", "--y-order", "1"],
+            "suite=COMM\ny-order=1\n",
+            ["--y-order is not accepted by COMM"],
+        ),
+        (
+            ["BRIDGE", "--y-order", "1", "--y-order", "2", "--y-order", "3"],
+            "suite=BRIDGE\ny-order=1,2,3\n",
+            ["--y-order takes at most 2 value(s) for BRIDGE, got 3"],
+        ),
     ],
 )
 def test_inapplicable_flags_are_usage_errors(flags, config, named, tmp_path, capsys):
@@ -200,20 +210,12 @@ def test_inapplicable_flags_are_usage_errors(flags, config, named, tmp_path, cap
     assert run(["verify", "--config", str(cfg)], capsys) == (2, "", err)
 
 
-def test_exit_one_on_failure_and_window_status(capsys):
-    real = cli.run_suite
+def test_exit_one_on_failure(capsys, monkeypatch):
     entry = {"monomial": [0], "lhs": "0", "rhs": "1", "target": []}
-    cli.run_suite = lambda sel, ov: [CheckReport("X", {}, "fail", [entry], 1)]
-    try:
-        code, out, _ = run(["verify", "core"], capsys)
-        assert code == 1
-        assert json.loads(out)["mismatches"] == [entry]
-        cli.run_suite = lambda sel, ov: [
-            CheckReport("X", {}, "window-insufficient", [], 1)
-        ]
-        assert run(["verify", "core"], capsys)[0] == 1
-    finally:
-        cli.run_suite = real
+    monkeypatch.setattr(cli, "run_suite", lambda sel, ov: [CheckReport("X", {}, "fail", [entry], 1)])
+    code, out, _ = run(["verify", "core"], capsys)
+    assert code == 1
+    assert json.loads(out)["mismatches"] == [entry]
 
 
 def test_table_bernoulli(capsys):

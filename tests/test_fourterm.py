@@ -3,7 +3,7 @@
 voa._fourterm_table builds the right side of the four-term identity as
 finite sums of nested bracket images with scalar weights.  The code
 below is the earlier route, kept unchanged as the oracle: each bracket
-chain is a Series in the bracket variables, built through
+chain is a Series in the bracket variables, built from the slices of
 y_bracket_apply, multiplied by exponentials, Taylor-shifted, substituted
 and reduced to its residue in the series ring, and _series_table turns
 the mapped result into a cell table after checking that it is known on
@@ -57,12 +57,19 @@ def _series_table(side: Series, box, name: str) -> "dict[tuple[int, ...], FockVe
     return dict(side.terms())
 
 
+def _bracket_series(u, v, order: int) -> Series:
+    """The slices of y_bracket_apply(u, v, order) as a Series in y, known
+    up to y^order."""
+    slices = {(q,): vec for q, vec in y_bracket_apply(u, v, order).items()}
+    return Series([VarWindow("y", NEG_INF, order, NEG_INF, POS_INF)], slices)
+
+
 def _bracket_on_series(g: Series, yvar: str, order: int, u=None, v=None) -> Series:
     """Bracket field y_bracket_apply(u, v) in a fresh variable, applied
     coefficientwise: each coefficient of g fills the slot left None."""
     pieces = []
     for exps, vec in g.terms():
-        br = y_bracket_apply(vec if u is None else u, vec if v is None else v, order)
+        br = _bracket_series(vec if u is None else u, vec if v is None else v, order)
         br = br.rename({"y": yvar})
         pieces.append(mul(br, ca.monomial(dict(zip(g.variables, exps)))))
     if not pieces:
@@ -125,20 +132,20 @@ def _fourterm_chains(u1, v1, u2, v2, orders, levels):
     du = _wt_max(u1) + _wt_max(v2)
     dt4 = _wt_max(u2) + _wt_max(u1)
 
-    r1 = y_bracket_apply(v1, v2, l1).rename({"y": "t1"})
+    r1 = _bracket_series(v1, v2, l1).rename({"y": "t1"})
     r3 = _bracket_on_series(
         _bracket_on_series(r1, "y1", o1 + max(dv - 1, 0), u=u1), "y2", o2, u=u2
     )
 
-    q1 = y_bracket_apply(u1, v2, l1).rename({"y": "t2"})
+    q1 = _bracket_series(u1, v2, l1).rename({"y": "t2"})
     q2 = _negate_var(_bracket_on_series(q1, "__z", o1 + max(du - 1, 0), u=v1), "__z", "y1")
     q3 = _bracket_on_series(q2, "y2", o2, u=u2)
 
-    s1 = y_bracket_apply(u2, v1, l2).rename({"y": "t3"})
+    s1 = _bracket_series(u2, v1, l2).rename({"y": "t3"})
     s2 = _bracket_on_series(s1, "y1", o1, u=u1)
     s3 = _bracket_on_series(s2, "y2", o2 + max(_wt_max(u2) + _wt_max(v1) - 1, 0), v=v2)
 
-    p1 = y_bracket_apply(u2, u1, l3).rename({"y": "t4"})
+    p1 = _bracket_series(u2, u1, l3).rename({"y": "t4"})
     p2 = _bracket_on_series(p1, "y1", o1, v=v1)
     cap_a = o1 + _pole_depth(p2, "y1")
     cap_b = max(dt4 - 1, 0)
@@ -266,21 +273,13 @@ def test_fourterm_table_matches_series_route_seeded():
     assert nonzero >= 100 and cells > nonzero, (nonzero, cells)
 
 
-def test_inner_orders_change_no_value():
-    # any order >= 0 holds every image the residue reads; a negative one
-    # is refused as y_bracket_apply refuses it, and a list that is not
-    # one order per innermost bracket as the series route refused it
+def test_inner_orders_is_an_unknown_parameter():
+    # the right side reads every innermost image the residue needs, so
+    # FOURTERM has no order for its innermost brackets and refuses one
     base = {"u1": OMEGA, "v2": MIXED, "weight-cap": 1, "x-window": 1}
-    want = catalog.run_check("FOURTERM", base)
-    assert want.passed
-    for orders in ([0, 0, 0], [0, 3, 1], [4, 4, 4]):
-        rep = catalog.run_check("FOURTERM", {**base, "inner-orders": orders})
-        assert (rep.status, rep.mismatches) == (want.status, want.mismatches)
-    for orders in ([-1, 2, 2], [2, 2, -1]):
-        with pytest.raises(ValueError, match="bracket order must be >= 0"):
-            catalog.run_check("FOURTERM", {**base, "inner-orders": orders})
-    for orders in ([2, 2], [2, 2, 2, 2]):
-        with pytest.raises(ValueError):
+    assert catalog.run_check("FOURTERM", base).passed
+    for orders in ([2, 2, 2], [-1, 2, 2]):
+        with pytest.raises(ValueError, match=r"unknown parameter\(s\) inner-orders for FOURTERM"):
             catalog.run_check("FOURTERM", {**base, "inner-orders": orders})
 
 

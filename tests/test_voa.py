@@ -252,21 +252,21 @@ def test_mismatch_recording_shape():
 
 def test_bracket_on_vacuum_is_creation():
     for u in basis_up_to(3):
-        slices = voa._bracket_slices(u, VAC, 2)
+        slices = voa.y_bracket_apply(u, VAC, 2)
         assert slices[0] == u
         assert not any(qq < 0 for qq in slices)
 
 
 def test_bracket_of_vacuum_is_identity():
     for v in basis_up_to(3):
-        assert voa._bracket_slices(VAC, v, 3) == {0: v}
+        assert voa.y_bracket_apply(VAC, v, 3) == {0: v}
 
 
 def test_bracket_vacuum_scalars_match_todd_numbers():
     # the scalar component of slice q of the current bracketed with
     # itself is -(q+1) times the Todd coefficient of degree q+2
     todd = ca.todd_coeffs(8)
-    slices = voa._bracket_slices(GEN, GEN, 5)
+    slices = voa.y_bracket_apply(GEN, GEN, 5)
     assert slices[-2].coeff(()) == 1
     assert -1 not in slices
     for qq in range(0, 5):
@@ -307,7 +307,7 @@ def test_comm_heisenberg_oracle():
 
 def test_newjacobi_and_comm_pass():
     assert catalog.run_check("NEWJACOBI", {"x-window": 1, "weight-cap": 2}).passed
-    assert catalog.run_check("COMM", {"x-window": 2, "y-order": 2, "weight-cap": 2}).passed
+    assert catalog.run_check("COMM", {"x-window": 2, "weight-cap": 2}).passed
 
 
 def test_gen_identities_pass_small():
@@ -343,7 +343,7 @@ def test_fourterm_passes_with_conformal_vector(slot):
 def test_genjacobi_degenerates_to_newjacobi():
     # at bracket order zero against the vacuum the slice tables collapse
     # to the plain inputs, so the general identity IS the plain one
-    assert voa._bracket_slices(GEN, VAC, 0) == {0: GEN}
+    assert voa.y_bracket_apply(GEN, VAC, 0) == {0: GEN}
     rep = catalog.run_check(
         "GENJACOBI",
         {"v1": VAC, "v2": VAC, "y-orders": [0, 0], "w-orders": [0, 0],
@@ -360,7 +360,7 @@ def test_bridge_passes_and_vacuum_scalar():
     # of slice 2, namely -2 * 1/240
     lhs = q.gen_quadratic_coeff(1, 1, 0, VAC, regularized=True).scaled(2)
     assert lhs == VAC.scaled(F(-1, 120))
-    w2 = voa._bracket_slices(GEN, GEN, 2)[2]
+    w2 = voa.y_bracket_apply(GEN, GEN, 2)[2]
     rhs = voa.x_mode(w2, 0, VAC).scaled(-2)
     assert rhs == VAC.scaled(F(-1, 120))
 
@@ -374,6 +374,13 @@ def test_residue_link_small():
     params = {"u": GEN, "v": GEN, "targets": [FockVector.basis((1, 1))], "x-window": 2}
     voa.residue_link_diffs(params, mismatches)
     assert mismatches == []
+
+
+def test_residue_link_refuses_a_window_below_one():
+    # the x0^-1 slice it compares lies outside the cube of a window 0
+    params = {"u": GEN, "v": GEN, "targets": [VAC], "x-window": 0}
+    with pytest.raises(ValueError, match="x-window must be at least 1, got 0"):
+        voa.residue_link_diffs(params, [])
 
 
 def test_residue_link_fails_on_a_doubled_bracket(monkeypatch):
@@ -551,8 +558,11 @@ def test_bracket_and_right_sides_equal_series_route_seeded():
             u, v = (MIXED, mixed_uv, MIXED)[trial], (mixed_uv, MIXED, OMEGA)[trial]
         y_order, win = rng.randrange(0, 5), rng.randrange(1, 4)
         got, want = voa.y_bracket_apply(u, v, y_order), _series_bracket(u, v, y_order)
-        assert got.windows() == want.windows(), (trial, u, v, y_order)
-        assert dict(got.terms()) == dict(want.terms()), (trial, u, v, y_order)
+        # the series' slices, all nonzero and ascending, up to y_order
+        assert list(got.items()) == [(qq, vec) for (qq,), vec in want.terms()], (
+            trial, u, v, y_order,
+        )
+        assert (want.window("y").low, want.window("y").high) == (NEG_INF, y_order)
         table = voa._newjacobi_rhs(u, v, win)
         assert table == _series_newjacobi_rhs(u, v, win), (trial, u, v, win)
         comm = voa._comm_rhs(u, v, win)
