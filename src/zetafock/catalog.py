@@ -73,12 +73,7 @@ def _heisenberg(params, mismatches):
 
 
 def _bracket_grid(params, mismatches, mode, central):
-    R = params["mode-range"]
-    for m in range(-R, R + 1):
-        for n in range(-R, R + 1):
-            mode_bracket_diffs(
-                mismatches, [m, n], m, n, params["weight-cap"], mode, central(m)
-            )
+    mode_bracket_diffs(mismatches, params["mode-range"], params["weight-cap"], mode, central)
 
 
 def _virasoro(params, mismatches):

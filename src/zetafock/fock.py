@@ -261,9 +261,9 @@ def h_apply(n: int, v: FockVector) -> FockVector:
     return FockVector.from_ints(out, v._den)
 
 
-# The partitions in voa's cached mode images and in the creation tables,
-# one tuple object per partition: equal keys in different cache entries
-# are shared
+# The partitions in voa's cached mode images, in the creation tables and
+# in quadratic's cached images, one tuple object per partition: equal keys
+# in different cache entries are shared
 _PARTS: "dict[tuple[int, ...], tuple[int, ...]]" = {}
 
 

@@ -33,10 +33,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Iterable
 
 from . import calculus as ca
-from .fock import FockVector, basis_up_to, h_apply, partitions_of
+from .fock import _PARTS, FockVector, basis_up_to, h_apply, partitions_of
 from .reports import mismatch_entry, note_diff
 
 F = Fraction
@@ -190,7 +191,7 @@ def _quad_on_basis(
             continue
         p2 = second[0]
         acc[p2] = acc.get(p2, 0) + j**r_left * k**r_right * first[1] * second[1]
-    return tuple((p, x) for p, x in acc.items() if x)
+    return tuple((_PARTS.setdefault(p, p), x) for p, x in acc.items() if x)
 
 
 def quad_apply(op: QuadraticOpSpec, v: FockVector) -> FockVector:
@@ -268,17 +269,22 @@ def gen_quadratic_coeff(
 # Bracket checks on the mode level
 
 
-def mode_bracket_diffs(
-    mismatches: list, prefix: list, m: int, n: int, W: int, mode, central: Fraction
-) -> None:
-    """[mode(m), mode(n)] = (m-n) mode(m+n) + central delta_{m+n,0} on
-    every basis state of weight <= W."""
+def mode_bracket_diffs(mismatches: list, R: int, W: int, mode, central) -> None:
+    """[mode(m), mode(n)] = (m-n) mode(m+n) + central(m) delta_{m+n,0} for
+    m, n in [-R, R] on every basis state of weight <= W.  Per state v, each
+    mode(k, v) and mode(m, mode(n, v)) is computed once; mismatches are
+    listed pair by pair in (m, n) order, prefixed by [m, n]."""
+    grid = [(m, n) for m in range(-R, R + 1) for n in range(-R, R + 1)]
+    per_pair: dict = {mn: [] for mn in grid}
     for v in basis_up_to(W):
-        lhs = mode(m, mode(n, v)) - mode(n, mode(m, v))
-        rhs = mode(m + n, v).scaled(m - n)
-        if m + n == 0:
-            rhs = rhs + v.scaled(central)
-        note_diff(mismatches, prefix, lhs, rhs, v)
+        single = {k: mode(k, v) for k in range(-2 * R, 2 * R + 1)}
+        double = {(m, n): mode(m, single[n]) for m, n in grid}
+        for m, n in grid:
+            rhs = single[m + n].scaled(m - n)
+            if m + n == 0:
+                rhs = rhs + v.scaled(central(m))
+            note_diff(per_pair[m, n], [m, n], double[m, n] - double[n, m], rhs, v)
+    mismatches.extend(itertools.chain(*per_pair.values()))
 
 
 def virasoro_central(m: int) -> Fraction:
@@ -341,13 +347,23 @@ def _diag_eigenvalue(t: int, parts: tuple[int, ...]) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _eigen_rows(T: int, W: int) -> "tuple[tuple[tuple[int, ...], tuple[Fraction, ...]], ...]":
-    """(parts, eigenvalue row of orders 0..T) for every basis state of
-    weight <= W, in weight order; shared by every (r, s, m) with r + s = T."""
-    return tuple(
+def _eigen_rows(
+    T: int, W: int
+) -> "tuple[tuple[tuple[int, ...], tuple[Fraction, ...], tuple[int, ...]], ...]":
+    """(parts, eigenvalue row of orders 0..T, integer row) for every basis
+    state of weight <= W, in weight order; shared by every (r, s, m) with
+    r + s = T.  The integer row is the eigenvalue row with a trailing 1 for
+    the identity, times the common denominator of all rows, so its last
+    entry is that denominator."""
+    eigs = [
         (parts, tuple(_diag_eigenvalue(t, parts) for t in range(T + 1)))
         for w in range(W + 1)
         for parts in partitions_of(w)
+    ]
+    den = math.lcm(*[e.denominator for _, eig in eigs for e in eig])
+    return tuple(
+        (parts, eig, tuple(e.numerator * (den // e.denominator) for e in eig) + (den,))
+        for parts, eig in eigs
     )
 
 
@@ -362,7 +378,7 @@ def _fit_inverse(
     independent, one per unknown, and the inverse of that square block;
     None when the rows leave a free direction.  With full column rank a
     solution of the whole system, if any, is the block's solution."""
-    rows = [list(eig) + [F(1)] for parts, eig in _eigen_rows(T, W) if parts]
+    rows = [list(eig) + [F(1)] for parts, eig, _ in _eigen_rows(T, W) if parts]
     ncols = T + 2
     picked: list[int] = []
     reduced: list[tuple[int, list[Fraction]]] = []
@@ -400,41 +416,40 @@ def central_term(r: int, s: int, m: int, W: "int | None" = None) -> Fraction:
 
     The fitting rows depend on T = r + s and W only, so they and their
     elimination are cached (_eigen_rows, _fit_inverse); a system without
-    full column rank goes through _solve_exact, which reports it."""
+    full column rank goes through _solve_exact, which reports it.  Both
+    checks read each state's diagonal value, one integer dot product."""
     if m == 0:
         raise ValueError("mode must be nonzero")
     if W is None:
         W = 2 * r + 2 * s + 4
     T = r + s
     states = _eigen_rows(T, W)
-    rows: list[list[Fraction]] = []
-    vals: list[Fraction] = []
-    actions: list[tuple[tuple[int, ...], FockVector, tuple[Fraction, ...]]] = []
-    for parts, eig in states:
+    kvs = []
+    for parts, _, _ in states:
         v = FockVector.basis(parts)
-        kv = lbar_r(r, m, lbar_r(s, -m, v)) - lbar_r(s, -m, lbar_r(r, m, v))
-        actions.append((parts, kv, eig))
-        if parts:
-            rows.append(list(eig) + [F(1)])
-            vals.append(kv.coeff(parts))
+        kvs.append(lbar_r(r, m, lbar_r(s, -m, v)) - lbar_r(s, -m, lbar_r(r, m, v)))
+    vals = [F(kv._num.get(parts, 0), kv._den) for (parts, _, _), kv in zip(states, kvs) if parts]
     fit = _fit_inverse(T, W)
     if fit is None:
-        sol = _solve_exact(rows, vals)
+        # fewer than T + 2 independent rows: _solve_exact raises, or
+        # returns None when the rows are inconsistent
+        sol = _solve_exact([list(eig) + [F(1)] for parts, eig, _ in states if parts], vals)
     else:
         picked, inverse = fit
         sol = [sum((c * vals[i] for c, i in zip(row, picked)), F(0)) for row in inverse]
-        if any(sum(a * x for a, x in zip(row, sol)) != val for row, val in zip(rows, vals)):
-            sol = None
-    if sol is None:
+    if sol is not None:
+        # a state's diagonal value is sum(C * ints) / (den * ints[-1])
+        den = math.lcm(*[x.denominator for x in sol])
+        C = [x.numerator * (den // x.denominator) for x in sol]
+        agree = [
+            kv._num.get(parts, 0) * den * ints[-1] == sum(map(mul, C, ints)) * kv._den
+            for (parts, _, ints), kv in zip(states, kvs)
+        ]
+    if sol is None or not all(ok for (parts, _, _), ok in zip(states, agree) if parts):
         raise ValueError("identity-part extraction is inconsistent at this weight cap")
-    coeffs, lam = sol[:-1], sol[-1]
-    for parts, kv, eig in actions:
-        diag = sum((c * e for c, e in zip(coeffs, eig)), lam)
-        if kv != FockVector.basis(parts).scaled(diag):
-            raise ValueError(
-                "bracket is not a diagonal combination plus identity at this weight cap"
-            )
-    return lam
+    if not all(agree) or any(kv._num.keys() - {parts} for (parts, _, _), kv in zip(states, kvs)):
+        raise ValueError("bracket is not a diagonal combination plus identity at this weight cap")
+    return sol[-1]
 
 
 def pure_monomial_check(

@@ -81,6 +81,35 @@ def test_verify_all_bytes_are_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_SHA256
 
 
+# sha256 of the --out file of each mode-grid benchmark command
+MODE_GRID_SHA256 = {
+    "VIRASORO": "db63ac9bad2f4ecfc9f15238487054b991a4b042be61476c7978512bf1fd0826",
+    "MODVIR": "a8e8c2ccbd666176a36498228f5737927e79494eebe47138ab866598d21260d7",
+    "BLOCH-MONOMIAL": "88adfa5f643d2ffe2779c1af9ac72217cf96b17a3f7801da3b139231e0dcf66e",
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["VIRASORO", "--weight-cap", "10"], ["MODVIR", "--weight-cap", "10"], ["BLOCH-MONOMIAL"]],
+    ids=lambda argv: argv[0],
+)
+def test_mode_grid_bytes_are_pinned(argv, tmp_path):
+    # the golden file holds these ids at small flags only; these are the
+    # benchmark's scales, above the weight cap 8 of the defaults
+    out = tmp_path / "report.jsonl"
+    assert cli.main(["verify"] + argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == MODE_GRID_SHA256[argv[0]]
+
+
+def test_bloch_monomial_passes_at_mode_range_12():
+    # the law m^(2T+3) B(T+2, T+3) for r, s <= 2 at every m <= 12
+    rep = catalog.run_check("BLOCH-MONOMIAL", {"mode-range": 12})
+    assert rep.status == "pass", rep.mismatches[:3]
+    assert rep.params["modes"] == list(range(1, 13))
+    assert len(rep.params["values"]) == 9 * 12
+
+
 class _ReadRecorder(dict):
     """A parameter block that records every key a check body reads."""
 

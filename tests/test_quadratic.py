@@ -17,10 +17,10 @@ from fractions import Fraction
 import pytest
 
 from zetafock import calculus as ca
-from zetafock import catalog
+from zetafock import catalog, fock
 from zetafock import quadratic as q
 from zetafock.fock import FockVector, basis_up_to, h_apply, weight_components
-from zetafock.reports import format_scalar, mismatch_entry
+from zetafock.reports import format_scalar, mismatch_entry, note_diff
 from zetafock.series import NEG_INF, POS_INF, Series, VarWindow, diff_on_box
 
 F = Fraction
@@ -165,6 +165,20 @@ def test_quad_apply_against_the_full_mode_window():
                 assert got == want[(r1, r2)], (v, n, r1, r2)
 
 
+def test_quad_on_basis_images_hold_interned_partitions():
+    # each image partition is the tuple fock._PARTS holds, so cache
+    # entries share one object per partition
+    seen = 0
+    for v in basis_up_to(5):
+        ((parts, _),) = v.terms()
+        for n in range(-3, 4):
+            for r1, r2 in ((0, 0), (1, 2)):
+                for p, _ in q._quad_on_basis(r1, r2, n, parts):
+                    assert fock._PARTS.get(p) is p, (parts, n, p)
+                    seen += 1
+    assert seen
+
+
 def test_quad_apply_on_mixed_denominators_is_linear():
     v = FockVector({(2, 1): F(1, 3), (3,): F(-5, 2), (1, 1, 1): F(7, 4)})
     for n in (-2, 0, 3):
@@ -206,12 +220,47 @@ def test_modified_virasoro_check_grid():
 
 def test_wrong_central_term_fails():
     # negative control: the shifted modes do not satisfy the unshifted
-    # central term, and the check body must say so
+    # central term, and the grid must say so on the m + n = 0 diagonal
     mismatches = []
-    q.mode_bracket_diffs(mismatches, [], 2, -2, 4, q.lbar_mode, F(2**3 - 2, 12))
+    q.mode_bracket_diffs(mismatches, 2, 4, q.lbar_mode, q.virasoro_central)
     assert mismatches
+    assert all(e["monomial"][0] + e["monomial"][1] == 0 for e in mismatches)
     entry = mismatches[0]
     assert set(entry) == {"monomial", "lhs", "rhs", "target"}
+
+
+def _bracket_pair_oracle(mismatches, prefix, m, n, W, mode, central):
+    # the per-pair loop the grid replaced: five fresh images per state
+    for v in basis_up_to(W):
+        lhs = mode(m, mode(n, v)) - mode(n, mode(m, v))
+        rhs = mode(m + n, v).scaled(m - n)
+        if m + n == 0:
+            rhs = rhs + v.scaled(central)
+        note_diff(mismatches, prefix, lhs, rhs, v)
+
+
+def test_mode_bracket_grid_matches_the_per_pair_loop():
+    # the shared per-state images give the entries, values and order of
+    # one per-pair loop per (m, n), on a passing grid and two failing ones
+    def doubled_at_2(n, v):
+        img = q.l_mode(n, v)
+        return img.scaled(2) if n == 2 else img
+
+    cases = (
+        (q.lbar_mode, q.modvir_central, 6, 0),
+        (q.l_mode, q.modvir_central, 4, 72),
+        (doubled_at_2, q.virasoro_central, 5, 164),
+    )
+    R = 3
+    for mode, central, W, count in cases:
+        want = []
+        for m in range(-R, R + 1):
+            for n in range(-R, R + 1):
+                _bracket_pair_oracle(want, [m, n], m, n, W, mode, central(m))
+        got = []
+        q.mode_bracket_diffs(got, R, W, mode, central)
+        assert len(want) == count
+        assert got == want, (mode, central, W)
 
 
 def test_central_term_frozen_and_monomial():
@@ -255,6 +304,17 @@ def test_central_term_failures_keep_their_messages(monkeypatch):
         monkeypatch.setattr(q, cached.__name__, functools.lru_cache(cached.__wrapped__))
     with pytest.raises(ValueError, match="inconsistent"):
         q.central_term(0, 0, 1, 2)
+
+
+def test_central_term_reports_an_off_diagonal_bracket(monkeypatch):
+    # a stray state of weight 9 makes the bracket off-diagonal on every
+    # state of weight <= 4 while its diagonal coefficients still fit, so
+    # the consistency check passes and the diagonality check must fail
+    real = q.lbar_r
+    stray = FockVector.basis((9,))
+    monkeypatch.setattr(q, "lbar_r", lambda r, n, v: real(r, n, v) + stray)
+    with pytest.raises(ValueError, match="bracket is not a diagonal combination"):
+        q.central_term(0, 0, 1, 4)
 
 
 def test_solve_exact():
