@@ -14,11 +14,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, NamedTuple
 
-from . import calculus as ca
 from . import voa
 from .fock import FockVector, basis_up_to, character_offset, graded_dim, h_apply
 from .quadratic import (
@@ -34,6 +32,7 @@ from .quadratic import (
     zeta_neg,
 )
 from .reports import CheckReport, format_scalar, mismatch_entry, note_diff, timed_check
+from .scalars import em1_unit, residue_change_check
 
 F = Fraction
 
@@ -42,8 +41,12 @@ F = Fraction
 FLAGS = {"weight-cap": 1, "x-window": 1, "mode-range": 1, "seed": None}
 
 
-@dataclass(frozen=True)
-class Check:
+class SelectionError(ValueError):
+    """An unknown check, suite or parameter, or a flag no selected check
+    takes; raised before any check body runs."""
+
+
+class Check(NamedTuple):
     """One catalog entry.
 
     body(params, mismatches) appends mismatch entries and may add derived
@@ -221,8 +224,8 @@ def _res_change(params, mismatches):
         laurent[-depth] = F(rng.randrange(1, 9))
         # substitution x = y * s * (1 - e^y)/(-y): unit leading term -s
         s = F(rng.choice([1, 2, 3, -1, -2]), rng.choice([1, 2, 3]))
-        unit = {k: -s * c for k, c in ca.em1_unit(depth + 1).items()}
-        if not ca.residue_change_check(laurent, unit):
+        unit = {k: -s * c for k, c in em1_unit(depth + 1).items()}
+        if not residue_change_check(laurent, unit):
             # boolean outcome: got False (0) where True (1) is required
             mismatches.append(mismatch_entry([i], 0, 1, vac))
 
@@ -322,11 +325,11 @@ def run_check(check_id: str, params: "Mapping[str, Any] | None" = None) -> Check
     """One catalog check, with parameters overridden by name."""
     entry = REGISTRY.get(check_id)
     if entry is None:
-        raise ValueError(f"unknown check id {check_id!r}")
+        raise SelectionError(f"unknown check id {check_id!r}")
     params = dict(params or {})
     unknown = sorted(set(params) - set(entry.defaults))
     if unknown:
-        raise ValueError(f"unknown parameter(s) {', '.join(unknown)} for {check_id}")
+        raise SelectionError(f"unknown parameter(s) {', '.join(unknown)} for {check_id}")
     head = {"identity": check_id} if entry.head is None else entry.head
     return timed_check(check_id, {**head, **entry.defaults, **params}, entry.body)
 
@@ -373,7 +376,7 @@ def _require_accepted(ids: "tuple[str, ...]", flags: "Mapping[str, Any]") -> Non
         elif flag not in FLAGS or not any(flag in REGISTRY[c].defaults for c in ids):
             problems.append(f"--{flag} is not accepted by {names}")
     if problems:
-        raise ValueError("; ".join(problems))
+        raise SelectionError("; ".join(problems))
 
 
 def run_suite(
@@ -382,8 +385,9 @@ def run_suite(
     """Reports for a suite name or a single check id, in catalog order.
 
     flags maps verify flag names to their values ("y-order" to a list of
-    values); ValueError is raised before any check runs when a flag is
-    taken by none of the selected checks."""
+    values).  SelectionError is raised before any check runs when the
+    selection is unknown or a flag is taken by none of the selected
+    checks; an exception from a check body propagates unchanged."""
     if not selection:
         ids: "tuple[str, ...]" = ()
     elif selection in SUITES:
@@ -391,7 +395,7 @@ def run_suite(
     elif selection in REGISTRY:
         ids = (selection,)
     else:
-        raise ValueError(f"unknown suite or check id {selection!r}")
+        raise SelectionError(f"unknown suite or check id {selection!r}")
     flags = flags or {}
     _require_accepted(ids, flags)
     return [run_check(cid, _flag_params(cid, flags)) for cid in ids]

@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 
-from .catalog import CATALOG_IDS, FLAGS, SUITES, run_suite
+from .catalog import CATALOG_IDS, FLAGS, SUITES, SelectionError, run_suite
 from .fock import graded_dim
 from .quadratic import bernoulli, zeta_neg
 from .reports import format_scalar, render_reports
@@ -123,9 +123,11 @@ def _emit(text: str, out: "str | None") -> None:
 def _cmd_verify(args) -> int:
     cfg = _settings(args)
     flags = {k: cfg[k] for k in (*FLAGS, "y-order") if k in cfg}
+    # only the selection is a usage error; an exception from a check body
+    # is a fault of the program and propagates
     try:
         reports = run_suite(cfg.get("suite"), flags)
-    except ValueError as exc:
+    except SelectionError as exc:
         raise UsageError(str(exc)) from None
     _emit(render_reports(reports, cfg["format"]), cfg.get("out"))
     return 0 if all(r.passed for r in reports) else 1

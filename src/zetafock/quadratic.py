@@ -30,20 +30,18 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 from typing import Iterable
 
-from . import calculus as ca
 from .fock import _PARTS, FockVector, basis_up_to, h_apply, partitions_of
 from .reports import mismatch_entry, note_diff
+from .scalars import bernoulli_list, binom, todd_coeffs, u_mul
 
 F = Fraction
 
 __all__ = [
-    "QuadraticOpSpec",
     "bernoulli",
     "zeta_neg",
     "reg_constant",
@@ -71,7 +69,7 @@ __all__ = [
 
 @lru_cache(maxsize=None)
 def _bernoulli_row(n: int) -> tuple[Fraction, ...]:
-    return tuple(ca.bernoulli_list(n))
+    return tuple(bernoulli_list(n))
 
 
 def bernoulli(k: int) -> Fraction:
@@ -122,20 +120,6 @@ def pair_apply(j: int, k: int, v: FockVector) -> FockVector:
         for p2, c2 in _pair_on_basis(j, k, parts)._num.items():
             acc[p2] = acc.get(p2, 0) + c * c2
     return FockVector.from_ints({p: x for p, x in acc.items() if x}, v._den)
-
-
-@dataclass(frozen=True)
-class QuadraticOpSpec:
-    """Data selecting one quadratic operator.
-
-    r_left and r_right are the polynomial weights on the two mode
-    indices; they coincide for the named graded operators and differ
-    only for generating-function coefficients."""
-
-    r_left: int
-    r_right: int
-    n: int
-    regularized: bool = False
 
 
 def _h_on_parts(m: int, parts: tuple[int, ...]) -> "tuple[tuple[int, ...], int] | None":
@@ -194,10 +178,14 @@ def _quad_on_basis(
     return tuple((_PARTS.setdefault(p, p), x) for p, x in acc.items() if x)
 
 
-def quad_apply(op: QuadraticOpSpec, v: FockVector) -> FockVector:
-    """Exact image of v under the quadratic operator described by op.
+def quad_apply(
+    r_left: int, r_right: int, n: int, v: FockVector, regularized: bool = False
+) -> FockVector:
+    """Exact image of v under (1/2) sum_j j^r_left (n-j)^r_right :h(j)h(n-j):.
 
-    Per basis component the mode sum visits only the j for which
+    r_left and r_right are the polynomial weights on the two mode
+    indices; they coincide for the named graded operators and differ
+    only for generating-function coefficients.  Per basis component the mode sum visits only the j for which
     :h(j)h(n-j): can act (the parts, n minus a part, and the two-creator
     range n < j < 0); `_quad_on_basis` shows that every other term
     annihilates.  Coefficients are summed as integer numerators over
@@ -205,27 +193,27 @@ def quad_apply(op: QuadraticOpSpec, v: FockVector) -> FockVector:
     n = 0 with r_left = r_right."""
     acc: dict[tuple[int, ...], int] = {}
     for parts, s in v._num.items():
-        for p2, x in _quad_on_basis(op.r_left, op.r_right, op.n, parts):
+        for p2, x in _quad_on_basis(r_left, r_right, n, parts):
             acc[p2] = acc.get(p2, 0) + s * x
     out = FockVector.from_ints({p: x for p, x in acc.items() if x}, 2 * v._den)
-    if op.regularized and op.n == 0 and op.r_left == op.r_right:
-        out = out + v.scaled(reg_constant(op.r_left))
+    if regularized and n == 0 and r_left == r_right:
+        out = out + v.scaled(reg_constant(r_left))
     return out
 
 
 def l_mode(n: int, v: FockVector) -> FockVector:
     """Virasoro mode L(n)."""
-    return quad_apply(QuadraticOpSpec(0, 0, n, False), v)
+    return quad_apply(0, 0, n, v)
 
 
 def lbar_mode(n: int, v: FockVector) -> FockVector:
     """Shifted Virasoro mode: L(n) for n != 0, L(0) - 1/24 at n = 0."""
-    return quad_apply(QuadraticOpSpec(0, 0, n, True), v)
+    return quad_apply(0, 0, n, v, True)
 
 
 def lbar_r(r: int, n: int, v: FockVector) -> FockVector:
     """Regularized graded operator of order r at mode n."""
-    return quad_apply(QuadraticOpSpec(r, r, n, True), v)
+    return quad_apply(r, r, n, v, True)
 
 
 # ----------------------------------------------------------------------
@@ -245,8 +233,8 @@ def mixed_reg_constant(a: int, b: int) -> Fraction:
     if a < 0 or b < 0:
         raise ValueError("orders must be nonnegative")
     m = a + b
-    G = ca.todd_coeffs(m + 2)
-    return -F(1, 2) * (m + 1) * G[m + 2] * ca.binom(m, b) * (-1) ** b
+    G = todd_coeffs(m + 2)
+    return -F(1, 2) * (m + 1) * G[m + 2] * binom(m, b) * (-1) ** b
 
 
 def gen_quadratic_coeff(
@@ -259,7 +247,7 @@ def gen_quadratic_coeff(
     if a < 0 or b < 0:
         raise ValueError("orders must be nonnegative")
     sign = F((-1) ** (a + b), _fact(a) * _fact(b))
-    out = quad_apply(QuadraticOpSpec(a, b, n, False), v).scaled(sign)
+    out = quad_apply(a, b, n, v).scaled(sign)
     if regularized and n == 0:
         out = out + v.scaled(mixed_reg_constant(a, b))
     return out
@@ -551,15 +539,15 @@ def _phi_coeffs(n: int, order: int) -> "list[Fraction]":
     g(u) = sum over k of G_k u^(k-1), G_k the Todd coefficients, so g'
     and g'' start at u^-2 and u^-3, and these truncations reach every
     product term at or below u^order."""
-    G = ca.todd_coeffs(order + 3)
+    G = todd_coeffs(order + 3)
     g1 = {k - 2: (k - 1) * gk for k, gk in enumerate(G)}
     g2 = {k - 3: (k - 1) * (k - 2) * gk for k, gk in enumerate(G)}
     expn = {p: F(n**p, _fact(p)) for p in range(order + 4)}
     em1 = {**expn, 0: F(0)}
     ep1 = {p: n * c for p, c in expn.items()}
     ep1[0] += n
-    phi = ca.u_mul(g2, em1, order)
-    for e, c in ca.u_mul(g1, ep1, order).items():
+    phi = u_mul(g2, em1, order)
+    for e, c in u_mul(g1, ep1, order).items():
         phi[e] = phi.get(e, 0) + c
     bad = sorted(e for e, c in phi.items() if e < 0 and c)
     if bad:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, Mapping, Sequence
 
@@ -77,13 +76,22 @@ def note_diff(
         )
 
 
-@dataclass
 class CheckReport:
-    check_id: str
-    params: dict[str, Any]
-    status: str
-    mismatches: list[dict[str, Any]] = field(default_factory=list)
-    elapsed_ms: int = 0
+    """One check's outcome; each report gets its own mismatch list."""
+
+    def __init__(
+        self,
+        check_id: str,
+        params: dict[str, Any],
+        status: str,
+        mismatches: "list[dict[str, Any]] | None" = None,
+        elapsed_ms: int = 0,
+    ) -> None:
+        self.check_id = check_id
+        self.params = params
+        self.status = status
+        self.mismatches = [] if mismatches is None else mismatches
+        self.elapsed_ms = elapsed_ms
 
     @property
     def passed(self) -> bool:

@@ -48,7 +48,6 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from . import calculus as ca
 from .fock import (
     _PARTS,
     FockVector,
@@ -62,6 +61,7 @@ from .fock import (
 )
 from .quadratic import dilated_bracket_lhs, gen_quadratic_coeff
 from .reports import note_diff
+from .scalars import binom, em1_unit, todd_coeffs, u_mul, u_pow
 
 F = Fraction
 
@@ -188,7 +188,7 @@ def x_mode(u: FockVector, n: int, v: FockVector) -> FockVector:
 @lru_cache(maxsize=None)
 def _em1_power(e: int, order: int) -> "dict[int, Fraction]":
     """Coefficients of ((e^y - 1)/y)^e, complete to y^order."""
-    return ca.u_pow(ca.em1_unit(order), e, order)
+    return u_pow(em1_unit(order), e, order)
 
 
 def _kappa(e: int, w: int, order: int) -> "dict[int, Fraction]":
@@ -197,7 +197,7 @@ def _kappa(e: int, w: int, order: int) -> "dict[int, Fraction]":
     if order < 0:
         return {}
     ew = {j: F(w**j, math.factorial(j)) for j in range(order + 1)}
-    return ca.u_mul(_em1_power(e, order), ew, order)
+    return u_mul(_em1_power(e, order), ew, order)
 
 
 def _bracket_images(u: FockVector, v: FockVector, e_hi: int) -> list:
@@ -373,7 +373,7 @@ def _jacobi_rhs_cells(inner, target, w) -> "dict[tuple[int, int, int], FockVecto
             kernel = [
                 (a - e, kw, e, ie)
                 for e, ie in inner.items()
-                if e <= a and (kw := int(ca.binom(b + a - e, a - e)) * (-1) ** (a - e))
+                if e <= a and (kw := int(binom(b + a - e, a - e)) * (-1) ** (a - e))
             ]
             for c in range(-w, w + 1):
                 terms = []
@@ -419,7 +419,7 @@ def _delta_cells(outer, inner, target, w, mode, floor, n_sign):
     for a in range(-w, w + 1):
         n = -a - 1
         sign = n_sign if n % 2 else 1
-        kernel = [int(sign * (-1) ** k * ca.binom(n, k)) for k in range(w - floor + 1)]
+        kernel = [int(sign * (-1) ** k * binom(n, k)) for k in range(w - floor + 1)]
         for p in range(-w, w + 1):
             for q in range(-w, w + 1):
                 terms = []
@@ -487,7 +487,7 @@ def _newjacobi_rhs(u, v, win) -> "dict[tuple[int, int], FockVector]":
     for a in range(max(-win, lowest), win + 1):
         for n in range(a - win, a + win + 1):
             h = _weighted_sum(
-                (int(ca.binom(n - e - w, a - e)) * (-1) ** (a - e), img)
+                (int(binom(n - e - w, a - e)) * (-1) ** (a - e), img)
                 for w, e, img in images
                 if e <= a
             )
@@ -541,7 +541,7 @@ def _comm_rhs(u, v, win) -> "dict[int, FockVector]":
     table = {}
     for b in range(-win, win + 1):
         table[b] = _weighted_sum(
-            (int(ca.binom(w - b - 1, -e - 1)), img) for w, e, img in images
+            (int(binom(w - b - 1, -e - 1)), img) for w, e, img in images
         )
     return table
 
@@ -771,7 +771,7 @@ def _taylor(e, kap, k, sign) -> "dict[int, Fraction]":
     of y-exponents: each y^m gives C(m, k) sign^k y^(m-k)."""
     out = {}
     for i, c in kap.items():
-        x = ca.binom(e + i, k) * c
+        x = binom(e + i, k) * c
         if x:
             out[e + i - k] = x if sign > 0 or k % 2 == 0 else -x
     return out
@@ -803,7 +803,7 @@ def _fourterm_weight(key, b, levels, box, kappa) -> "dict[tuple[int, int], Fract
         kap1 = kappa(e1, w1, o2 + top + o1 - e2 - e1)
         for l in range(o1 - e2 + 1):
             shifted = {p + l: x for p, x in ps.items()}
-            pieces.append((r * ca.binom(k + l, k), shifted, _taylor(e1, kap1, k + l, -1)))
+            pieces.append((r * binom(k + l, k), shifted, _taylor(e1, kap1, k + l, -1)))
     out: "dict[tuple[int, int], Fraction]" = {}
     for r, ps, qs in pieces:
         for p, x in ps.items():
@@ -871,7 +871,7 @@ def bridge_diffs(params: dict, mismatches: list) -> None:
                         lhs = target.scaled(scal)
                     rhs = _fraction_sum(
                         (
-                            ca.binom(a + k, k) * (-1) ** k
+                            binom(a + k, k) * (-1) ** k
                             * F((-n) ** (bb - k), math.factorial(bb - k)),
                             xw.get(a + k),
                         )
@@ -883,7 +883,7 @@ def bridge_diffs(params: dict, mismatches: list) -> None:
 def _pole_scalar_coeffs() -> "dict[int, Fraction]":
     """Pole part of the reordering scalar: coefficients of minus the
     derivative of the regularized geometric kernel at negative orders."""
-    G = ca.todd_coeffs(3)
+    G = todd_coeffs(3)
     return {-2: -(-1) * G[0], -1: F(0)}
 
 

@@ -176,6 +176,6 @@ def test_criterion_10_property_suite():
         for n in (-1, 0, 2):
             for r in range(3):
                 got = q.gen_quadratic_coeff(r, r, n, v, regularized=True)
-                want = q.quad_apply(q.QuadraticOpSpec(r, r, n, True), v)
+                want = q.quad_apply(r, r, n, v, True)
                 ok = ok and got.scaled(math.factorial(r) ** 2) == want
     assert _line(10, ok, "seeded residue changes; Heisenberg grid; extraction consistency")

@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from zetafock import cli
+from zetafock import catalog, cli
 from zetafock.catalog import SUITES
 from zetafock.reports import CheckReport
 
@@ -247,6 +247,20 @@ def test_table_usage_errors(capsys):
 
 def test_missing_config_file(capsys):
     assert run(["verify", "core", "--config", "/nonexistent/x.cfg"], capsys)[0] == 2
+
+
+def test_a_check_body_error_is_not_a_usage_error(capsys, monkeypatch):
+    # exit 2 is for the selection and the flags, checked before any check
+    # runs; a ValueError raised inside a check body is a fault and propagates
+    def boom(n, v):
+        raise ValueError("boom inside body")
+
+    monkeypatch.setattr(catalog, "lbar_mode", boom)
+    with pytest.raises(ValueError, match="boom inside body"):
+        cli.main(["verify", "MODVIR", "--weight-cap", "2", "--mode-range", "1"])
+    assert "zetafock: error" not in capsys.readouterr().err
+    # an unknown selection is still a usage error
+    assert run(["verify", "NOPE"], capsys)[0] == 2
 
 
 def _no_checks(sel, flags):

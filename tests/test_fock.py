@@ -251,7 +251,7 @@ def test_numerator_storage_against_fraction_dicts_seeded():
         n = rng.randint(-4, 4)
         same(fo.h_apply(n, v), _ref_h(n, a))
         r1, r2, reg = rng.randint(0, 2), rng.randint(0, 2), rng.random() < 0.5
-        same(q.quad_apply(q.QuadraticOpSpec(r1, r2, n, reg), v), _ref_quad(r1, r2, n, reg, a))
+        same(q.quad_apply(r1, r2, n, v, reg), _ref_quad(r1, r2, n, reg, a))
         if i % 3 == 0:
             u = fo.FockVector({rng.choice(pool[1:8]): rand_coeff() for _ in range(2)})
             same(voa.vertex_mode(u, n, w), _ref_mode(_ref(u), n, b, False))

@@ -113,32 +113,26 @@ def test_quad_apply_weight_grading():
             v = v + rng.choice(vecs).scaled(rng.randint(-4, 4))
         n = rng.randint(-3, 3)
         r = rng.randint(0, 2)
-        img = q.quad_apply(q.QuadraticOpSpec(r, r, n, True), v)
+        img = q.quad_apply(r, r, n, v, True)
         for w, comp in weight_components(v):
-            img_comp = q.quad_apply(q.QuadraticOpSpec(r, r, n, True), comp)
+            img_comp = q.quad_apply(r, r, n, comp, True)
             for w2, _ in weight_components(img_comp):
                 assert w2 == w - n
         # linearity across the components
         total = FockVector.zero()
         for _, comp in weight_components(v):
-            total = total + q.quad_apply(q.QuadraticOpSpec(r, r, n, True), comp)
+            total = total + q.quad_apply(r, r, n, comp, True)
         assert total == img
 
 
 def test_regularized_flag_only_touches_mode_zero_diagonal():
     v = FockVector.basis((2, 1))
     for n in (-2, -1, 1, 2):
-        assert q.quad_apply(q.QuadraticOpSpec(1, 1, n, True), v) == q.quad_apply(
-            q.QuadraticOpSpec(1, 1, n, False), v
-        )
+        assert q.quad_apply(1, 1, n, v, True) == q.quad_apply(1, 1, n, v, False)
     # mixed weights at mode zero: no constant is added either
-    assert q.quad_apply(q.QuadraticOpSpec(1, 2, 0, True), v) == q.quad_apply(
-        q.QuadraticOpSpec(1, 2, 0, False), v
-    )
+    assert q.quad_apply(1, 2, 0, v, True) == q.quad_apply(1, 2, 0, v, False)
     # the diagonal case does shift
-    d = q.quad_apply(q.QuadraticOpSpec(1, 1, 0, True), v) - q.quad_apply(
-        q.QuadraticOpSpec(1, 1, 0, False), v
-    )
+    d = q.quad_apply(1, 1, 0, v, True) - q.quad_apply(1, 1, 0, v, False)
     assert d == v.scaled(q.reg_constant(1))
 
 
@@ -161,7 +155,7 @@ def test_quad_apply_against_the_full_mode_window():
                     for r1, r2 in orders:
                         want[(r1, r2)] += pv.scaled(F(j**r1 * k**r2, 2))
             for r1, r2 in orders:
-                got = q.quad_apply(q.QuadraticOpSpec(r1, r2, n, False), v)
+                got = q.quad_apply(r1, r2, n, v, False)
                 assert got == want[(r1, r2)], (v, n, r1, r2)
 
 
@@ -184,11 +178,10 @@ def test_quad_apply_on_mixed_denominators_is_linear():
     for n in (-2, 0, 3):
         for r1, r2 in ((0, 0), (1, 1), (2, 2), (0, 2)):
             for reg in (False, True):
-                op = q.QuadraticOpSpec(r1, r2, n, reg)
                 want = FockVector.zero()
                 for parts, c in v.terms():
-                    want += q.quad_apply(op, FockVector.basis(parts)).scaled(c)
-                got = q.quad_apply(op, v)
+                    want += q.quad_apply(r1, r2, n, FockVector.basis(parts), reg).scaled(c)
+                got = q.quad_apply(r1, r2, n, v, reg)
                 assert got, (n, r1, r2, reg)
                 assert got == want, (n, r1, r2, reg)
 
@@ -331,7 +324,7 @@ def test_gen_quadratic_coeff_consistency():
         for n in (-2, 0, 1):
             for r in range(3):
                 got = q.gen_quadratic_coeff(r, r, n, v, regularized=True)
-                want = q.quad_apply(q.QuadraticOpSpec(r, r, n, True), v)
+                want = q.quad_apply(r, r, n, v, True)
                 assert got.scaled(math.factorial(r) ** 2) == want
             assert q.gen_quadratic_coeff(0, 0, n, v) == q.l_mode(n, v)
 
