@@ -354,21 +354,28 @@ def weight_components(v: FockVector) -> list[tuple[int, FockVector]]:
     return [(w, FockVector.from_ints(buckets[w], v._den)) for w in sorted(buckets)]
 
 
-@lru_cache(maxsize=None)
-def _partition_count(n: int, max_part: int) -> int:
-    if n == 0:
-        return 1
-    if n < 0 or max_part == 0:
-        return 0
-    # take a part of size max_part, or forbid that size entirely
-    return _partition_count(n - max_part, max_part) + _partition_count(n, max_part - 1)
+# partition counts p(0), p(1), ..., extended on demand by graded_dim
+_PARTITION_COUNTS = [1]
 
 
 def graded_dim(n: int) -> int:
-    """Dimension of the weight-``n`` graded piece (the partition count)."""
+    """Dimension of the weight-``n`` graded piece (the partition count).
+
+    Euler's pentagonal-number recurrence, p(m) = sum over k >= 1 of
+    (-1)^(k+1) (p(m - k(3k-1)/2) + p(m - k(3k+1)/2)), with p of a
+    negative number 0, extends the table one m at a time, so no call
+    recurses."""
     if n < 0:
         raise ValueError("weight must be nonnegative")
-    return _partition_count(n, n)
+    p = _PARTITION_COUNTS
+    while len(p) <= n:
+        m, total, k = len(p), 0, 1
+        while (g := k * (3 * k - 1) // 2) <= m:
+            term = p[m - g] + (p[m - g - k] if g + k <= m else 0)
+            total += term if k % 2 else -term
+            k += 1
+        p.append(total)
+    return p[n]
 
 
 def character_offset() -> Fraction:

@@ -16,7 +16,7 @@ on every partition basis state up to a weight cap:
 * the Virasoro bracket with central term (m^3 - m)/12,
 * the shifted bracket whose central term is the pure monomial m^3/12,
 * extraction of the identity component of mixed brackets of higher
-  regularized operators (central_term / pure_monomial_check),
+  regularized operators (central_term),
 * the Wick rule splitting a product of two mode generating functions
   into its normal-ordered part and a geometric contraction kernel,
 * the commutator identity for dilated quadratic generating functions
@@ -56,7 +56,6 @@ __all__ = [
     "virasoro_central",
     "modvir_central",
     "central_term",
-    "pure_monomial_check",
     "wick_diffs",
     "theorem1_diffs",
     "dilated_bracket_lhs",
@@ -101,38 +100,42 @@ def reg_constant(r: int) -> Fraction:
 # Normal-ordered quadratic application
 
 
-@lru_cache(maxsize=None)
-def _pair_on_basis(j: int, k: int, parts: tuple[int, ...]) -> FockVector:
-    """:h(j)h(k): applied to one basis state; larger mode index acts first."""
-    if j < k:
-        j, k = k, j
-    return h_apply(k, h_apply(j, FockVector.basis(parts)))
+def _pair_step(j: int, k: int, parts: tuple[int, ...]) -> "tuple[tuple[int, ...], int] | None":
+    """:h(j)h(k): on one basis state by the rule of fock.h_apply, the
+    larger mode index acting first: the image state and its integer
+    factor, or None when the pair annihilates the state.  h(m) sends a
+    basis state to at most one basis state: m < 0 appends the part -m,
+    and m > 0 removes one of the count copies of the part m, times
+    m * count (so h(0) annihilates every state)."""
+    x = 1
+    for m in (j, k) if j >= k else (k, j):
+        if m < 0:
+            parts = tuple(sorted(parts + (-m,), reverse=True))
+            continue
+        count = parts.count(m)
+        if not count:
+            return None
+        i = parts.index(m)
+        parts, x = parts[:i] + parts[i + 1 :], x * m * count
+    return parts, x
+
+
+# the pair step per (j, k, basis state) for pair_apply, with j >= k
+_pair_on_basis = lru_cache(maxsize=None)(_pair_step)
 
 
 def pair_apply(j: int, k: int, v: FockVector) -> FockVector:
     """Normal-ordered pair :h(j)h(k): on an arbitrary vector."""
     if j < k:
         j, k = k, j
-    # h_apply gives a basis state integral coefficients, so every
-    # _pair_on_basis image has denominator 1 and v's denominator carries over
+    # a pair step has an integer factor, so v's denominator carries over
     acc: dict[tuple[int, ...], int] = {}
     for parts, c in v._num.items():
-        for p2, c2 in _pair_on_basis(j, k, parts)._num.items():
-            acc[p2] = acc.get(p2, 0) + c * c2
+        step = _pair_on_basis(j, k, parts)
+        if step:
+            p2, x = step
+            acc[p2] = acc.get(p2, 0) + c * x
     return FockVector.from_ints({p: x for p, x in acc.items() if x}, v._den)
-
-
-def _h_on_parts(m: int, parts: tuple[int, ...]) -> "tuple[tuple[int, ...], int] | None":
-    """h(m), m nonzero, on one basis state by the rule of fock.h_apply:
-    the image state and its integer factor, or None when h(m)
-    annihilates the state."""
-    if m < 0:
-        return tuple(sorted(parts + (-m,), reverse=True)), 1
-    count = parts.count(m)
-    if not count:
-        return None
-    i = parts.index(m)
-    return parts[:i] + parts[i + 1 :], m * count
 
 
 @lru_cache(maxsize=None)
@@ -142,9 +145,8 @@ def _quad_on_basis(
     """Twice the unregularized quadratic operator on one basis state.
 
     Returns the image sum_j j^r_left (n-j)^r_right :h(j)h(n-j): |parts>
-    as (partition, integer coefficient) pairs with zeros dropped.  Each
-    h(m) sends a basis state to at most one basis state, so a pair term
-    is one step, and only the j that can act are visited:
+    as (partition, integer coefficient) pairs with zeros dropped.  A pair
+    term is one _pair_step, and only the j that can act are visited:
 
     * j in parts, or j = n - p with p in parts;
     * j in (n, 0) when n < 0.
@@ -164,17 +166,10 @@ def _quad_on_basis(
     acc: dict[tuple[int, ...], int] = {}
     for j in cands:
         k = n - j
-        if j == 0 or k == 0:
-            continue
-        hi, lo = (j, k) if j >= k else (k, j)
-        first = _h_on_parts(hi, parts)
-        if first is None:
-            continue
-        second = _h_on_parts(lo, first[0])
-        if second is None:
-            continue
-        p2 = second[0]
-        acc[p2] = acc.get(p2, 0) + j**r_left * k**r_right * first[1] * second[1]
+        step = _pair_step(j, k, parts)
+        if step:
+            p2, x = step
+            acc[p2] = acc.get(p2, 0) + j**r_left * k**r_right * x
     return tuple((_PARTS.setdefault(p, p), x) for p, x in acc.items() if x)
 
 
@@ -438,15 +433,6 @@ def central_term(r: int, s: int, m: int, W: "int | None" = None) -> Fraction:
     if not all(agree) or any(kv._num.keys() - {parts} for (parts, _, _), kv in zip(states, kvs)):
         raise ValueError("bracket is not a diagonal combination plus identity at this weight cap")
     return sol[-1]
-
-
-def pure_monomial_check(
-    r: int, s: int, ms: Iterable[int], W: "int | None" = None
-) -> "tuple[bool, list[tuple[int, Fraction]]]":
-    """Whether central_term(r, s, m) / m^(2r+2s+3) is constant over ms."""
-    values = [(m, central_term(r, s, m, W)) for m in ms]
-    ratios = {lam / F(m) ** (2 * r + 2 * s + 3) for m, lam in values}
-    return len(ratios) <= 1, values
 
 
 # ----------------------------------------------------------------------

@@ -61,7 +61,7 @@ from .fock import (
 )
 from .quadratic import dilated_bracket_lhs, gen_quadratic_coeff
 from .reports import note_diff
-from .scalars import binom, em1_unit, todd_coeffs, u_mul, u_pow
+from .scalars import binom, em1_unit, u_mul, u_pow
 
 F = Fraction
 
@@ -179,6 +179,22 @@ def x_mode(u: FockVector, n: int, v: FockVector) -> FockVector:
     Shifting by the weight of each homogeneous component makes the mode
     lower weights by exactly n."""
     return _mode_sum(u, v, lambda up: n - 1 + weight(up))
+
+
+def _commutator_cells(u, v, target, w) -> "dict[tuple[int, int], FockVector]":
+    """The commutator of the weight-shifted fields of u and v on target,
+    keyed (b, c) on the square [-w, w]^2: x_mode(u, -b, x_mode(v, -c, t))
+    - x_mode(v, -c, x_mode(u, -b, t)), nonzero cells only.  The inner
+    images of target are computed once per b and once per c."""
+    u_on = {b: x_mode(u, -b, target) for b in range(-w, w + 1)}
+    v_on = {c: x_mode(v, -c, target) for c in range(-w, w + 1)}
+    cells = {}
+    for b in range(-w, w + 1):
+        for c in range(-w, w + 1):
+            vec = x_mode(u, -b, v_on[c]) - x_mode(v, -c, u_on[b])
+            if vec:
+                cells[(b, c)] = vec
+    return cells
 
 
 # ----------------------------------------------------------------------
@@ -549,21 +565,15 @@ def _comm_rhs(u, v, win) -> "dict[int, FockVector]":
 def _comm_sides(u, v, target, win, table):
     """Commutator of the weight-shifted fields vs the residue form, as
     (lhs, rhs) cell tables on the square [-win, win]^2 of x1/x2 exponents.
-    The right side is read off table, which _comm_rhs(u, v, win) built
-    once for every target."""
-    w = win
-    u_on = {b: x_mode(u, -b, target) for b in range(-w, w + 1)}
-    v_on = {c: x_mode(v, -c, target) for c in range(-w, w + 1)}
-    lhs, rhs = {}, {}
-    for b in range(-w, w + 1):
-        for c in range(-w, w + 1):
-            vec = x_mode(u, -b, v_on[c]) - x_mode(v, -c, u_on[b])
-            if vec:
-                lhs[(b, c)] = vec
+    The left side is _commutator_cells; the right side is read off
+    table, which _comm_rhs(u, v, win) built once for every target."""
+    rhs = {}
+    for b in range(-win, win + 1):
+        for c in range(-win, win + 1):
             img = x_mode(table[b], -(b + c), target)
             if img:
                 rhs[(b, c)] = img
-    return lhs, rhs
+    return _commutator_cells(u, v, target, win), rhs
 
 
 def residue_link_diffs(params: dict, mismatches: list) -> None:
@@ -603,88 +613,72 @@ def residue_link_diffs(params: dict, mismatches: list) -> None:
 # Named identity bodies, registered in the catalog
 
 
-def newjacobi_diffs(params: dict, mismatches: list) -> None:
-    u, v, w = params["u"], params["v"], params["x-window"]
-    cube = {"x0": (-w, w), "x1": (-w, w), "x2": (-w, w)}
-    table = _newjacobi_rhs(u, v, w)
+def _pair_diffs(params, mismatches, sides, names, pairs, orders=((),)) -> None:
+    """The target loop of NEWJACOBI, COMM, GENJACOBI and GENCOMM: the
+    mismatches of the cell tables (lhs, rhs) = sides(u, v, target, w,
+    table) on the box [-w, w] of each variable in names, for every basis
+    target of weight <= weight-cap and every (prefix, u, v, table) of
+    pairs, with monomial prefix + g + cell.
+
+    Each g of orders is a tuple of dilation orders (g1, g2) that
+    transports both sides by b^g1/g1! c^g2/g2!, (b, c) the cell's x1
+    and x2 exponents, so a bare mismatch is listed once per g with a
+    nonzero factor; the empty g, the only one by default, has factor 1."""
+    w = params["x-window"]
+    box = dict.fromkeys(names, (-w, w))
     for target in basis_up_to(params["weight-cap"]):
-        lhs, rhs = _newjacobi_sides(u, v, target, w, table)
-        for cell, va, vb in _cell_diffs(lhs, rhs, cube):
-            note_diff(mismatches, list(cell), va, vb, target)
+        for prefix, u, v, table in pairs:
+            for cell, va, vb in _cell_diffs(*sides(u, v, target, w, table), box):
+                for g in orders:
+                    fac = math.prod(F(x**k, math.factorial(k)) for x, k in zip(cell[-2:], g))
+                    if fac:
+                        mono = [*prefix, *g, *cell]
+                        note_diff(mismatches, mono, va.scaled(fac), vb.scaled(fac), target)
 
 
-def comm_diffs(params: dict, mismatches: list) -> None:
-    u, v, w = params["u"], params["v"], params["x-window"]
-    box = {"x1": (-w, w), "x2": (-w, w)}
-    table = _comm_rhs(u, v, w)
-    for target in basis_up_to(params["weight-cap"]):
-        lhs, rhs = _comm_sides(u, v, target, w, table)
-        for cell, va, vb in _cell_diffs(lhs, rhs, box):
-            note_diff(mismatches, list(cell), va, vb, target)
-
-
-def _slice_pairs(u1, v1, o1, u2, v2, o2, build) -> list:
-    """(alpha, beta, ua, vb, build(ua, vb)) for the bracket slices ua of
-    (u1, v1) up to o1 and vb of (u2, v2) up to o2, in sorted
-    (alpha, beta) order: each right-side table is built once, before any
-    target."""
-    uslices = y_bracket_apply(u1, v1, o1)
-    vslices = y_bracket_apply(u2, v2, o2)
+def _slice_pairs(params, build) -> list:
+    """([alpha, beta], ua, vb, build(ua, vb, w)) for the bracket slices ua
+    of (u1, v1) up to o1 and vb of (u2, v2) up to o2, (o1, o2) = y-orders
+    and w = x-window, in sorted (alpha, beta) order: each right-side
+    table is built once, before any target."""
+    o1, o2 = params["y-orders"]
+    w = params["x-window"]
+    uslices = y_bracket_apply(params["u1"], params["v1"], o1)
+    vslices = y_bracket_apply(params["u2"], params["v2"], o2)
     return [
-        (alpha, beta, ua, vb, build(ua, vb))
+        ([alpha, beta], ua, vb, build(ua, vb, w))
         for alpha, ua in uslices.items()
         for beta, vb in vslices.items()
     ]
 
 
-def _transported_mismatches(mismatches, sides, box, w_orders, target, prefix):
-    """Record mismatches of a dilation-transported comparison of the
-    tables sides = (lhs, rhs) on box, whose last two variables are x1
-    and x2: the exponent pair (b, c) scales both sides by
-    b^g1/g1! * c^g2/g2! at each requested dilation order, so a bare
-    mismatch is reported once per order with a nonzero transport
-    factor."""
-    g1_cap, g2_cap = w_orders
-    for cell, va, vb in _cell_diffs(*sides, box):
-        b, c = cell[-2:]
-        for g1 in range(g1_cap + 1):
-            for g2 in range(g2_cap + 1):
-                fac = F(b**g1, math.factorial(g1)) * F(c**g2, math.factorial(g2))
-                if fac:
-                    mono = [*prefix, g1, g2, *cell]
-                    note_diff(mismatches, mono, va.scaled(fac), vb.scaled(fac), target)
+def _dilation_orders(params) -> list:
+    g1, g2 = params["w-orders"]
+    return list(itertools.product(range(g1 + 1), range(g2 + 1)))
+
+
+def newjacobi_diffs(params: dict, mismatches: list) -> None:
+    u, v = params["u"], params["v"]
+    pairs = [([], u, v, _newjacobi_rhs(u, v, params["x-window"]))]
+    _pair_diffs(params, mismatches, _newjacobi_sides, ("x0", "x1", "x2"), pairs)
+
+
+def comm_diffs(params: dict, mismatches: list) -> None:
+    u, v = params["u"], params["v"]
+    pairs = [([], u, v, _comm_rhs(u, v, params["x-window"]))]
+    _pair_diffs(params, mismatches, _comm_sides, ("x1", "x2"), pairs)
 
 
 def genjacobi_diffs(params: dict, mismatches: list) -> None:
-    w = params["x-window"]
-    cube = {"x0": (-w, w), "x1": (-w, w), "x2": (-w, w)}
-    o1, o2 = params["y-orders"]
-    pairs = _slice_pairs(
-        params["u1"], params["v1"], o1, params["u2"], params["v2"], o2,
-        lambda ua, vb: _newjacobi_rhs(ua, vb, w),
+    pairs = _slice_pairs(params, _newjacobi_rhs)
+    _pair_diffs(
+        params, mismatches, _newjacobi_sides, ("x0", "x1", "x2"), pairs, _dilation_orders(params)
     )
-    for target in basis_up_to(params["weight-cap"]):
-        for alpha, beta, ua, vb, table in pairs:
-            sides = _newjacobi_sides(ua, vb, target, w, table)
-            _transported_mismatches(
-                mismatches, sides, cube, params["w-orders"], target, [alpha, beta]
-            )
 
 
 def gencomm_diffs(params: dict, mismatches: list) -> None:
-    w = params["x-window"]
-    box = {"x1": (-w, w), "x2": (-w, w)}
-    o1, o2 = params["y-orders"]
-    pairs = _slice_pairs(
-        params["u1"], params["v1"], o1, params["u2"], params["v2"], o2,
-        lambda ua, vb: _comm_rhs(ua, vb, w),
-    )
-    for target in basis_up_to(params["weight-cap"]):
-        for alpha, beta, ua, vb, table in pairs:
-            sides = _comm_sides(ua, vb, target, w, table)
-            _transported_mismatches(
-                mismatches, sides, box, params["w-orders"], target, [alpha, beta]
-            )
+    pairs = _slice_pairs(params, _comm_rhs)
+    _pair_diffs(params, mismatches, _comm_sides, ("x1", "x2"), pairs, _dilation_orders(params))
 
 
 def _fourterm_table(u1, v1, u2, v2, box, win) -> "dict[int, dict[tuple[int, int], FockVector]]":
@@ -816,10 +810,11 @@ def _fourterm_weight(key, b, levels, box, kappa) -> "dict[tuple[int, int], Fract
 
 def fourterm_diffs(params: dict, mismatches: list) -> None:
     """Commutator of two bracket fields against the four-term right side
-    on every (target, b, c) cell.  The right side depends on the target
-    and on c only through the mode x_mode(., -b - c, target), so its
-    table is built once, before any target (see _fourterm_table), and
-    mapped per cell."""
+    on every (target, b, c) cell.  The left side is one _commutator_cells
+    table per pair of bracket slices and target.  The right side depends
+    on the target and on c only through the mode x_mode(., -b - c,
+    target), so its table is built once, before any target (see
+    _fourterm_table), and mapped per cell."""
     u1, v1, u2, v2 = params["u1"], params["v1"], params["u2"], params["v2"]
     o1, o2 = params["y-orders"]
     w = params["x-window"]
@@ -830,16 +825,14 @@ def fourterm_diffs(params: dict, mismatches: list) -> None:
     box = {"y1": (-d1, o1), "y2": (-d2, o2)}
     table = _fourterm_table(u1, v1, u2, v2, box, w)
     for target in basis_up_to(params["weight-cap"]):
+        comms = {
+            (alpha, beta): _commutator_cells(ua, vb, target, w)
+            for alpha, ua in uslices.items()
+            for beta, vb in vslices.items()
+        }
         for b in range(-w, w + 1):
             for c in range(-w, w + 1):
-                data = {}
-                for alpha, ua in uslices.items():
-                    for beta, vbv in vslices.items():
-                        vec = x_mode(ua, -b, x_mode(vbv, -c, target)) - x_mode(
-                            vbv, -c, x_mode(ua, -b, target)
-                        )
-                        if vec:
-                            data[(alpha, beta)] = vec
+                data = {ab: cells[(b, c)] for ab, cells in comms.items() if (b, c) in cells}
                 rhs = {}
                 for cell, vec in table[b].items():
                     img = x_mode(vec, -b - c, target)
@@ -857,7 +850,6 @@ def bridge_diffs(params: dict, mismatches: list) -> None:
     n_rng = params["mode-range"]
     g = generator()
     slices = y_bracket_apply(g, g, y_cap + w_cap)
-    gprime = _pole_scalar_coeffs()
     for target in basis_up_to(params["weight-cap"]):
         for n in range(-n_rng, n_rng + 1):
             xw = {q: x_mode(vec, n, target) for q, vec in slices.items()}
@@ -867,8 +859,9 @@ def bridge_diffs(params: dict, mismatches: list) -> None:
                         lhs = gen_quadratic_coeff(a, bb, n, target, regularized=True)
                         lhs = lhs.scaled(2)
                     else:
-                        scal = gprime.get(a, F(0)) if (n == 0 and bb == 0) else F(0)
-                        lhs = target.scaled(scal)
+                        # the pole part of minus the derivative of the kernel
+                        # 1/(1 - e^(-y)) = 1/y + 1/2 + O(y) is y^-2
+                        lhs = target.scaled(int(a == -2 and n == 0 and bb == 0))
                     rhs = _fraction_sum(
                         (
                             binom(a + k, k) * (-1) ** k
@@ -880,13 +873,6 @@ def bridge_diffs(params: dict, mismatches: list) -> None:
                     note_diff(mismatches, [a, bb, n], lhs, rhs, target)
 
 
-def _pole_scalar_coeffs() -> "dict[int, Fraction]":
-    """Pole part of the reordering scalar: coefficients of minus the
-    derivative of the regularized geometric kernel at negative orders."""
-    G = todd_coeffs(3)
-    return {-2: -(-1) * G[0], -1: F(0)}
-
-
 def specialize_diffs(params: dict, mismatches: list) -> None:
     """The general commutator identity at four copies of the generator,
     dilations restored, against the dilated-pair bracket engine."""
@@ -894,11 +880,13 @@ def specialize_diffs(params: dict, mismatches: list) -> None:
     w = params["x-window"]
     caps = (oy1 + ow1, ow1, oy2 + ow2, ow2)
     g = generator()
-    pairs = _slice_pairs(g, g, oy1, g, g, oy2, lambda ua, vb: _comm_rhs(ua, vb, w))
+    # GENCOMM's slice pairs with the generator in all four slots
+    gencomm = {"u1": g, "v1": g, "u2": g, "v2": g, "x-window": w, "y-orders": (oy1, oy2)}
+    pairs = _slice_pairs(gencomm, _comm_rhs)
     box = {"x1": (-w, w), "x2": (-w, w)}
     for target in basis_up_to(params["weight-cap"]):
         table = dilated_bracket_lhs(target, w, caps)
-        for alpha, beta, ua, vb, rhs_table in pairs:
+        for (alpha, beta), ua, vb, rhs_table in pairs:
             lhs, rhs = _comm_sides(ua, vb, target, w, rhs_table)
             for cell, va, vv in _cell_diffs(lhs, rhs, box):
                 note_diff(mismatches, [alpha, beta, *cell], va, vv, target)

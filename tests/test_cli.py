@@ -239,6 +239,18 @@ def test_table_partitions(tmp_path, capsys):
     assert out.read_text().splitlines()[-1] == "6\t11"
 
 
+def test_table_partitions_at_weight_600(capsys):
+    # the counts come from an iterative recurrence: no recursion depth
+    # limit is reached, and p(600) equals the product-formula count
+    code, out, _ = run(["table", "partitions", "--max", "600"], capsys)
+    assert code == 0
+    counts = [1] + [0] * 600
+    for k in range(1, 601):
+        for i in range(k, 601):
+            counts[i] += counts[i - k]
+    assert out.splitlines()[-1] == f"600\t{counts[600]}"
+
+
 def test_table_usage_errors(capsys):
     assert run(["table", "bernoulli"], capsys)[0] == 2
     assert run(["table", "nope", "--max", "3"], capsys)[0] == 2

@@ -132,6 +132,7 @@ def test_graded_dim_matches_product_formula():
 def test_graded_dim_known_values():
     assert [fo.graded_dim(n) for n in range(10)] == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30]
     assert fo.graded_dim(30) == 5604
+    assert fo.graded_dim(1000) == 24061467864032622473692149727991
 
 
 def test_character_offset():

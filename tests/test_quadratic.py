@@ -138,7 +138,8 @@ def test_regularized_flag_only_touches_mode_zero_diagonal():
 
 def test_quad_apply_against_the_full_mode_window():
     # oracle: the whole window |j| <= weight + |n| through pair_apply,
-    # which runs on h_apply and not on the candidate set of quad_apply
+    # not the candidate set of quad_apply; both take the same pair step,
+    # which test_pair_apply_matches_composition checks against h_apply
     orders = [(r1, r2) for r1 in range(3) for r2 in range(3)]
     for v in basis_up_to(6):
         ((parts, _),) = v.terms()
@@ -187,14 +188,20 @@ def test_quad_apply_on_mixed_denominators_is_linear():
 
 
 def test_pair_apply_matches_composition():
-    rng = random.Random(515)
-    for _ in range(30):
-        parts = tuple(sorted((rng.randint(1, 4) for _ in range(rng.randint(0, 3))), reverse=True))
-        v = FockVector.basis(parts)
-        j = rng.choice([-3, -2, -1, 1, 2, 3])
-        k = rng.choice([-3, -2, -1, 1, 2, 3])
-        lo, hi = min(j, k), max(j, k)
-        assert q.pair_apply(j, k, v) == h_apply(lo, h_apply(hi, v))
+    # h_apply is the independent reference for the pair step that
+    # pair_apply and quad_apply share: every (j, k) in [-4, 4]^2, zero
+    # modes and j = k included, on every basis state of weight <= 5 and
+    # on one vector mixing weights and denominators
+    mixed = (
+        FockVector.basis((2, 1)).scaled(F(1, 3))
+        - FockVector.basis((3,)).scaled(F(5, 2))
+        + FockVector.basis((1, 1, 1)).scaled(F(7, 4))
+    )
+    for v in basis_up_to(5) + [mixed]:
+        for j in range(-4, 5):
+            for k in range(-4, 5):
+                lo, hi = min(j, k), max(j, k)
+                assert q.pair_apply(j, k, v) == h_apply(lo, h_apply(hi, v)), (v, j, k)
 
 
 # ----------------------------------------------------------------------
@@ -259,13 +266,11 @@ def test_mode_bracket_grid_matches_the_per_pair_loop():
 def test_central_term_frozen_and_monomial():
     assert q.central_term(0, 0, 1) == F(1, 12)
     assert q.central_term(0, 0, 2) == F(8, 12)
-    ok, values = q.pure_monomial_check(0, 0, [1, 2, 3])
-    assert ok
-    assert [lam for _, lam in values] == [F(m**3, 12) for m in (1, 2, 3)]
-    ok, values = q.pure_monomial_check(1, 1, [1, 2])
-    assert ok
-    ratio = values[0][1]
-    assert values[1][1] == ratio * 2**7
+    values = [q.central_term(0, 0, m) for m in (1, 2, 3)]
+    assert values == [F(m**3, 12) for m in (1, 2, 3)]
+    assert {lam / F(m) ** 3 for m, lam in zip((1, 2, 3), values)} == {F(1, 12)}
+    ratio = q.central_term(1, 1, 1)
+    assert q.central_term(1, 1, 2) == ratio * 2**7
     with pytest.raises(ValueError):
         q.central_term(0, 0, 0)
 
