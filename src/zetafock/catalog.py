@@ -144,7 +144,8 @@ def _bloch_value(T: int, m: int) -> Fraction:
     part's coefficients are homogeneous of degree 2T+1 in (j, m), so the
     regularized constants it brings in reach no power above m^(2T+1).
     That they cancel every lower power of m is measured, not derived:
-    central_term equals this value exactly for r, s <= 2 and m <= 4."""
+    central_term equals this value exactly for r, s <= 2 and every m the
+    checks run (m <= 12 in the tests, m <= 24 in CI)."""
     f = math.factorial
     return F(m ** (2 * T + 3) * f(T + 1) * f(T + 2), f(2 * T + 4))
 

@@ -284,155 +284,82 @@ def modvir_central(m: int) -> Fraction:
 # Identity-component extraction for mixed regularized brackets
 
 
-def _solve_exact(
-    rows: "list[list[Fraction]]", rhs: "list[Fraction]"
-) -> "list[Fraction] | None":
-    """Solve an overdetermined rational system exactly.
-
-    Returns a solution satisfying every row, or None when the rows are
-    inconsistent.  Raises if the system leaves a free direction: the
-    caller needs a unique answer."""
-    if not rows:
-        raise ValueError("no equations")
-    ncols = len(rows[0])
-    aug = [row[:] + [val] for row, val in zip(rows, rhs)]
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(aug)) if aug[i][col]), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        lead = aug[r][col]
-        aug[r] = [x / lead for x in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(aug):
-            break
-    for i in range(r, len(aug)):
-        if aug[i][ncols]:
-            return None
-    if len(pivots) < ncols:
-        raise ValueError("system is underdetermined; raise the weight cap")
-    sol = [F(0)] * ncols
-    for i, col in enumerate(pivots):
-        sol[col] = aug[i][ncols]
-    return sol
-
-
-def _diag_eigenvalue(t: int, parts: tuple[int, ...]) -> Fraction:
-    """Eigenvalue of the order-t regularized operator at mode 0."""
-    return (-1) ** t * sum(p ** (2 * t + 1) for p in parts) + reg_constant(t)
+def _bracket(r: int, s: int, m: int, parts: tuple[int, ...]) -> FockVector:
+    """[Q_r(m), Q_s(-m)] on the basis state |parts>."""
+    v = FockVector.basis(parts)
+    return lbar_r(r, m, lbar_r(s, -m, v)) - lbar_r(s, -m, lbar_r(r, m, v))
 
 
 @lru_cache(maxsize=None)
-def _eigen_rows(
-    T: int, W: int
-) -> "tuple[tuple[tuple[int, ...], tuple[Fraction, ...], tuple[int, ...]], ...]":
-    """(parts, eigenvalue row of orders 0..T, integer row) for every basis
-    state of weight <= W, in weight order; shared by every (r, s, m) with
-    r + s = T.  The integer row is the eigenvalue row with a trailing 1 for
-    the identity, times the common denominator of all rows, so its last
-    entry is that denominator."""
-    eigs = [
-        (parts, tuple(_diag_eigenvalue(t, parts) for t in range(T + 1)))
-        for w in range(W + 1)
+def _central_fit(
+    T: int,
+) -> "tuple[tuple[tuple[tuple[int, ...], tuple[int, ...]], ...], tuple[tuple[Fraction, ...], ...]]":
+    """The fit of central_term for every (r, s) with r + s = T.
+
+    Returns (parts, row) for every basis state of weight <= 2T + 4, in
+    weight order, with row = (p_1, p_3, ..., p_(2T+1), 1) and p_k the
+    k-th power sum of the parts, and the inverse of the block of rows of
+    the one-part states (1), ..., (T + 2).
+
+    The block is nonsingular.  A vector (D_0, ..., D_T, E) it sends to
+    zero is a polynomial E + sum_t D_t x^(2t+1) with the T + 2 positive
+    roots 1, ..., T + 2.  Its at most T + 2 nonzero coefficients change
+    sign at most T + 1 times, so by Descartes' rule of signs a nonzero
+    one has at most T + 1 positive roots: the vector is zero."""
+    rows = {
+        parts: tuple(sum(p ** (2 * t + 1) for p in parts) for t in range(T + 1)) + (1,)
+        for w in range(2 * T + 5)
         for parts in partitions_of(w)
-    ]
-    den = math.lcm(*[e.denominator for _, eig in eigs for e in eig])
-    return tuple(
-        (parts, eig, tuple(e.numerator * (den // e.denominator) for e in eig) + (den,))
-        for parts, eig in eigs
-    )
+    }
+    n = T + 2
+    aug = [list(map(F, rows[(k + 1,)])) + [F(int(i == k)) for i in range(n)] for k in range(n)]
+    for col in range(n):
+        piv = next(i for i in range(col, n) if aug[i][col])
+        aug[col], aug[piv] = aug[piv], aug[col]
+        lead = aug[col][col]
+        aug[col] = [x / lead for x in aug[col]]
+        for i in range(n):
+            if i != col and aug[i][col]:
+                f = aug[i][col]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
+    return tuple(rows.items()), tuple(tuple(row[n:]) for row in aug)
 
 
-@lru_cache(maxsize=None)
-def _fit_inverse(
-    T: int, W: int
-) -> "tuple[tuple[int, ...], tuple[tuple[Fraction, ...], ...]] | None":
-    """The fitting system of central_term reduced once per (T, W).
-
-    Its rows are the non-vacuum eigenvalue rows with a trailing 1 for the
-    identity.  Returns the indices of the first rows that are linearly
-    independent, one per unknown, and the inverse of that square block;
-    None when the rows leave a free direction.  With full column rank a
-    solution of the whole system, if any, is the block's solution."""
-    rows = [list(eig) + [F(1)] for parts, eig, _ in _eigen_rows(T, W) if parts]
-    ncols = T + 2
-    picked: list[int] = []
-    reduced: list[tuple[int, list[Fraction]]] = []
-    for i, row in enumerate(rows):
-        red = list(row)
-        for col, base in reduced:
-            if red[col]:
-                f = red[col]
-                red = [x - f * y for x, y in zip(red, base)]
-        col = next((c for c, x in enumerate(red) if x), None)
-        if col is None:
-            continue
-        reduced.append((col, [x / red[col] for x in red]))
-        picked.append(i)
-        if len(picked) == ncols:
-            break
-    if len(picked) < ncols:
-        return None
-    block = [rows[i] for i in picked]
-    unit = [[F(int(i == k)) for i in range(ncols)] for k in range(ncols)]
-    columns = [_solve_exact(block, e) for e in unit]
-    inverse = tuple(tuple(columns[k][r] for k in range(ncols)) for r in range(ncols))
-    return tuple(picked), inverse
-
-
-def central_term(r: int, s: int, m: int, W: "int | None" = None) -> Fraction:
+def central_term(r: int, s: int, m: int) -> Fraction:
     """Identity coefficient of the bracket of regularized operators.
 
-    Computes [Q_r(m), Q_s(-m)] on every basis state of weight <= W,
-    fits the unique diagonal combination of mode-zero regularized
-    operators of orders 0..r+s plus a multiple of the identity that
-    reproduces the action on all non-vacuum states, verifies the fit
-    on the whole basis including the vacuum, and returns the identity
-    coefficient.  Inconsistency at this W raises ValueError.
+    Computes [Q_r(m), Q_s(-m)] on every basis state of weight <= 2T + 4,
+    T = r + s, writes it as sum_t C_t Qbar_t(0) + c, a combination of
+    the mode-zero regularized operators of orders 0..T plus a multiple
+    of the identity, and returns c.
 
-    The fitting rows depend on T = r + s and W only, so they and their
-    elimination are cached (_eigen_rows, _fit_inverse); a system without
-    full column rank goes through _solve_exact, which reports it.  Both
-    checks read each state's diagonal value, one integer dot product."""
+    Qbar_t(0) has eigenvalue (-1)^t p_(2t+1) + reg_constant(t) on a
+    state, p_k the k-th power sum of its parts, so the diagonal value is
+    E + sum_t D_t p_(2t+1) with D_t = (-1)^t C_t and
+    E = c + sum_t C_t reg_constant(t), an invertible change of unknowns.
+    D and E are solved on the one-part states by the cached inverse of
+    _central_fit.  Every non-vacuum state must then match its fitted
+    value, else the extraction is inconsistent; the vacuum must match
+    too, and no image may leave its state, else the bracket is not a
+    diagonal combination.  Each state is one integer dot product of its
+    row over the fit's common denominator."""
     if m == 0:
         raise ValueError("mode must be nonzero")
-    if W is None:
-        W = 2 * r + 2 * s + 4
-    T = r + s
-    states = _eigen_rows(T, W)
-    kvs = []
-    for parts, _, _ in states:
-        v = FockVector.basis(parts)
-        kvs.append(lbar_r(r, m, lbar_r(s, -m, v)) - lbar_r(s, -m, lbar_r(r, m, v)))
-    vals = [F(kv._num.get(parts, 0), kv._den) for (parts, _, _), kv in zip(states, kvs) if parts]
-    fit = _fit_inverse(T, W)
-    if fit is None:
-        # fewer than T + 2 independent rows: _solve_exact raises, or
-        # returns None when the rows are inconsistent
-        sol = _solve_exact([list(eig) + [F(1)] for parts, eig, _ in states if parts], vals)
-    else:
-        picked, inverse = fit
-        sol = [sum((c * vals[i] for c, i in zip(row, picked)), F(0)) for row in inverse]
-    if sol is not None:
-        # a state's diagonal value is sum(C * ints) / (den * ints[-1])
-        den = math.lcm(*[x.denominator for x in sol])
-        C = [x.numerator * (den // x.denominator) for x in sol]
-        agree = [
-            kv._num.get(parts, 0) * den * ints[-1] == sum(map(mul, C, ints)) * kv._den
-            for (parts, _, ints), kv in zip(states, kvs)
-        ]
-    if sol is None or not all(ok for (parts, _, _), ok in zip(states, agree) if parts):
+    states, inverse = _central_fit(r + s)
+    kvs = {parts: _bracket(r, s, m, parts) for parts, _ in states}
+    vals = [kvs[(k,)].coeff((k,)) for k in range(1, len(inverse) + 1)]
+    sol = [sum(map(mul, row, vals), F(0)) for row in inverse]
+    den = math.lcm(*[x.denominator for x in sol])
+    fit = [x.numerator * (den // x.denominator) for x in sol]
+    agree = {
+        parts: kv._num.get(parts, 0) * den == sum(map(mul, fit, row)) * kv._den
+        for (parts, row), kv in zip(states, kvs.values())
+    }
+    if not all(ok for parts, ok in agree.items() if parts):
         raise ValueError("identity-part extraction is inconsistent at this weight cap")
-    if not all(agree) or any(kv._num.keys() - {parts} for (parts, _, _), kv in zip(states, kvs)):
+    if not agree[()] or any(kv._num.keys() - {parts} for parts, kv in kvs.items()):
         raise ValueError("bracket is not a diagonal combination plus identity at this weight cap")
-    return sol[-1]
+    return sol[-1] - sum((-1) ** t * d * reg_constant(t) for t, d in enumerate(sol[:-1]))
 
 
 # ----------------------------------------------------------------------
@@ -611,9 +538,7 @@ def _add_weighted(
                 d[p] = d.get(p, 0) + wgt * cc
 
 
-def _dilated_lhs_blocks(
-    v: FockVector, N: int, wbound: int, caps: "tuple[int, int, int, int]"
-) -> dict:
+def _dilated_lhs_blocks(v: FockVector, N: int, caps: "tuple[int, int, int, int]") -> dict:
     """Commutator of two dilated normal-ordered pairs applied to v.
 
     Returns {(e1, e2): block} keyed by the mode exponents e_i = -n_i,
@@ -622,10 +547,10 @@ def _dilated_lhs_blocks(
     mapping partition tuples to integer numerators; the true coefficient
     carries an implicit denominator 4 * a1! * a2! * a3! * a4!.
 
-    wbound must dominate the weight of v; pair indices beyond
-    wbound + |n1| + |n2| act as zero on both orderings.  Each pair image
-    of v itself is computed once per (j, k)."""
+    Pair indices beyond wt(v) + |n1| + |n2| act as zero on both
+    orderings.  Each pair image of v itself is computed once per (j, k)."""
     nmono = math.prod(c + 1 for c in caps)
+    wbound = max(map(sum, v._num), default=0)
     pair_on_v = lru_cache(maxsize=None)(lambda j, k: pair_apply(j, k, v))
     lhs: dict[tuple[int, int], list] = {}
     for n1 in range(-N, N + 1):
@@ -648,18 +573,18 @@ def _dilated_lhs_blocks(
     return lhs
 
 
-def _dilated_rhs_blocks(
-    v: FockVector, N: int, wbound: int, caps: "tuple[int, int, int, int]"
-) -> dict:
+def _dilated_rhs_blocks(v: FockVector, N: int, caps: "tuple[int, int, int, int]") -> dict:
     """Operator sector of the closed bracket form applied to v, in the
     block format of _dilated_lhs_blocks (same keys, monomial order and
-    implicit denominators).  wbound must dominate the weight of v.
+    implicit denominators).  A pair index beyond wt(v) + |n2p| acts as
+    zero: the pair's larger index then annihilates a part above wt(v).
 
     The pair h(jp) h(kp), kp = n2p - jp, at key (n, -n - n2p) carries
     the dilation weight -P (P^a1 Q^a2 + Q^a1 P^a2)(A^a3 B^a4 + B^a3 A^a4)
     with P = jp + n, Q = -jp, A = -P and B = -kp: the four factor sets
     (P, Q, A, B), (Q, P, A, B), (P, Q, B, A), (Q, P, B, A), scaled by -P."""
     nmono = math.prod(c + 1 for c in caps)
+    wbound = max(map(sum, v._num), default=0)
     rhs: dict[tuple[int, int], list] = {}
     for n in range(-N, N + 1):
         for n2p in range(-n - N, -n + N + 1):
@@ -697,16 +622,13 @@ def _block_vectors(blocks: dict, caps: "tuple[int, int, int, int]") -> dict:
     return out
 
 
-def dilated_bracket_lhs(
-    v: FockVector, N: int, caps: "tuple[int, int, int, int]"
-) -> dict:
+def dilated_bracket_lhs(v: FockVector, N: int, caps: "tuple[int, int, int, int]") -> dict:
     """Exact dilated-pair commutator coefficients applied to v.
 
     Returns {(e1, e2): {(a1, a2, a3, a4): FockVector}} with the
     1 / (4 * a1! * a2! * a3! * a4!) normalization folded in and zero
     entries dropped."""
-    wbound = max(map(sum, v._num), default=0)
-    return _block_vectors(_dilated_lhs_blocks(v, N, wbound, caps), caps)
+    return _block_vectors(_dilated_lhs_blocks(v, N, caps), caps)
 
 
 def theorem1_diffs(params: dict, mismatches: list) -> None:
@@ -721,21 +643,22 @@ def theorem1_diffs(params: dict, mismatches: list) -> None:
     twice, the second time against the mode-level bracket.
 
     The left side is dilated_bracket_lhs, the table SPECIALIZE reads.
-    Its pair bound wt(v) <= weight-cap drops only pair terms that act as
-    zero: an index beyond wt(v) + |n1| + |n2| makes one of the two pair
-    modes annihilate more weight than any state it meets has.  The
-    right side is the operator sector (_dilated_rhs_blocks) through the
-    same block conversion, plus the scalar sector v.scaled(c) on the
-    diagonal e1 + e2 = 0.  Each (e1, e2) cell of either side is
-    homogeneous of weight wt(v) + e1 + e2, so note_diff lists a cell's
-    partitions in (weight, parts) order, which is plain parts order."""
+    Both sides bound their pair indices by wt(v), which drops only pair
+    terms that act as zero: an index beyond wt(v) + |n1| + |n2| makes one
+    of the two pair modes annihilate more weight than any state it meets
+    has.  The right side is the operator sector (_dilated_rhs_blocks)
+    through the same block conversion, plus the scalar sector
+    v.scaled(c) on the diagonal e1 + e2 = 0.  Each (e1, e2) cell of
+    either side is homogeneous of weight wt(v) + e1 + e2, so note_diff
+    lists a cell's partitions in (weight, parts) order, which is plain
+    parts order."""
     caps = tuple(params["y-orders"])
     N, W = params["x-window"], params["weight-cap"]
     scalar_cache = {n: _scalar_sector(n, caps) for n in range(-N, N + 1)}
 
     for v in basis_up_to(W):
         lhs = dilated_bracket_lhs(v, N, caps)
-        rhs = _block_vectors(_dilated_rhs_blocks(v, N, W, caps), caps)
+        rhs = _block_vectors(_dilated_rhs_blocks(v, N, caps), caps)
         for n1 in range(-N, N + 1):
             for n2 in range(-N, N + 1):
                 e = (-n1, -n2)

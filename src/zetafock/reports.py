@@ -3,7 +3,7 @@
 Every catalog check returns a CheckReport: the check id, the parameter
 block it ran with, a status (pass or fail), and the list of
 coefficient mismatches (empty on success).  Reports serialize to
-json-lines for machine use and to a aligned-column table for humans.
+json-lines for machine use and to an aligned-column table for humans.
 The json-lines form is byte-identical across reruns with the same
 configuration, so volatile fields (elapsed time) stay out of it.
 """

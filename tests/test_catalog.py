@@ -184,8 +184,8 @@ def test_bloch_monomial_compares_each_value(monkeypatch):
     real = quadratic.central_term
     assert catalog.run_check("BLOCH-MONOMIAL", {"mode-range": 3}).status == "pass"
 
-    def one_shifted(r, s, m, W=None):
-        lam = real(r, s, m, W)
+    def one_shifted(r, s, m):
+        lam = real(r, s, m)
         return lam + Fraction(1, 7) if (r, s, m) == (2, 1, 3) else lam
 
     monkeypatch.setattr(quadratic, "central_term", one_shifted)
@@ -198,8 +198,8 @@ def test_bloch_monomial_compares_each_value(monkeypatch):
         reports.format_scalar(Fraction(3**9 * 24 * 120, 3628800)),
     )
 
-    def scaled(r, s, m, W=None):
-        lam = real(r, s, m, W)
+    def scaled(r, s, m):
+        lam = real(r, s, m)
         return lam * 2 if (r, s) == (1, 0) else lam
 
     monkeypatch.setattr(quadratic, "central_term", scaled)

@@ -8,18 +8,18 @@ central values and against deliberately wrong targets that must fail.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
 from zetafock import calculus as ca
 from zetafock import catalog, fock
 from zetafock import quadratic as q
-from zetafock.fock import FockVector, basis_up_to, h_apply, weight_components
+from zetafock.fock import FockVector, basis_up_to, h_apply, partitions_of, weight_components
 from zetafock.reports import format_scalar, mismatch_entry, note_diff
 from zetafock.series import NEG_INF, POS_INF, Series, VarWindow, diff_on_box
 
@@ -288,20 +288,17 @@ def test_central_term_closed_form():
 
 
 def test_central_term_failures_keep_their_messages(monkeypatch):
-    # the fitting rows and their elimination are cached per (r + s, W);
-    # a rank-deficient system and an inconsistent one must still raise
-    # the messages of the uncached solve
-    with pytest.raises(ValueError, match="no equations"):
-        q.central_term(1, 0, 1, 0)
-    with pytest.raises(ValueError, match="underdetermined"):
-        q.central_term(1, 1, 2, 2)
-    real = q._diag_eigenvalue
-    wrong = lambda t, parts: real(t, parts) + (len(parts) ** 2 if t == 0 else 0)
-    monkeypatch.setattr(q, "_diag_eigenvalue", wrong)
-    for cached in (q._eigen_rows, q._fit_inverse):
-        monkeypatch.setattr(q, cached.__name__, functools.lru_cache(cached.__wrapped__))
+    # a bracket whose diagonal value on (1, 1) is off by one no longer
+    # matches the fit the one-part states determine
+    real = q._bracket
+
+    def off_at_11(r, s, m, parts):
+        kv = real(r, s, m, parts)
+        return kv + FockVector.basis(parts) if parts == (1, 1) else kv
+
+    monkeypatch.setattr(q, "_bracket", off_at_11)
     with pytest.raises(ValueError, match="inconsistent"):
-        q.central_term(0, 0, 1, 2)
+        q.central_term(0, 0, 1)
 
 
 def test_central_term_reports_an_off_diagonal_bracket(monkeypatch):
@@ -312,15 +309,36 @@ def test_central_term_reports_an_off_diagonal_bracket(monkeypatch):
     stray = FockVector.basis((9,))
     monkeypatch.setattr(q, "lbar_r", lambda r, n, v: real(r, n, v) + stray)
     with pytest.raises(ValueError, match="bracket is not a diagonal combination"):
-        q.central_term(0, 0, 1, 4)
+        q.central_term(0, 0, 1)
 
 
-def test_solve_exact():
-    rows = [[F(1), F(1)], [F(1), F(-1)], [F(2), F(0)]]
-    assert q._solve_exact(rows, [F(3), F(1), F(4)]) == [F(2), F(1)]
-    assert q._solve_exact(rows, [F(3), F(1), F(5)]) is None
-    with pytest.raises(ValueError):
-        q._solve_exact([[F(1), F(1)]], [F(2)])
+def test_central_term_checks_the_vacuum(monkeypatch):
+    # the vacuum is where the zeta-regularized constants act: a bracket
+    # that differs only in its vacuum eigenvalue fits every other state,
+    # so only the vacuum comparison can reject it
+    real = q._bracket
+
+    def vacuum_shifted(r, s, m, parts):
+        kv = real(r, s, m, parts)
+        return kv if parts else kv + FockVector.vacuum(F(1, 7))
+
+    monkeypatch.setattr(q, "_bracket", vacuum_shifted)
+    for r, s in ((0, 0), (1, 2)):
+        with pytest.raises(ValueError, match="bracket is not a diagonal combination"):
+            q.central_term(r, s, 2)
+
+
+def test_central_fit_inverts_its_block():
+    # the one-part block is nonsingular for every T (Descartes' rule of
+    # signs); its cached inverse is exact
+    for T in range(9):
+        states, inverse = q._central_fit(T)
+        rows = dict(states)
+        n = T + 2
+        assert len(rows) == sum(len(partitions_of(w)) for w in range(2 * T + 5))
+        block = [rows[(k,)] for k in range(1, n + 1)]
+        product = [[sum(map(mul, row, col)) for col in zip(*inverse)] for row in block]
+        assert product == [[int(i == j) for j in range(n)] for i in range(n)], T
 
 
 def test_gen_quadratic_coeff_consistency():
