@@ -32,7 +32,7 @@ from .quadratic import (
     wick_diffs,
     zeta_neg,
 )
-from .reports import CheckReport, format_scalar, mismatch_entry, note_diff, timed_check
+from .reports import CheckReport, format_scalar, note_diff, timed_check
 from .scalars import em1_unit, residue_change_check
 
 F = Fraction
@@ -90,7 +90,7 @@ def _modvir(params, mismatches):
 
 
 # ----------------------------------------------------------------------
-# scalar tables
+# scalar tables, compared as multiples of the vacuum
 
 
 # standard values, frozen; the test suite re-derives them by series
@@ -122,12 +122,12 @@ def _zeta_table(params, mismatches):
         b = bernoulli(k)
         z = zeta_neg(k)
         rows.append({"k": k, "bernoulli": format_scalar(b), "zeta": format_scalar(z)})
-        if k in _BERNOULLI_ANCHORS and b != _BERNOULLI_ANCHORS[k]:
-            mismatches.append(mismatch_entry([k, 0], b, _BERNOULLI_ANCHORS[k], vac))
-        if k in _ZETA_ANCHORS and z != _ZETA_ANCHORS[k]:
-            mismatches.append(mismatch_entry([k, 1], z, _ZETA_ANCHORS[k], vac))
-        if k % 2 == 1 and k > 1 and (b != 0 or z != 0):
-            mismatches.append(mismatch_entry([k, 2], b if b else z, F(0), vac))
+        if k in _BERNOULLI_ANCHORS:
+            note_diff(mismatches, [k, 0], vac.scaled(b), vac.scaled(_BERNOULLI_ANCHORS[k]), vac)
+        if k in _ZETA_ANCHORS:
+            note_diff(mismatches, [k, 1], vac.scaled(z), vac.scaled(_ZETA_ANCHORS[k]), vac)
+        if k % 2 == 1:
+            note_diff(mismatches, [k, 2], vac.scaled(b or z), None, vac)
 
 
 def _bloch_value(T: int, m: int) -> Fraction:
@@ -160,7 +160,7 @@ def _bloch_monomial(params, mismatches):
             try:
                 vals = [(m, quadratic.central_term(r, s, m)) for m in modes]
             except ValueError:
-                mismatches.append(mismatch_entry([r, s, 0], 0, 1, vac))
+                note_diff(mismatches, [r, s, 0], None, vac, vac)
                 continue
             values.extend(
                 {"orders": [r, s], "mode": m, "value": format_scalar(lam)} for m, lam in vals
@@ -168,13 +168,11 @@ def _bloch_monomial(params, mismatches):
             # index [r, s, m]: the ratio lam / m^(2r+2s+3) against the first mode's
             ratios = [(m, lam / F(m) ** (2 * r + 2 * s + 3)) for m, lam in vals]
             for m, ratio in ratios[1:]:
-                if ratio != ratios[0][1]:
-                    mismatches.append(mismatch_entry([r, s, m], ratio, ratios[0][1], vac))
+                note_diff(mismatches, [r, s, m], vac.scaled(ratio), vac.scaled(ratios[0][1]), vac)
             # index [r, s, m, 1]: the value itself against the closed form
             for m, lam in vals:
-                want = _bloch_value(r + s, m)
-                if lam != want:
-                    mismatches.append(mismatch_entry([r, s, m, 1], lam, want, vac))
+                want = vac.scaled(_bloch_value(r + s, m))
+                note_diff(mismatches, [r, s, m, 1], vac.scaled(lam), want, vac)
 
 
 def _graded_dim(params, mismatches):
@@ -186,14 +184,11 @@ def _graded_dim(params, mismatches):
         for i in range(k, N + 1):
             coeffs[i] += coeffs[i - k]
     for n in range(N + 1):
-        got = graded_dim(n)
-        if got != coeffs[n]:
-            mismatches.append(mismatch_entry([n], got, coeffs[n], vac))
+        note_diff(mismatches, [n], vac.scaled(graded_dim(n)), vac.scaled(coeffs[n]), vac)
     # the offset is the vacuum eigenvalue of the shifted zero mode, whose
     # constant reg_constant(0) builds from the Bernoulli numbers
     want = lbar_mode(0, vac).coeff(())
-    if character_offset() != want:
-        mismatches.append(mismatch_entry([-1], character_offset(), want, vac))
+    note_diff(mismatches, [-1], vac.scaled(character_offset()), vac.scaled(want), vac)
 
 
 # ----------------------------------------------------------------------
@@ -222,9 +217,8 @@ def _res_change(params, mismatches):
         # substitution x = y * s * (1 - e^y)/(-y): unit leading term -s
         s = F(rng.choice([1, 2, 3, -1, -2]), rng.choice([1, 2, 3]))
         unit = {k: -s * c for k, c in em1_unit(depth + 1).items()}
-        if not residue_change_check(laurent, unit):
-            # boolean outcome: got False (0) where True (1) is required
-            mismatches.append(mismatch_entry([i], 0, 1, vac))
+        # boolean outcome: False (0) where True (1) is required fails
+        note_diff(mismatches, [i], vac.scaled(int(residue_change_check(laurent, unit))), vac, vac)
 
 
 # The exponential-substitution entries keep their parameters in sorted

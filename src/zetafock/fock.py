@@ -73,12 +73,12 @@ class FockVector:
     __slots__ = ("_num", "_den")
 
     def __init__(self, terms: Mapping[tuple[int, ...], Fraction | int] | None = None):
-        fracs = {}
-        if terms:
-            for part, coeff in terms.items():
-                c = _exact(coeff)
-                if c:
-                    fracs[tuple(part)] = c
+        # keys are canonicalized, so equal states in any order add up
+        fracs: "dict[tuple[int, ...], Fraction]" = {}
+        for part, coeff in (terms or {}).items():
+            p = make_partition(part)
+            fracs[p] = fracs.get(p, 0) + _exact(coeff)
+        fracs = {p: c for p, c in fracs.items() if c}
         # numerators over the lcm of reduced denominators share no factor
         # with it: a prime's top power in the lcm comes from one term
         # whose numerator it does not divide

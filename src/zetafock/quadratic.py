@@ -36,7 +36,7 @@ from operator import mul
 from typing import Iterable
 
 from .fock import _PARTS, FockVector, basis_up_to, h_apply, partitions_of
-from .reports import mismatch_entry, note_diff
+from .reports import cell_diffs, note_diff
 from .scalars import bernoulli_list, binom, todd_coeffs, u_mul
 
 F = Fraction
@@ -408,8 +408,9 @@ def wick_diffs(params: dict, mismatches: list) -> None:
     identities: applying x2 d/dx2 to the dilated geometric series
     agrees with applying -d/dy1."""
     N, W, y_order = params["x-window"], params["weight-cap"], params["y-order"]
+    vac = FockVector.vacuum()
     for cell, va, vb in _kernel_mismatches(_dilated_geometric(N, y_order), N, y_order):
-        mismatches.append(mismatch_entry(list(cell), va, vb, FockVector.vacuum()))
+        note_diff(mismatches, cell, vac.scaled(va), vac.scaled(vb), vac)
 
     for v in basis_up_to(W):
         for a in range(-N, N + 1):
@@ -468,14 +469,6 @@ def _phi_coeffs(n: int, order: int) -> "list[Fraction]":
     return [phi.get(e, F(0)) for e in range(order + 1)]
 
 
-def _int_items(vec: FockVector) -> "list[tuple[tuple[int, ...], int]]":
-    # basis states have integral matrix elements; a fractional one here
-    # means the caller fed a non-basis target into the integer fast path
-    if vec._den != 1:
-        raise ArithmeticError("expected integral coefficients on basis states")
-    return list(vec._num.items())
-
-
 def _pow_over_fact(x: "tuple[int, ...]", b: "tuple[int, ...]") -> Fraction:
     """x^b / b!, the product over i of x_i^(b_i) / b_i!."""
     return F(math.prod(map(pow, x, b)), math.prod(map(_fact, b)))
@@ -521,7 +514,11 @@ def _add_weighted(
     summed per monomial before any dict is touched."""
     if not vec:
         return
-    items = _int_items(vec)
+    # basis states have integral matrix elements; a fractional one here
+    # means the caller fed a non-basis target into the integer fast path
+    if vec._den != 1:
+        raise ArithmeticError("expected integral coefficients on basis states")
+    items = list(vec._num.items())
     weights = None
     for f in factor_sets:
         w = [scale]
@@ -538,25 +535,40 @@ def _add_weighted(
                 d[p] = d.get(p, 0) + wgt * cc
 
 
-def _dilated_lhs_blocks(v: FockVector, N: int, caps: "tuple[int, int, int, int]") -> dict:
+def _block_vectors(blocks: dict, caps: "tuple[int, int, int, int]") -> dict:
+    """Integer blocks {(e1, e2): block} (see _add_weighted) as the flat
+    cell table {(e1, e2, a1, a2, a3, a4): FockVector}, with the
+    1 / (4 * a1! * a2! * a3! * a4!) normalization folded in and zero
+    entries dropped."""
+    monos = list(itertools.product(*(range(c + 1) for c in caps)))
+    denom = [4 * math.prod(map(_fact, mono)) for mono in monos]
+    out: dict = {}
+    for key, block in blocks.items():
+        for mono, den, d in zip(monos, denom, block):
+            if d:
+                vec = FockVector.from_ints({p: c for p, c in d.items() if c}, den)
+                if vec:
+                    out[key + mono] = vec
+    return out
+
+
+def dilated_bracket_lhs(v: FockVector, N: int, caps: "tuple[int, int, int, int]") -> dict:
     """Commutator of two dilated normal-ordered pairs applied to v.
 
-    Returns {(e1, e2): block} keyed by the mode exponents e_i = -n_i,
-    where block is a flat list over dilation monomials (a1, a2, a3, a4)
-    in row-major order up to caps.  Each entry is either None or a dict
-    mapping partition tuples to integer numerators; the true coefficient
-    carries an implicit denominator 4 * a1! * a2! * a3! * a4!.
+    Returns the flat cell table {(e1, e2, a1, a2, a3, a4): FockVector},
+    keyed by the mode exponents e_i = -n_i, |n_i| <= N, and the dilation
+    orders a <= caps, with the 1 / (4 * a1! * a2! * a3! * a4!)
+    normalization folded in and zero entries dropped.
 
     Pair indices beyond wt(v) + |n1| + |n2| act as zero on both
     orderings.  Each pair image of v itself is computed once per (j, k)."""
     nmono = math.prod(c + 1 for c in caps)
     wbound = max(map(sum, v._num), default=0)
     pair_on_v = lru_cache(maxsize=None)(lambda j, k: pair_apply(j, k, v))
-    lhs: dict[tuple[int, int], list] = {}
+    blocks: dict[tuple[int, int], list] = {}
     for n1 in range(-N, N + 1):
         for n2 in range(-N, N + 1):
-            block = [None] * nmono
-            lhs[(-n1, -n2)] = block
+            block = blocks[(-n1, -n2)] = [None] * nmono
             jb = wbound + abs(n1) + abs(n2)
             for j2 in range(-jb, jb + 1):
                 k2 = n2 - j2
@@ -570,65 +582,34 @@ def _dilated_lhs_blocks(v: FockVector, N: int, caps: "tuple[int, int, int, int]"
                         continue
                     com = pair_apply(j1, k1, inner) - pair_apply(j2, k2, pair_on_v(j1, k1))
                     _add_weighted(block, caps, [(-j1, -k1, -j2, -k2)], 1, com)
-    return lhs
+    return _block_vectors(blocks, caps)
 
 
-def _dilated_rhs_blocks(v: FockVector, N: int, caps: "tuple[int, int, int, int]") -> dict:
+def _dilated_rhs(v: FockVector, N: int, caps: "tuple[int, int, int, int]") -> dict:
     """Operator sector of the closed bracket form applied to v, in the
-    block format of _dilated_lhs_blocks (same keys, monomial order and
-    implicit denominators).  A pair index beyond wt(v) + |n2p| acts as
-    zero: the pair's larger index then annihilates a part above wt(v).
+    flat format of dilated_bracket_lhs.  At (e1, e2) = (-n1, -n2) it sums
+    the pairs h(jp) h(kp), jp + kp = n1 + n2; a pair index beyond
+    wt(v) + |n1 + n2| acts as zero: the pair's larger index then
+    annihilates a part above wt(v).
 
-    The pair h(jp) h(kp), kp = n2p - jp, at key (n, -n - n2p) carries
-    the dilation weight -P (P^a1 Q^a2 + Q^a1 P^a2)(A^a3 B^a4 + B^a3 A^a4)
-    with P = jp + n, Q = -jp, A = -P and B = -kp: the four factor sets
+    The pair carries the dilation weight -P (P^a1 Q^a2 + Q^a1 P^a2)(A^a3 B^a4 + B^a3 A^a4)
+    with P = jp - n1, Q = -jp, A = -P and B = -kp: the four factor sets
     (P, Q, A, B), (Q, P, A, B), (P, Q, B, A), (Q, P, B, A), scaled by -P."""
     nmono = math.prod(c + 1 for c in caps)
     wbound = max(map(sum, v._num), default=0)
-    rhs: dict[tuple[int, int], list] = {}
-    for n in range(-N, N + 1):
-        for n2p in range(-n - N, -n + N + 1):
-            key = (n, -n - n2p)
-            block = rhs.get(key)
-            if block is None:
-                block = rhs[key] = [None] * nmono
-            jb = wbound + abs(n2p)
+    blocks: dict[tuple[int, int], list] = {}
+    for n1 in range(-N, N + 1):
+        for n2 in range(-N, N + 1):
+            block = blocks[(-n1, -n2)] = [None] * nmono
+            jb = wbound + abs(n1 + n2)
             for jp in range(-jb, jb + 1):
-                kp = n2p - jp
-                if jp == 0 or kp == 0 or jp + n == 0:
+                kp = n1 + n2 - jp
+                if jp == 0 or kp == 0 or jp == n1:
                     continue
-                P, Q, B = jp + n, -jp, -kp
+                P, Q, B = jp - n1, -jp, -kp
                 factor_sets = ((P, Q, -P, B), (Q, P, -P, B), (P, Q, B, -P), (Q, P, B, -P))
                 _add_weighted(block, caps, factor_sets, -P, pair_apply(jp, kp, v))
-    return rhs
-
-
-def _block_vectors(blocks: dict, caps: "tuple[int, int, int, int]") -> dict:
-    """Integer blocks as {(e1, e2): {(a1, a2, a3, a4): FockVector}}, with
-    the 1 / (4 * a1! * a2! * a3! * a4!) normalization folded in and zero
-    entries dropped."""
-    monos = list(itertools.product(*(range(c + 1) for c in caps)))
-    denom = [4 * math.prod(map(_fact, mono)) for mono in monos]
-    out: dict = {}
-    for key, block in blocks.items():
-        table: dict = {}
-        for mono, den, d in zip(monos, denom, block):
-            if d:
-                vec = FockVector.from_ints({p: c for p, c in d.items() if c}, den)
-                if vec:
-                    table[mono] = vec
-        if table:
-            out[key] = table
-    return out
-
-
-def dilated_bracket_lhs(v: FockVector, N: int, caps: "tuple[int, int, int, int]") -> dict:
-    """Exact dilated-pair commutator coefficients applied to v.
-
-    Returns {(e1, e2): {(a1, a2, a3, a4): FockVector}} with the
-    1 / (4 * a1! * a2! * a3! * a4!) normalization folded in and zero
-    entries dropped."""
-    return _block_vectors(_dilated_lhs_blocks(v, N, caps), caps)
+    return _block_vectors(blocks, caps)
 
 
 def theorem1_diffs(params: dict, mismatches: list) -> None:
@@ -646,33 +627,31 @@ def theorem1_diffs(params: dict, mismatches: list) -> None:
     Both sides bound their pair indices by wt(v), which drops only pair
     terms that act as zero: an index beyond wt(v) + |n1| + |n2| makes one
     of the two pair modes annihilate more weight than any state it meets
-    has.  The right side is the operator sector (_dilated_rhs_blocks)
-    through the same block conversion, plus the scalar sector
-    v.scaled(c) on the diagonal e1 + e2 = 0.  Each (e1, e2) cell of
+    has.  The right side is the operator sector (_dilated_rhs) plus the
+    scalar sector v.scaled(c) on the diagonal cells e1 + e2 = 0.  One
+    cell_diffs walk compares them, e1 and e2 descending (n1 and n2
+    ascending) and the dilation orders row-major.  Each (e1, e2) cell of
     either side is homogeneous of weight wt(v) + e1 + e2, so note_diff
     lists a cell's partitions in (weight, parts) order, which is plain
     parts order."""
     caps = tuple(params["y-orders"])
     N, W = params["x-window"], params["weight-cap"]
-    scalar_cache = {n: _scalar_sector(n, caps) for n in range(-N, N + 1)}
+    scalar_cache = {e1: _scalar_sector(e1, caps) for e1 in range(-N, N + 1)}
+    ranges = [range(N, -N - 1, -1)] * 2 + [range(c + 1) for c in caps]
 
     for v in basis_up_to(W):
         lhs = dilated_bracket_lhs(v, N, caps)
-        rhs = _block_vectors(_dilated_rhs_blocks(v, N, caps), caps)
-        for n1 in range(-N, N + 1):
-            for n2 in range(-N, N + 1):
-                e = (-n1, -n2)
-                lt, rt = lhs.get(e, {}), rhs.get(e, {})
-                scal = scalar_cache[e[0]] if e[0] + e[1] == 0 else {}
-                for mono in sorted(lt.keys() | rt.keys() | scal.keys()):
-                    rv = rt.get(mono, FockVector.zero())
-                    if mono in scal:
-                        rv = rv + v.scaled(scal[mono])
-                    note_diff(mismatches, e + mono, lt.get(mono), rv, v)
+        rhs = _dilated_rhs(v, N, caps)
+        for e1, scal in scalar_cache.items():
+            for mono, c in scal.items():
+                cell = (e1, -e1) + mono
+                rhs[cell] = rhs.get(cell, FockVector.zero()) + v.scaled(c)
+        for cell, va, vb in cell_diffs(lhs, rhs, ranges):
+            note_diff(mismatches, cell, va, vb, v)
         # ---- zero-order slice against the mode-level bracket engine
         for n1 in range(-N, N + 1):
             for n2 in range(-N, N + 1):
-                slice_vec = lhs.get((-n1, -n2), {}).get((0, 0, 0, 0))
+                slice_vec = lhs.get((-n1, -n2, 0, 0, 0, 0))
                 expect = lbar_mode(n1 + n2, v).scaled(n1 - n2)
                 if n1 + n2 == 0:
                     expect = expect + v.scaled(F(n1**3, 12))

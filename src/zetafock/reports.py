@@ -2,7 +2,10 @@
 
 Every catalog check returns a CheckReport: the check id, the parameter
 block it ran with, a status (pass or fail), and the list of
-coefficient mismatches (empty on success).  Reports serialize to
+coefficient mismatches (empty on success).  Every mismatch entry comes
+from note_diff, and every compared table is a cell table, a dict from
+exponent tuples to FockVector where an absent cell is zero, walked by
+cell_diffs; a scalar is compared as a multiple of the vacuum.  Reports serialize to
 json-lines for machine use and to an aligned-column table for humans.
 The json-lines form is byte-identical across reruns with the same
 configuration, so volatile fields (elapsed time) stay out of it.
@@ -10,6 +13,7 @@ configuration, so volatile fields (elapsed time) stay out of it.
 
 from __future__ import annotations
 
+import itertools
 import json
 import time
 from fractions import Fraction
@@ -74,6 +78,17 @@ def note_diff(
         mismatches.append(
             mismatch_entry(list(prefix) + list(parts), lhs.coeff(parts), rhs.coeff(parts), target)
         )
+
+
+def cell_diffs(lhs, rhs, ranges):
+    """(cell, lhs cell, rhs cell) at every cell of the product of ranges
+    where two cell tables differ, walked row-major with the first range
+    outermost.  Cells off the ranges are never read."""
+    zero = FockVector.zero()
+    for cell in itertools.product(*ranges):
+        va, vb = lhs.get(cell, zero), rhs.get(cell, zero)
+        if va != vb:
+            yield cell, va, vb
 
 
 class CheckReport:

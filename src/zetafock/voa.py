@@ -34,11 +34,10 @@ tables and the bracket slices sum their weighted images with
 fock._weighted_sum (fock._fraction_sum for Fraction weights), which
 adds numerators over a common denominator and reduces once.
 
-Every compared side is a cell table: a dict from exponent tuples, in
-sorted variable order, to FockVector, where an absent cell is zero, and
-_cell_diffs walks the box row-major to find the cells that differ.  No
-side goes through the Series ring: y_bracket_apply returns its y-slices
-as a plain dict too.
+Every compared side is a cell table (see reports), walked by
+reports.cell_diffs over the check's exponent ranges.  No side goes
+through the Series ring: y_bracket_apply returns its y-slices as a
+plain dict too.
 """
 
 from __future__ import annotations
@@ -60,7 +59,7 @@ from .fock import (
     weight_components,
 )
 from .quadratic import dilated_bracket_lhs, gen_quadratic_coeff
-from .reports import note_diff
+from .reports import cell_diffs, note_diff
 from .scalars import binom, em1_unit, u_mul, u_pow
 
 F = Fraction
@@ -207,9 +206,11 @@ def _em1_power(e: int, order: int) -> "dict[int, Fraction]":
     return u_pow(em1_unit(order), e, order)
 
 
+@lru_cache(maxsize=None)
 def _kappa(e: int, w: int, order: int) -> "dict[int, Fraction]":
     """Coefficients of kappa_(e,w)(y) = ((e^y - 1)/y)^e e^(w y), complete
-    to y^order (none for a negative order)."""
+    to y^order (none for a negative order); one cache serves
+    y_bracket_apply and FOURTERM's weights, so callers never mutate it."""
     if order < 0:
         return {}
     ew = {j: F(w**j, math.factorial(j)) for j in range(order + 1)}
@@ -305,23 +306,6 @@ def axioms_diffs(params: dict, mismatches: list) -> None:
 
 
 # ----------------------------------------------------------------------
-# Cell tables: a compared side maps exponent tuples, in sorted variable
-# order, to FockVector; an absent cell is the zero vector
-
-
-def _cell_diffs(lhs, rhs, box):
-    """(cell, lhs cell, rhs cell) at every cell of box where two tables
-    differ, walking the box row-major over its sorted variables, the
-    order of series' box comparison.  Cells off the box are never read."""
-    zero = FockVector.zero()
-    ranges = [range(lo, hi + 1) for _, (lo, hi) in sorted(box.items())]
-    for cell in itertools.product(*ranges):
-        va, vb = lhs.get(cell, zero), rhs.get(cell, zero)
-        if va != vb:
-            yield cell, va, vb
-
-
-# ----------------------------------------------------------------------
 # Classical three-delta identity
 
 
@@ -330,11 +314,10 @@ def jacobi_diffs(mismatches, prefix, u, v, targets, w) -> None:
     the cube [-w, w]^3 of x0/x1/x2 exponents, monomial prefix + (target
     index, x0, x1, x2).  The left side is built per target; the right
     side's inner field is built once (see _jacobi_inner)."""
-    cube = {"x0": (-w, w), "x1": (-w, w), "x2": (-w, w)}
     inner = _jacobi_inner(u, v, w)
     for ti, target in enumerate(targets):
         lhs, rhs = _jacobi_sides(u, v, target, w, inner)
-        for cell, va, vb in _cell_diffs(lhs, rhs, cube):
+        for cell, va, vb in cell_diffs(lhs, rhs, [range(-w, w + 1)] * 3):
             note_diff(mismatches, [*prefix, ti, *cell], va, vb, target)
 
 
@@ -613,22 +596,22 @@ def residue_link_diffs(params: dict, mismatches: list) -> None:
 # Named identity bodies, registered in the catalog
 
 
-def _pair_diffs(params, mismatches, sides, names, pairs, orders=((),)) -> None:
+def _pair_diffs(params, mismatches, sides, nvars, pairs, orders=((),)) -> None:
     """The target loop of NEWJACOBI, COMM, GENJACOBI and GENCOMM: the
     mismatches of the cell tables (lhs, rhs) = sides(u, v, target, w,
-    table) on the box [-w, w] of each variable in names, for every basis
-    target of weight <= weight-cap and every (prefix, u, v, table) of
-    pairs, with monomial prefix + g + cell.
+    table) on the cube [-w, w]^nvars, for every basis target of weight
+    <= weight-cap and every (prefix, u, v, table) of pairs, with
+    monomial prefix + g + cell.
 
     Each g of orders is a tuple of dilation orders (g1, g2) that
     transports both sides by b^g1/g1! c^g2/g2!, (b, c) the cell's x1
     and x2 exponents, so a bare mismatch is listed once per g with a
     nonzero factor; the empty g, the only one by default, has factor 1."""
     w = params["x-window"]
-    box = dict.fromkeys(names, (-w, w))
+    cube = [range(-w, w + 1)] * nvars
     for target in basis_up_to(params["weight-cap"]):
         for prefix, u, v, table in pairs:
-            for cell, va, vb in _cell_diffs(*sides(u, v, target, w, table), box):
+            for cell, va, vb in cell_diffs(*sides(u, v, target, w, table), cube):
                 for g in orders:
                     fac = math.prod(F(x**k, math.factorial(k)) for x, k in zip(cell[-2:], g))
                     if fac:
@@ -660,25 +643,23 @@ def _dilation_orders(params) -> list:
 def newjacobi_diffs(params: dict, mismatches: list) -> None:
     u, v = params["u"], params["v"]
     pairs = [([], u, v, _newjacobi_rhs(u, v, params["x-window"]))]
-    _pair_diffs(params, mismatches, _newjacobi_sides, ("x0", "x1", "x2"), pairs)
+    _pair_diffs(params, mismatches, _newjacobi_sides, 3, pairs)
 
 
 def comm_diffs(params: dict, mismatches: list) -> None:
     u, v = params["u"], params["v"]
     pairs = [([], u, v, _comm_rhs(u, v, params["x-window"]))]
-    _pair_diffs(params, mismatches, _comm_sides, ("x1", "x2"), pairs)
+    _pair_diffs(params, mismatches, _comm_sides, 2, pairs)
 
 
 def genjacobi_diffs(params: dict, mismatches: list) -> None:
     pairs = _slice_pairs(params, _newjacobi_rhs)
-    _pair_diffs(
-        params, mismatches, _newjacobi_sides, ("x0", "x1", "x2"), pairs, _dilation_orders(params)
-    )
+    _pair_diffs(params, mismatches, _newjacobi_sides, 3, pairs, _dilation_orders(params))
 
 
 def gencomm_diffs(params: dict, mismatches: list) -> None:
     pairs = _slice_pairs(params, _comm_rhs)
-    _pair_diffs(params, mismatches, _comm_sides, ("x1", "x2"), pairs, _dilation_orders(params))
+    _pair_diffs(params, mismatches, _comm_sides, 2, pairs, _dilation_orders(params))
 
 
 def _fourterm_table(u1, v1, u2, v2, box, win) -> "dict[int, dict[tuple[int, int], FockVector]]":
@@ -726,12 +707,11 @@ def _fourterm_table(u1, v1, u2, v2, box, win) -> "dict[int, dict[tuple[int, int]
     shifted f2 of a and b, and so on), so every cell on box is exact, and
     cells below box are never read.  A cell sums its images over the
     common denominator of their weights and is reduced once."""
-    kappa = lru_cache(maxsize=None)(_kappa)
     cells: "dict[tuple[int, int, int], list]" = {}
     for key, sign in (("a", 1), ("b", 1), ("c", -1), ("d", -1)):
         for levels, img in _fourterm_images(key, u1, v1, u2, v2, box["y1"][1], box["y2"][1]):
             for b in range(-win, win + 1):
-                for (p, q), c in _fourterm_weight(key, b, levels, box, kappa).items():
+                for (p, q), c in _fourterm_weight(key, b, levels, box).items():
                     if c:
                         cells.setdefault((b, p, q), []).append((sign * c, img))
     table: "dict[int, dict[tuple[int, int], FockVector]]" = {b: {} for b in range(-win, win + 1)}
@@ -771,30 +751,30 @@ def _taylor(e, kap, k, sign) -> "dict[int, Fraction]":
     return out
 
 
-def _fourterm_weight(key, b, levels, box, kappa) -> "dict[tuple[int, int], Fraction]":
+def _fourterm_weight(key, b, levels, box) -> "dict[tuple[int, int], Fraction]":
     """The weight of one nested image of term key at kernel exponent b on
-    each cell (p, q) of box (see _fourterm_table); kappa is _kappa."""
+    each cell (p, q) of box (see _fourterm_table)."""
     (lo1, o1), (lo2, o2) = box["y1"], box["y2"]
     (e3, w3), (e2, w2), (e1, w1) = levels
     w3, w2, w1 = {"a": (w3 - b, w2, w1), "b": (w3, w2 - b, w1)}.get(key, (w3, w2, w1 - b))
     top = -1 - e3
-    g = kappa(e3, w3, top)
+    g = _kappa(e3, w3, top)
     pieces = []  # (scalar, y1 part, y2 part)
     for k in range(top + 1):
         r = g.get(top - k)
         if not r:
             continue
         if key in "ab":
-            ps = _taylor(e2, kappa(e2, w2, o1 + top - e2), k, 1)
+            ps = _taylor(e2, _kappa(e2, w2, o1 + top - e2), k, 1)
             if key == "b":
                 ps = {p: x if p % 2 == 0 else -x for p, x in ps.items()}
-            pieces.append((r, ps, _taylor(e1, kappa(e1, w1, o2 - e1), 0, 1)))
+            pieces.append((r, ps, _taylor(e1, _kappa(e1, w1, o2 - e1), 0, 1)))
             continue
-        ps = _taylor(e2, kappa(e2, w2, o1 - e2), 0, 1)
+        ps = _taylor(e2, _kappa(e2, w2, o1 - e2), 0, 1)
         if key == "c":
-            pieces.append((r, ps, _taylor(e1, kappa(e1, w1, o2 + top - e1), k, -1)))
+            pieces.append((r, ps, _taylor(e1, _kappa(e1, w1, o2 + top - e1), k, -1)))
             continue
-        kap1 = kappa(e1, w1, o2 + top + o1 - e2 - e1)
+        kap1 = _kappa(e1, w1, o2 + top + o1 - e2 - e1)
         for l in range(o1 - e2 + 1):
             shifted = {p + l: x for p, x in ps.items()}
             pieces.append((r * binom(k + l, k), shifted, _taylor(e1, kap1, k + l, -1)))
@@ -824,6 +804,7 @@ def fourterm_diffs(params: dict, mismatches: list) -> None:
     vslices = y_bracket_apply(u2, v2, o2)
     box = {"y1": (-d1, o1), "y2": (-d2, o2)}
     table = _fourterm_table(u1, v1, u2, v2, box, w)
+    ranges = [range(-d1, o1 + 1), range(-d2, o2 + 1)]
     for target in basis_up_to(params["weight-cap"]):
         comms = {
             (alpha, beta): _commutator_cells(ua, vb, target, w)
@@ -838,7 +819,7 @@ def fourterm_diffs(params: dict, mismatches: list) -> None:
                     img = x_mode(vec, -b - c, target)
                     if img:
                         rhs[cell] = img
-                for cell, va, vb in _cell_diffs(data, rhs, box):
+                for cell, va, vb in cell_diffs(data, rhs, ranges):
                     note_diff(mismatches, [b, c, *cell], va, vb, target)
 
 
@@ -883,12 +864,12 @@ def specialize_diffs(params: dict, mismatches: list) -> None:
     # GENCOMM's slice pairs with the generator in all four slots
     gencomm = {"u1": g, "v1": g, "u2": g, "v2": g, "x-window": w, "y-orders": (oy1, oy2)}
     pairs = _slice_pairs(gencomm, _comm_rhs)
-    box = {"x1": (-w, w), "x2": (-w, w)}
+    square = [range(-w, w + 1)] * 2
     for target in basis_up_to(params["weight-cap"]):
         table = dilated_bracket_lhs(target, w, caps)
         for (alpha, beta), ua, vb, rhs_table in pairs:
             lhs, rhs = _comm_sides(ua, vb, target, w, rhs_table)
-            for cell, va, vv in _cell_diffs(lhs, rhs, box):
+            for cell, va, vv in cell_diffs(lhs, rhs, square):
                 note_diff(mismatches, [alpha, beta, *cell], va, vv, target)
             if alpha < 0 or beta < 0:
                 # scalar slices commute; the bracket engine has no
@@ -899,7 +880,6 @@ def specialize_diffs(params: dict, mismatches: list) -> None:
                 continue
             for b in range(-w, w + 1):
                 for c in range(-w, w + 1):
-                    mono_table = table.get((b, c), {})
                     lv = lhs.get((b, c), FockVector.zero())
                     for g1 in range(ow1 + 1):
                         for g2 in range(ow2 + 1):
@@ -908,7 +888,7 @@ def specialize_diffs(params: dict, mismatches: list) -> None:
                                 (math.comb(a1, alpha) * math.comb(a3, beta), vec)
                                 for a1 in range(alpha, alpha + g1 + 1)
                                 for a3 in range(beta, beta + g2 + 1)
-                                if (vec := mono_table.get((a1, g1 - (a1 - alpha), a3, g2 - (a3 - beta))))
+                                if (vec := table.get((b, c, a1, alpha + g1 - a1, a3, beta + g2 - a3)))
                             )
                             # the binomial resummation of the table
                             # already carries one transport factor

@@ -104,7 +104,7 @@ def test_criterion_05_dilated_bracket_identity():
         table = q.dilated_bracket_lhs(v, 2, (0, 0, 0, 0))
         for n1 in range(-2, 3):
             for n2 in range(-2, 3):
-                got = table.get((-n1, -n2), {}).get((0, 0, 0, 0), FockVector.zero())
+                got = table.get((-n1, -n2, 0, 0, 0, 0), FockVector.zero())
                 want = q.lbar_mode(n1 + n2, v).scaled(n1 - n2)
                 if n1 + n2 == 0:
                     want = want + v.scaled(F(n1**3, 12))

@@ -206,3 +206,78 @@ def test_bloch_monomial_compares_each_value(monkeypatch):
     rep = catalog.run_check("BLOCH-MONOMIAL", {"mode-range": 3})
     assert rep.status == "fail"
     assert [m["monomial"] for m in rep.mismatches] == [[1, 0, m, 1] for m in (1, 2, 3)]
+
+
+# the scalar checks list their mismatches on the vacuum
+VAC_TARGET = [{"parts": [], "coeff": "1"}]
+
+
+def _entry(monomial, lhs, rhs):
+    return {"monomial": monomial, "lhs": lhs, "rhs": rhs, "target": VAC_TARGET}
+
+
+def test_zeta_table_lists_a_wrong_anchor_and_a_nonzero_odd_value(monkeypatch):
+    real = catalog.bernoulli
+    wrong = {4: Fraction(29, 30), 5: Fraction(1, 7)}
+    monkeypatch.setattr(catalog, "bernoulli", lambda k: wrong.get(k, real(k)))
+    rep = catalog.run_check("ZETA-TABLE", {"mode-range": 6})
+    assert rep.status == "fail"
+    assert rep.mismatches == [_entry([4, 0], "29/30", "-1/30"), _entry([5, 2], "1/7", "0")]
+
+
+def test_res_change_lists_the_failing_instance(monkeypatch):
+    real = catalog.residue_change_check
+    calls = []
+
+    def third_fails(laurent, unit):
+        calls.append(real(laurent, unit))
+        return calls[-1] and len(calls) != 3
+
+    monkeypatch.setattr(catalog, "residue_change_check", third_fails)
+    rep = catalog.run_check("RES-CHANGE", {"instances": 5})
+    assert all(calls) and len(calls) == 5
+    assert rep.status == "fail"
+    assert rep.mismatches == [_entry([2], "0", "1")]
+
+
+def test_bloch_monomial_lists_a_failed_extraction(monkeypatch):
+    from zetafock import quadratic
+
+    real = quadratic.central_term
+
+    def raising(r, s, m):
+        if (r, s) == (1, 1):
+            raise ValueError("not a diagonal combination")
+        return real(r, s, m)
+
+    monkeypatch.setattr(quadratic, "central_term", raising)
+    rep = catalog.run_check("BLOCH-MONOMIAL", {"mode-range": 2})
+    assert rep.status == "fail"
+    assert rep.mismatches == [_entry([1, 1, 0], "0", "1")]
+    assert [1, 1] not in [row["orders"] for row in rep.params["values"]]
+
+
+def test_graded_dim_lists_a_wrong_partition_count(monkeypatch):
+    real = catalog.graded_dim
+    monkeypatch.setattr(catalog, "graded_dim", lambda n: real(n) + (n == 5))
+    rep = catalog.run_check("GRADED-DIM", {"weight-cap": 8})
+    assert rep.status == "fail"
+    assert rep.mismatches == [_entry([5], "8", "7")]
+
+
+def test_wick_lists_the_kernel_cells_one_wrong_entry_breaks(monkeypatch):
+    # geo(-1, 1, 1, 0) = -1 raised to 0 breaks x2 d/dx2 = -d/dy1 on the
+    # cell itself and on the cell below it in y1
+    from zetafock import quadratic
+
+    real = quadratic._dilated_geometric
+
+    def off_by_one(N, y_order):
+        geo = real(N, y_order)
+        geo[(-1, 1, 1, 0)] += 1
+        return geo
+
+    monkeypatch.setattr(quadratic, "_dilated_geometric", off_by_one)
+    rep = catalog.run_check("WICK", {"x-window": 2, "weight-cap": 1, "y-order": 2})
+    assert rep.status == "fail"
+    assert rep.mismatches == [_entry([-1, 1, 0, 0], "1", "0"), _entry([-1, 1, 1, 0], "0", "-1")]

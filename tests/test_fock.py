@@ -152,6 +152,20 @@ def test_vectors_refuse_floats():
     assert fo.FockVector({(2, 1): "1/2"}) == v.scaled(F(1, 2))
 
 
+def test_constructor_canonicalizes_partitions():
+    # a key in any order names one basis state; equal states add up
+    v = fo.FockVector({(1, 2): 1})
+    assert v == fo.FockVector.basis((2, 1))
+    assert v.coeff((1, 2)) == v.coeff((2, 1)) == 1
+    w = fo.FockVector({(2, 1): 1, (1, 2): F(1, 2), (1, 3): 2})
+    assert len(w) == 2
+    assert w == fo.FockVector.basis((2, 1)).scaled(F(3, 2)) + fo.FockVector.basis((3, 1)).scaled(2)
+    assert not fo.FockVector({(2, 1): 1, (1, 2): -1})
+    for bad in ((1, 0), (0,), (2, -1)):
+        with pytest.raises(ValueError):
+            fo.FockVector({bad: 1})
+
+
 # ----------------------------------------------------------------------
 # integer numerators over one denominator, against {partition: Fraction}
 

@@ -457,16 +457,17 @@ def test_dilated_bracket_lhs_zero_slice_is_shifted_bracket():
                 want = q.lbar_mode(n1 + n2, v).scaled(n1 - n2)
                 if n1 + n2 == 0:
                     want = want + v.scaled(F(n1**3, 12))
-                got = table.get((-n1, -n2), {}).get((0, 0, 0, 0), FockVector.zero())
+                got = table.get((-n1, -n2, 0, 0, 0, 0), FockVector.zero())
                 assert got == want, (n1, n2)
 
 
 def test_dilated_bracket_lhs_drops_zero_entries():
-    table = q.dilated_bracket_lhs(FockVector.vacuum(), 1, (1, 1, 0, 0))
-    for key, monos in table.items():
-        assert monos, key
-        for mono, vec in monos.items():
-            assert vec, (key, mono)
+    # at N = 2 the vacuum's table has 23 cells in 7 (e1, e2) blocks
+    table = q.dilated_bracket_lhs(FockVector.vacuum(), 2, (1, 1, 0, 0))
+    assert len(table) == 23
+    assert len({cell[:2] for cell in table}) == 7
+    for cell, vec in table.items():
+        assert vec, cell
 
 
 def test_phi_kernel_is_entire():
@@ -560,11 +561,8 @@ def test_dilated_bracket_lhs_is_the_commutator_of_quad_fields():
                 want = {}
                 for n1 in range(-N, N + 1):
                     for n2 in range(-N, N + 1):
-                        cells = {}
                         for a1, a2, a3, a4 in monos:
                             com = G(a1, a2, n1, G(a3, a4, n2, v)) - G(a3, a4, n2, G(a1, a2, n1, v))
                             if com:
-                                cells[(a1, a2, a3, a4)] = com
-                        if cells:
-                            want[(-n1, -n2)] = cells
+                                want[(-n1, -n2, a1, a2, a3, a4)] = com
                 assert q.dilated_bracket_lhs(v, N, caps) == want, (N, caps, v)

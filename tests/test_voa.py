@@ -32,7 +32,7 @@ from zetafock.fock import (
     weight,
     weight_components,
 )
-from zetafock.reports import note_diff
+from zetafock.reports import cell_diffs, note_diff
 
 from test_fourterm import _series_table
 from zetafock.series import (
@@ -616,7 +616,7 @@ def test_cell_diffs_match_diff_on_box_seeded():
             for nm, (lo, hi) in zip(sorted(box), spans)
         ]
         oracle = diff_on_box(Series(wins, lt), Series(wins, rt), box)
-        got = list(voa._cell_diffs(lt, rt, box))
+        got = list(cell_diffs(lt, rt, [range(lo, hi + 1) for lo, hi in spans]))
         assert [c for c, _, _ in got] == [tuple(exps.values()) for exps, _, _ in oracle]
         zero = FockVector.zero()
         assert [(va, vb) for _, va, vb in got] == [
