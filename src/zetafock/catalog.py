@@ -23,7 +23,6 @@ from . import voa, quadratic
 from .fock import FockVector, basis_up_to, character_offset, graded_dim, h_apply
 from .quadratic import (
     bernoulli,
-    l_mode,
     lbar_mode,
     mode_bracket_diffs,
     modvir_central,
@@ -78,12 +77,12 @@ def _heisenberg(params, mismatches):
 
 def _virasoro(params, mismatches):
     R, W = params["mode-range"], params["weight-cap"]
-    mode_bracket_diffs(mismatches, R, W, l_mode, virasoro_central)
+    mode_bracket_diffs(mismatches, R, W, False, virasoro_central)
 
 
 def _modvir(params, mismatches):
     R, W = params["mode-range"], params["weight-cap"]
-    mode_bracket_diffs(mismatches, R, W, lbar_mode, modvir_central)
+    mode_bracket_diffs(mismatches, R, W, True, modvir_central)
     # the shifted zero mode has vacuum eigenvalue -1/24
     vac = FockVector.vacuum()
     note_diff(mismatches, [0], lbar_mode(0, vac), vac.scaled(F(-1, 24)), vac)

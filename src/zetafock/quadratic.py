@@ -180,12 +180,13 @@ def quad_apply(
 
     r_left and r_right are the polynomial weights on the two mode
     indices; they coincide for the named graded operators and differ
-    only for generating-function coefficients.  Per basis component the mode sum visits only the j for which
-    :h(j)h(n-j): can act (the parts, n minus a part, and the two-creator
-    range n < j < 0); `_quad_on_basis` shows that every other term
-    annihilates.  Coefficients are summed as integer numerators over
-    twice the denominator of v.  The regularizing constant enters only at
-    n = 0 with r_left = r_right."""
+    only for generating-function coefficients.  Per basis component the
+    mode sum visits only the j for which :h(j)h(n-j): can act (the
+    parts, n minus a part, and the two-creator range n < j < 0);
+    `_quad_on_basis` shows that every other term annihilates.
+    Coefficients are summed as integer numerators over twice the
+    denominator of v.  The regularizing constant enters only at n = 0
+    with r_left = r_right."""
     acc: dict[tuple[int, ...], int] = {}
     for parts, s in v._num.items():
         for p2, x in _quad_on_basis(r_left, r_right, n, parts):
@@ -252,21 +253,66 @@ def gen_quadratic_coeff(
 # Bracket checks on the mode level
 
 
-def mode_bracket_diffs(mismatches: list, R: int, W: int, mode, central) -> None:
-    """[mode(m), mode(n)] = (m-n) mode(m+n) + central(m) delta_{m+n,0} for
-    m, n in [-R, R] on every basis state of weight <= W.  Per state v, each
-    mode(k, v) and mode(m, mode(n, v)) is computed once; mismatches are
-    listed pair by pair in (m, n) order, prefixed by [m, n]."""
+def mode_bracket_diffs(mismatches: list, R: int, W: int, regularized: bool, central) -> None:
+    """[L(m), L(n)] = (m-n) L(m+n) + central(m) delta_{m+n,0} for m, n in
+    [-R, R] on every basis state of weight <= W, L(k) the Virasoro mode
+    plus reg_constant(0) at k = 0 when regularized is set (lbar_mode, else
+    l_mode).
+
+    Per state v, each L(k)v and L(m)L(n)v is read once from
+    _quad_on_basis as integer numerators over the fixed denominators d
+    and d^2, d = lcm(2, denominator of reg_constant(0)).  A cell compares
+    the numerators of both sides cross-multiplied by the denominator of
+    central(m); only a cell that differs is turned into vectors for
+    note_diff.  Mismatches are listed pair by pair in (m, n) order,
+    prefixed by [m, n]."""
+    quad = _quad_on_basis
+    c0 = reg_constant(0) if regularized else F(0)
+    d = math.lcm(2, c0.denominator)
+    half, shift = d // 2, c0.numerator * (d // c0.denominator)
+
+    def mode(k: int, vec: "dict[tuple[int, ...], int]") -> "dict[tuple[int, ...], int]":
+        # d * L(k) on the integer combination vec; zero values may remain
+        acc: dict[tuple[int, ...], int] = {}
+        for p, c in vec.items():
+            ch = c * half
+            for p2, x in quad(0, 0, k, p):
+                acc[p2] = acc.get(p2, 0) + ch * x
+            if k == 0 and shift:
+                acc[p] = acc.get(p, 0) + c * shift
+        return acc
+
     grid = [(m, n) for m in range(-R, R + 1) for n in range(-R, R + 1)]
     per_pair: dict = {mn: [] for mn in grid}
+    cen = {m: F(central(m)) for m in range(-R, R + 1)}
     for v in basis_up_to(W):
-        single = {k: mode(k, v) for k in range(-2 * R, 2 * R + 1)}
+        (parts,) = v._num
+        single = {k: mode(k, {parts: 1}) for k in range(-2 * R, 2 * R + 1)}
         double = {(m, n): mode(m, single[n]) for m, n in grid}
         for m, n in grid:
-            rhs = single[m + n].scaled(m - n)
-            if m + n == 0:
-                rhs = rhs + v.scaled(central(m))
-            note_diff(per_pair[m, n], [m, n], double[m, n] - double[n, m], rhs, v)
+            c = cen[m] if m + n == 0 else 0
+            a, b = c.numerator, c.denominator
+            lhs = dict(double[m, n])  # d^2 [L(m), L(n)]v
+            for p, x in double[n, m].items():
+                lhs[p] = lhs.get(p, 0) - x
+            # lhs - d^2 (m-n) L(m+n)v must vanish off |parts> and equal
+            # central(m) d^2 = a d^2 / b on it
+            diff = dict(lhs)
+            k = (m - n) * d
+            for p, x in single[m + n].items():
+                diff[p] = diff.get(p, 0) - k * x
+            diff[parts] = diff.get(parts, 0) * b - a * d * d
+            if not any(diff.values()):
+                continue
+            rhs = {p: k * b * x for p, x in single[m + n].items()}
+            rhs[parts] = rhs.get(parts, 0) + a * d * d
+            note_diff(
+                per_pair[m, n],
+                [m, n],
+                FockVector.from_ints({p: x for p, x in lhs.items() if x}, d * d),
+                FockVector.from_ints({p: x for p, x in rhs.items() if x}, b * d * d),
+                v,
+            )
     mismatches.extend(itertools.chain(*per_pair.values()))
 
 
@@ -285,9 +331,18 @@ def modvir_central(m: int) -> Fraction:
 
 
 def _bracket(r: int, s: int, m: int, parts: tuple[int, ...]) -> FockVector:
-    """[Q_r(m), Q_s(-m)] on the basis state |parts>."""
-    v = FockVector.basis(parts)
-    return lbar_r(r, m, lbar_r(s, -m, v)) - lbar_r(s, -m, lbar_r(r, m, v))
+    """[Q_r(m), Q_s(-m)] on the basis state |parts>.
+
+    Both orderings chain _quad_on_basis images, twice each operator, as
+    integer numerators over 4.  m != 0, so neither mode is zero and no
+    regularizing constant enters."""
+    quad = _quad_on_basis
+    acc: dict[tuple[int, ...], int] = {}
+    for (r1, n1), (r2, n2), sign in (((s, -m), (r, m), 1), ((r, m), (s, -m), -1)):
+        for p1, x in quad(r1, r1, n1, parts):
+            for p2, y in quad(r2, r2, n2, p1):
+                acc[p2] = acc.get(p2, 0) + sign * x * y
+    return FockVector.from_ints({p: x for p, x in acc.items() if x}, 4)
 
 
 @lru_cache(maxsize=None)
@@ -594,9 +649,11 @@ def _dilated_rhs(v: FockVector, N: int, caps: "tuple[int, int, int, int]") -> di
 
     The pair carries the dilation weight -P (P^a1 Q^a2 + Q^a1 P^a2)(A^a3 B^a4 + B^a3 A^a4)
     with P = jp - n1, Q = -jp, A = -P and B = -kp: the four factor sets
-    (P, Q, A, B), (Q, P, A, B), (P, Q, B, A), (Q, P, B, A), scaled by -P."""
+    (P, Q, A, B), (Q, P, A, B), (P, Q, B, A), (Q, P, B, A), scaled by -P.
+    The pair image of v depends on (jp, kp) only and is computed once."""
     nmono = math.prod(c + 1 for c in caps)
     wbound = max(map(sum, v._num), default=0)
+    pair_on_v = lru_cache(maxsize=None)(lambda j, k: pair_apply(j, k, v))
     blocks: dict[tuple[int, int], list] = {}
     for n1 in range(-N, N + 1):
         for n2 in range(-N, N + 1):
@@ -608,7 +665,7 @@ def _dilated_rhs(v: FockVector, N: int, caps: "tuple[int, int, int, int]") -> di
                     continue
                 P, Q, B = jp - n1, -jp, -kp
                 factor_sets = ((P, Q, -P, B), (Q, P, -P, B), (P, Q, B, -P), (Q, P, B, -P))
-                _add_weighted(block, caps, factor_sets, -P, pair_apply(jp, kp, v))
+                _add_weighted(block, caps, factor_sets, -P, pair_on_v(jp, kp))
     return _block_vectors(blocks, caps)
 
 

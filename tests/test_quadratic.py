@@ -222,7 +222,7 @@ def test_wrong_central_term_fails():
     # negative control: the shifted modes do not satisfy the unshifted
     # central term, and the grid must say so on the m + n = 0 diagonal
     mismatches = []
-    q.mode_bracket_diffs(mismatches, 2, 4, q.lbar_mode, q.virasoro_central)
+    q.mode_bracket_diffs(mismatches, 2, 4, True, q.virasoro_central)
     assert mismatches
     assert all(e["monomial"][0] + e["monomial"][1] == 0 for e in mismatches)
     entry = mismatches[0]
@@ -239,28 +239,61 @@ def _bracket_pair_oracle(mismatches, prefix, m, n, W, mode, central):
         note_diff(mismatches, prefix, lhs, rhs, v)
 
 
-def test_mode_bracket_grid_matches_the_per_pair_loop():
-    # the shared per-state images give the entries, values and order of
-    # one per-pair loop per (m, n), on a passing grid and two failing ones
-    def doubled_at_2(n, v):
-        img = q.l_mode(n, v)
-        return img.scaled(2) if n == 2 else img
+def _grid_and_oracle(R, W, regularized, central):
+    # the integer grid's entries and those of the FockVector per-pair
+    # loop over l_mode or lbar_mode, both reading the current
+    # _quad_on_basis
+    mode = q.lbar_mode if regularized else q.l_mode
+    want = []
+    for m in range(-R, R + 1):
+        for n in range(-R, R + 1):
+            _bracket_pair_oracle(want, [m, n], m, n, W, mode, central(m))
+    got = []
+    q.mode_bracket_diffs(got, R, W, regularized, central)
+    return got, want
 
-    cases = (
-        (q.lbar_mode, q.modvir_central, 6, 0),
-        (q.l_mode, q.modvir_central, 4, 72),
-        (doubled_at_2, q.virasoro_central, 5, 164),
-    )
+
+def _patched_quad(monkeypatch, change):
+    # _quad_on_basis with change(n, parts, image) applied to each image
+    real = q._quad_on_basis
+
+    def patched(r_left, r_right, n, parts):
+        return change(n, parts, real(r_left, r_right, n, parts))
+
+    monkeypatch.setattr(q, "_quad_on_basis", patched)
+
+
+def test_mode_bracket_grid_matches_the_per_pair_loop(monkeypatch):
+    # the integer grid gives the entries, values and order of one
+    # per-pair loop per (m, n), on a passing grid and two failing ones;
+    # the last doubles L(2) in both engines
     R = 3
-    for mode, central, W, count in cases:
-        want = []
-        for m in range(-R, R + 1):
-            for n in range(-R, R + 1):
-                _bracket_pair_oracle(want, [m, n], m, n, W, mode, central(m))
-        got = []
-        q.mode_bracket_diffs(got, R, W, mode, central)
-        assert len(want) == count
-        assert got == want, (mode, central, W)
+    got, want = _grid_and_oracle(R, 6, True, q.modvir_central)
+    assert len(want) == 0 and got == want
+    got, want = _grid_and_oracle(R, 4, False, q.modvir_central)
+    assert len(want) == 72 and got == want
+    _patched_quad(
+        monkeypatch, lambda n, parts, img: tuple((p, 2 * x) for p, x in img) if n == 2 else img
+    )
+    got, want = _grid_and_oracle(R, 5, False, q.virasoro_central)
+    assert len(want) == 164 and got == want
+
+
+@pytest.mark.parametrize("regularized", [False, True])
+def test_mode_bracket_grid_sees_one_wrong_coefficient(monkeypatch, regularized):
+    # one integer coefficient of one cached image off by one: the
+    # numerator comparison must fail, and list what the vector loop lists
+    def bumped(n, parts, img):
+        if (n, parts) == (1, (2, 1)):
+            (p, x), *rest = img
+            return ((p, x + 1), *rest)
+        return img
+
+    _patched_quad(monkeypatch, bumped)
+    central = q.modvir_central if regularized else q.virasoro_central
+    got, want = _grid_and_oracle(2, 4, regularized, central)
+    assert want
+    assert got == want
 
 
 def test_central_term_frozen_and_monomial():
@@ -305,9 +338,9 @@ def test_central_term_reports_an_off_diagonal_bracket(monkeypatch):
     # a stray state of weight 9 makes the bracket off-diagonal on every
     # state of weight <= 4 while its diagonal coefficients still fit, so
     # the consistency check passes and the diagonality check must fail
-    real = q.lbar_r
+    real = q._bracket
     stray = FockVector.basis((9,))
-    monkeypatch.setattr(q, "lbar_r", lambda r, n, v: real(r, n, v) + stray)
+    monkeypatch.setattr(q, "_bracket", lambda r, s, m, parts: real(r, s, m, parts) + stray)
     with pytest.raises(ValueError, match="bracket is not a diagonal combination"):
         q.central_term(0, 0, 1)
 
@@ -326,6 +359,18 @@ def test_central_term_checks_the_vacuum(monkeypatch):
     for r, s in ((0, 0), (1, 2)):
         with pytest.raises(ValueError, match="bracket is not a diagonal combination"):
             q.central_term(r, s, 2)
+
+
+def test_bracket_matches_the_vector_composition():
+    # the integer chain of _quad_on_basis images against the two
+    # orderings of lbar_r on FockVectors
+    for v in basis_up_to(8):
+        (parts,) = v._num
+        for r in range(3):
+            for s in range(3):
+                for m in (-4, -3, -2, -1, 1, 2, 3, 4):
+                    want = q.lbar_r(r, m, q.lbar_r(s, -m, v)) - q.lbar_r(s, -m, q.lbar_r(r, m, v))
+                    assert q._bracket(r, s, m, parts) == want, (r, s, m, parts)
 
 
 def test_central_fit_inverts_its_block():
