@@ -120,22 +120,26 @@ def _pair_step(j: int, k: int, parts: tuple[int, ...]) -> "tuple[tuple[int, ...]
     return parts, x
 
 
-# the pair step per (j, k, basis state) for pair_apply, with j >= k
+# the pair step per (j, k, basis state), with j >= k
 _pair_on_basis = lru_cache(maxsize=None)(_pair_step)
+
+
+def _pair_image(j: int, k: int, parts: tuple[int, ...]) -> "tuple[tuple[int, ...], int] | None":
+    """_pair_on_basis with (j, k) in the caller's order."""
+    return _pair_on_basis(j, k, parts) if j >= k else _pair_on_basis(k, j, parts)
+
+
+def _pair_terms(j: int, k: int, num: "dict[tuple[int, ...], int]") -> list:
+    """:h(j)h(k): on the integer combination num as (partition, int) items."""
+    steps = ((_pair_image(j, k, parts), c) for parts, c in num.items())
+    return [(step[0], c * step[1]) for step, c in steps if step]
 
 
 def pair_apply(j: int, k: int, v: FockVector) -> FockVector:
     """Normal-ordered pair :h(j)h(k): on an arbitrary vector."""
-    if j < k:
-        j, k = k, j
-    # a pair step has an integer factor, so v's denominator carries over
-    acc: dict[tuple[int, ...], int] = {}
-    for parts, c in v._num.items():
-        step = _pair_on_basis(j, k, parts)
-        if step:
-            p2, x = step
-            acc[p2] = acc.get(p2, 0) + c * x
-    return FockVector.from_ints({p: x for p, x in acc.items() if x}, v._den)
+    # distinct basis states have distinct images with integer factors, so
+    # no two terms merge and v's denominator carries over
+    return FockVector.from_ints(dict(_pair_terms(j, k, v._num)), v._den)
 
 
 @lru_cache(maxsize=None)
@@ -495,8 +499,11 @@ def wick_diffs(params: dict, mismatches: list) -> None:
 # The dilated-bracket identity (THEOREM1)
 #
 # Both sides are assembled coefficientwise from closed forms.  The
-# operator sectors of both sides are integer numerators over the shared
-# denominator 4 a1! a2! a3! a4!, weighted by one loop (_add_weighted).
+# operator sectors of both sides are integer blocks: numerators over the
+# shared denominator 4 a1! a2! a3! a4!, summed from pair steps on basis
+# states (_pair_image) and weighted by one loop (_add_weighted).
+# SPECIALIZE reads the left side's blocks (_dilated_lhs_blocks) as they
+# are; THEOREM1 compares both sides as flat vector tables.
 # The scalar sector is the multinomial expansion of the entire kernel
 #   Phi_n(u) = g''(u)(e^(nu) - 1) + n g'(u)(1 + e^(nu)),
 # g(u) = 1/(1 - e^(-u)), whose pole parts cancel identically.
@@ -561,19 +568,15 @@ def _add_weighted(
     caps: "tuple[int, int, int, int]",
     factor_sets: "Iterable[tuple[int, int, int, int]]",
     scale: int,
-    vec: FockVector,
+    items: list,
 ) -> None:
-    """Add scale * (sum over f in factor_sets of prod_i f_i^(a_i)) * vec to
-    the integer numerators block[idx] of each dilation monomial
-    (a1, a2, a3, a4) <= caps, idx its row-major index.  The weights are
-    summed per monomial before any dict is touched."""
-    if not vec:
+    """Add scale * (sum over f in factor_sets of prod_i f_i^(a_i)) times
+    the (partition, int) items to the integer numerators block[idx] of
+    each dilation monomial (a1, a2, a3, a4) <= caps, idx its row-major
+    index.  The weights are summed per monomial before any dict is
+    touched."""
+    if not items:
         return
-    # basis states have integral matrix elements; a fractional one here
-    # means the caller fed a non-basis target into the integer fast path
-    if vec._den != 1:
-        raise ArithmeticError("expected integral coefficients on basis states")
-    items = list(vec._num.items())
     weights = None
     for f in factor_sets:
         w = [scale]
@@ -590,9 +593,58 @@ def _add_weighted(
                 d[p] = d.get(p, 0) + wgt * cc
 
 
+def _empty_blocks(v: FockVector, N: int, caps: "tuple[int, int, int, int]"):
+    """(blocks, wbound): {(e1, e2): [None] * nmono} for |e_i| <= N, e1
+    outermost, and the top weight of v.  The blocks hold integer
+    numerators, so a v with a denominator is refused."""
+    if v._den != 1:
+        raise ArithmeticError("expected integral coefficients on basis states")
+    nmono = math.prod(c + 1 for c in caps)
+    keys = itertools.product(range(N, -N - 1, -1), repeat=2)
+    return {key: [None] * nmono for key in keys}, max(map(sum, v._num), default=0)
+
+
+def _commutator_terms(j1: int, k1: int, j2: int, k2: int, num) -> list:
+    """[:h(j1)h(k1):, :h(j2)h(k2):] on the integer combination num as
+    (partition, int) items, zeros dropped: at most two per basis state."""
+    acc: dict[tuple[int, ...], int] = {}
+    for parts, c in num.items():
+        for (ja, ka), (jb, kb), sign in (((j2, k2), (j1, k1), c), ((j1, k1), (j2, k2), -c)):
+            step = _pair_image(ja, ka, parts)
+            if step and (step2 := _pair_image(jb, kb, step[0])):
+                p, x = step2
+                acc[p] = acc.get(p, 0) + sign * step[1] * x
+    return [(p, x) for p, x in acc.items() if x]
+
+
+def _dilated_lhs_blocks(v: FockVector, N: int, caps: "tuple[int, int, int, int]") -> dict:
+    """Commutator of two dilated normal-ordered pairs applied to v, as
+    integer blocks {(e1, e2): [dict | None] * nmono}, e_i = -n_i with
+    |n_i| <= N: entry idx holds the numerators over 4 a1! a2! a3! a4!
+    of the dilation monomial a <= caps of row-major index idx.
+
+    Pair indices beyond wt(v) + |n1| + |n2| act as zero on both
+    orderings, and two pairs commute unless an index of one is minus an
+    index of the other."""
+    blocks, wbound = _empty_blocks(v, N, caps)
+    for (e1, e2), block in blocks.items():
+        n1, n2 = -e1, -e2
+        jb = wbound + abs(n1) + abs(n2)
+        for j2 in range(-jb, jb + 1):
+            k2 = n2 - j2
+            if j2 == 0 or k2 == 0:
+                continue
+            for j1 in {-j2, -k2, n1 + j2, n1 + k2}:
+                k1 = n1 - j1
+                if j1 and k1:
+                    com = _commutator_terms(j1, k1, j2, k2, v._num)
+                    _add_weighted(block, caps, [(-j1, -k1, -j2, -k2)], 1, com)
+    return blocks
+
+
 def _block_vectors(blocks: dict, caps: "tuple[int, int, int, int]") -> dict:
-    """Integer blocks {(e1, e2): block} (see _add_weighted) as the flat
-    cell table {(e1, e2, a1, a2, a3, a4): FockVector}, with the
+    """Integer blocks {(e1, e2): block} (see _dilated_lhs_blocks) as the
+    flat cell table {(e1, e2, a1, a2, a3, a4): FockVector}, with the
     1 / (4 * a1! * a2! * a3! * a4!) normalization folded in and zero
     entries dropped."""
     monos = list(itertools.product(*(range(c + 1) for c in caps)))
@@ -607,37 +659,28 @@ def _block_vectors(blocks: dict, caps: "tuple[int, int, int, int]") -> dict:
     return out
 
 
+@lru_cache(maxsize=None)
+def _resummation(caps: "tuple[int, int, int, int]", alpha: int, beta: int, g1: int, g2: int):
+    """(D, terms), D the lcm of a1! a2! a3! a4! over the monomials
+    a <= caps: 4 times the sum of C(a1, alpha) C(a3, beta) over the
+    table cells a = (a1, alpha + g1 - a1, a3, beta + g2 - a3) of one
+    block of _dilated_lhs_blocks is the sum of wgt * block[idx] over
+    (idx, wgt) in terms, divided by D."""
+    monos = list(itertools.product(*(range(c + 1) for c in caps)))
+    facts = [math.prod(map(_fact, a)) for a in monos]
+    D = math.lcm(*facts)
+    return D, [
+        (idx, math.comb(a1, alpha) * math.comb(a3, beta) * D // facts[idx])
+        for idx, (a1, a2, a3, a4) in enumerate(monos)
+        if a1 >= alpha and a3 >= beta and (a1 + a2, a3 + a4) == (alpha + g1, beta + g2)
+    ]
+
+
 def dilated_bracket_lhs(v: FockVector, N: int, caps: "tuple[int, int, int, int]") -> dict:
-    """Commutator of two dilated normal-ordered pairs applied to v.
-
-    Returns the flat cell table {(e1, e2, a1, a2, a3, a4): FockVector},
-    keyed by the mode exponents e_i = -n_i, |n_i| <= N, and the dilation
-    orders a <= caps, with the 1 / (4 * a1! * a2! * a3! * a4!)
-    normalization folded in and zero entries dropped.
-
-    Pair indices beyond wt(v) + |n1| + |n2| act as zero on both
-    orderings.  Each pair image of v itself is computed once per (j, k)."""
-    nmono = math.prod(c + 1 for c in caps)
-    wbound = max(map(sum, v._num), default=0)
-    pair_on_v = lru_cache(maxsize=None)(lambda j, k: pair_apply(j, k, v))
-    blocks: dict[tuple[int, int], list] = {}
-    for n1 in range(-N, N + 1):
-        for n2 in range(-N, N + 1):
-            block = blocks[(-n1, -n2)] = [None] * nmono
-            jb = wbound + abs(n1) + abs(n2)
-            for j2 in range(-jb, jb + 1):
-                k2 = n2 - j2
-                if j2 == 0 or k2 == 0:
-                    continue
-                cands = {-j2, -k2, n1 + j2, n1 + k2}
-                inner = pair_on_v(j2, k2)
-                for j1 in cands:
-                    k1 = n1 - j1
-                    if j1 == 0 or k1 == 0:
-                        continue
-                    com = pair_apply(j1, k1, inner) - pair_apply(j2, k2, pair_on_v(j1, k1))
-                    _add_weighted(block, caps, [(-j1, -k1, -j2, -k2)], 1, com)
-    return _block_vectors(blocks, caps)
+    """Commutator of two dilated normal-ordered pairs applied to v, as
+    the flat cell table {(e1, e2, a1, a2, a3, a4): FockVector} of the
+    integer blocks of _dilated_lhs_blocks, zero entries dropped."""
+    return _block_vectors(_dilated_lhs_blocks(v, N, caps), caps)
 
 
 def _dilated_rhs(v: FockVector, N: int, caps: "tuple[int, int, int, int]") -> dict:
@@ -649,23 +692,18 @@ def _dilated_rhs(v: FockVector, N: int, caps: "tuple[int, int, int, int]") -> di
 
     The pair carries the dilation weight -P (P^a1 Q^a2 + Q^a1 P^a2)(A^a3 B^a4 + B^a3 A^a4)
     with P = jp - n1, Q = -jp, A = -P and B = -kp: the four factor sets
-    (P, Q, A, B), (Q, P, A, B), (P, Q, B, A), (Q, P, B, A), scaled by -P.
-    The pair image of v depends on (jp, kp) only and is computed once."""
-    nmono = math.prod(c + 1 for c in caps)
-    wbound = max(map(sum, v._num), default=0)
-    pair_on_v = lru_cache(maxsize=None)(lambda j, k: pair_apply(j, k, v))
-    blocks: dict[tuple[int, int], list] = {}
-    for n1 in range(-N, N + 1):
-        for n2 in range(-N, N + 1):
-            block = blocks[(-n1, -n2)] = [None] * nmono
-            jb = wbound + abs(n1 + n2)
-            for jp in range(-jb, jb + 1):
-                kp = n1 + n2 - jp
-                if jp == 0 or kp == 0 or jp == n1:
-                    continue
-                P, Q, B = jp - n1, -jp, -kp
-                factor_sets = ((P, Q, -P, B), (Q, P, -P, B), (P, Q, B, -P), (Q, P, B, -P))
-                _add_weighted(block, caps, factor_sets, -P, pair_on_v(jp, kp))
+    (P, Q, A, B), (Q, P, A, B), (P, Q, B, A), (Q, P, B, A), scaled by -P."""
+    blocks, wbound = _empty_blocks(v, N, caps)
+    for (e1, e2), block in blocks.items():
+        n1, n2 = -e1, -e2
+        jb = wbound + abs(n1 + n2)
+        for jp in range(-jb, jb + 1):
+            kp = n1 + n2 - jp
+            if jp == 0 or kp == 0 or jp == n1:
+                continue
+            P, Q, B = jp - n1, -jp, -kp
+            factor_sets = ((P, Q, -P, B), (Q, P, -P, B), (P, Q, B, -P), (Q, P, B, -P))
+            _add_weighted(block, caps, factor_sets, -P, _pair_terms(jp, kp, v._num))
     return _block_vectors(blocks, caps)
 
 
@@ -680,7 +718,8 @@ def theorem1_diffs(params: dict, mismatches: list) -> None:
     either engine cannot hide; a cell failing both comparisons is listed
     twice, the second time against the mode-level bracket.
 
-    The left side is dilated_bracket_lhs, the table SPECIALIZE reads.
+    The left side is dilated_bracket_lhs, the vector form of the
+    integer blocks that SPECIALIZE reads (_dilated_lhs_blocks).
     Both sides bound their pair indices by wt(v), which drops only pair
     terms that act as zero: an index beyond wt(v) + |n1| + |n2| makes one
     of the two pair modes annihilate more weight than any state it meets

@@ -58,7 +58,7 @@ from .fock import (
     weight,
     weight_components,
 )
-from .quadratic import dilated_bracket_lhs, gen_quadratic_coeff
+from .quadratic import _dilated_lhs_blocks, _resummation, gen_quadratic_coeff
 from .reports import cell_diffs, note_diff
 from .scalars import binom, em1_unit, u_mul, u_pow
 
@@ -856,7 +856,19 @@ def bridge_diffs(params: dict, mismatches: list) -> None:
 
 def specialize_diffs(params: dict, mismatches: list) -> None:
     """The general commutator identity at four copies of the generator,
-    dilations restored, against the dilated-pair bracket engine."""
+    dilations restored, against the dilated-pair bracket engine.
+
+    Each commutator cell lv at (b, c) is compared with its residue form.
+    For slices alpha, beta >= 0 and dilation orders g1, g2, lv times the
+    transport factor b^g1 c^g2 / (g1! g2!) must also equal 4 times the
+    sum over a1, a3 of C(a1, alpha) C(a3, beta) T(b, c, a), a = (a1,
+    alpha + g1 - a1, a3, beta + g2 - a3), which carries the other
+    transport factor.  The table cell T is the block entry N_a of
+    _dilated_lhs_blocks over 4 a!, a! = a1! a2! a3! a4!, so with D the
+    lcm of the a! that side is acc / D, acc = sum of C C (D / a!) N_a
+    (quadratic._resummation).  With lv = L / l in lowest terms, the cell
+    agrees exactly when L b^g1 c^g2 D = g1! g2! l acc on every
+    partition; only a failing cell builds the two vectors for note_diff."""
     oy1, ow1, oy2, ow2 = params["y-orders"]
     w = params["x-window"]
     caps = (oy1 + ow1, ow1, oy2 + ow2, ow2)
@@ -865,8 +877,9 @@ def specialize_diffs(params: dict, mismatches: list) -> None:
     gencomm = {"u1": g, "v1": g, "u2": g, "v2": g, "x-window": w, "y-orders": (oy1, oy2)}
     pairs = _slice_pairs(gencomm, _comm_rhs)
     square = [range(-w, w + 1)] * 2
+    orders = list(itertools.product(range(ow1 + 1), range(ow2 + 1)))
     for target in basis_up_to(params["weight-cap"]):
-        table = dilated_bracket_lhs(target, w, caps)
+        blocks = _dilated_lhs_blocks(target, w, caps)
         for (alpha, beta), ua, vb, rhs_table in pairs:
             lhs, rhs = _comm_sides(ua, vb, target, w, rhs_table)
             for cell, va, vv in cell_diffs(lhs, rhs, square):
@@ -874,32 +887,22 @@ def specialize_diffs(params: dict, mismatches: list) -> None:
             if alpha < 0 or beta < 0:
                 # scalar slices commute; the bracket engine has no
                 # monomials there, so both sides must vanish
-                for b in range(-w, w + 1):
-                    for c in range(-w, w + 1):
-                        note_diff(mismatches, [alpha, beta, b, c], lhs.get((b, c)), None, target)
+                for b, c in itertools.product(*square):
+                    note_diff(mismatches, [alpha, beta, b, c], lhs.get((b, c)), None, target)
                 continue
-            for b in range(-w, w + 1):
-                for c in range(-w, w + 1):
-                    lv = lhs.get((b, c), FockVector.zero())
-                    for g1 in range(ow1 + 1):
-                        for g2 in range(ow2 + 1):
-                            # a1 >= alpha >= 0 and a3 >= beta >= 0: integer weights
-                            pred = _weighted_sum(
-                                (math.comb(a1, alpha) * math.comb(a3, beta), vec)
-                                for a1 in range(alpha, alpha + g1 + 1)
-                                for a3 in range(beta, beta + g2 + 1)
-                                if (vec := table.get((b, c, a1, alpha + g1 - a1, a3, beta + g2 - a3)))
-                            )
-                            # the binomial resummation of the table
-                            # already carries one transport factor
-                            # b^g1/g1! c^g2/g2!, so only the cell is
-                            # scaled before comparing
-                            fac = F(b**g1, math.factorial(g1))
-                            fac *= F(c**g2, math.factorial(g2))
-                            note_diff(
-                                mismatches,
-                                [alpha, g1, beta, g2, b, c],
-                                lv.scaled(fac),
-                                pred.scaled(4),
-                                target,
-                            )
+            sums = [(g1, g2, *_resummation(caps, alpha, beta, g1, g2)) for g1, g2 in orders]
+            for b, c in itertools.product(*square):
+                lv = lhs.get((b, c), FockVector.zero())
+                for g1, g2, D, terms in sums:
+                    acc: dict[tuple[int, ...], int] = {}
+                    for i, wgt in terms:
+                        for p, x in (blocks[(b, c)][i] or {}).items():
+                            acc[p] = acc.get(p, 0) + wgt * x
+                    top, bottom = b**g1 * c**g2, math.factorial(g1) * math.factorial(g2)
+                    diff = {p: x * top * D for p, x in lv._num.items()}
+                    for p, x in acc.items():
+                        diff[p] = diff.get(p, 0) - bottom * lv._den * x
+                    if any(diff.values()):
+                        pred = FockVector.from_ints({p: x for p, x in acc.items() if x}, D)
+                        mono = [alpha, g1, beta, g2, b, c]
+                        note_diff(mismatches, mono, lv.scaled(F(top, bottom)), pred, target)

@@ -506,6 +506,14 @@ def test_dilated_bracket_lhs_zero_slice_is_shifted_bracket():
                 assert got == want, (n1, n2)
 
 
+def test_dilated_bracket_lhs_refuses_a_fractional_target():
+    # the blocks are integer numerators of basis-state images; a target
+    # with a denominator is refused at entry
+    v = FockVector.basis((1,)).scaled(F(1, 2))
+    with pytest.raises(ArithmeticError):
+        q.dilated_bracket_lhs(v, 2, (1, 0, 1, 0))
+
+
 def test_dilated_bracket_lhs_drops_zero_entries():
     # at N = 2 the vacuum's table has 23 cells in 7 (e1, e2) blocks
     table = q.dilated_bracket_lhs(FockVector.vacuum(), 2, (1, 1, 0, 0))

@@ -369,6 +369,67 @@ def test_specialize_passes_small():
     assert catalog.run_check("SPECIALIZE", {"weight-cap": 2}).passed
 
 
+def _specialize_oracle(params):
+    # SPECIALIZE's entries from FockVectors: the commutator cells against
+    # their residue form, then each transported cell lv * b^g1 c^g2 /
+    # (g1! g2!) against 4 times the binomial resummation of the
+    # dilated_bracket_lhs cells
+    oy1, ow1, oy2, ow2 = params["y-orders"]
+    w = params["x-window"]
+    caps = (oy1 + ow1, ow1, oy2 + ow2, ow2)
+    gencomm = {"u1": GEN, "v1": GEN, "u2": GEN, "v2": GEN, "x-window": w, "y-orders": (oy1, oy2)}
+    pairs = voa._slice_pairs(gencomm, voa._comm_rhs)
+    square = [range(-w, w + 1)] * 2
+    zero = FockVector.zero()
+    want = []
+    for target in basis_up_to(params["weight-cap"]):
+        table = q.dilated_bracket_lhs(target, w, caps)
+        for (alpha, beta), ua, vb, rhs_table in pairs:
+            lhs, rhs = voa._comm_sides(ua, vb, target, w, rhs_table)
+            for cell, va, vv in cell_diffs(lhs, rhs, square):
+                note_diff(want, [alpha, beta, *cell], va, vv, target)
+            for b, c in itertools.product(*square):
+                lv = lhs.get((b, c), zero)
+                if alpha < 0 or beta < 0:
+                    note_diff(want, [alpha, beta, b, c], lv, zero, target)
+                    continue
+                for g1, g2 in itertools.product(range(ow1 + 1), range(ow2 + 1)):
+                    pred = zero
+                    for a1 in range(alpha, alpha + g1 + 1):
+                        for a3 in range(beta, beta + g2 + 1):
+                            vec = table.get((b, c, a1, alpha + g1 - a1, a3, beta + g2 - a3), zero)
+                            pred = pred + vec.scaled(math.comb(a1, alpha) * math.comb(a3, beta))
+                    fac = F(b**g1 * c**g2, math.factorial(g1) * math.factorial(g2))
+                    note_diff(want, [alpha, g1, beta, g2, b, c], lv.scaled(fac), pred.scaled(4), target)
+    return want
+
+
+def test_specialize_sees_one_wrong_block_coefficient(monkeypatch):
+    # one integer coefficient of the dilated-pair blocks off by one: the
+    # integer transport comparison must fail, and list what the vector
+    # oracle lists from the same blocks
+    real = q._dilated_lhs_blocks
+
+    def bumped(v, N, caps):
+        blocks = real(v, N, caps)
+        if v == FockVector.basis((1,)):
+            # entry 24 of caps (2, 1, 2, 1) is the monomial (2, 0, 0, 0),
+            # read with weight C(2, 1) D / 2! at alpha = g1 = 1
+            d = blocks[(1, -1)][24]
+            p = next(iter(d))
+            d[p] += 1
+        return blocks
+
+    monkeypatch.setattr(q, "_dilated_lhs_blocks", bumped)
+    monkeypatch.setattr(voa, "_dilated_lhs_blocks", bumped)
+    params = {"weight-cap": 2, "x-window": 1, "y-orders": [1, 1, 1, 1]}
+    got = []
+    voa.specialize_diffs(params, got)
+    want = _specialize_oracle(params)
+    assert want
+    assert got == want
+
+
 def test_residue_link_small():
     mismatches = []
     params = {"u": GEN, "v": GEN, "targets": [FockVector.basis((1, 1))], "x-window": 2}
