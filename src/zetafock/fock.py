@@ -17,10 +17,9 @@ the mode number times its multiplicity), and ``h(0)`` kills everything.
 The two halves of a vertex-operator mode live here too: the states that
 a product of annihilators reaches from a basis state (``_annihilated``)
 and the cached partitions that a product of creators makes
-(``_created``); voa._mode_on_basis joins them.  The weighted sum that
-voa's cell tables are built with lives here as well (``_weighted_sum``,
-and ``_fraction_sum`` for Fraction weights), since it reads the integer
-numerators directly.
+(``_created``); voa._mode_on_basis joins them into an image cached as
+its integer numerators, and voa's cell tables sum those numerators
+directly, so no vector is built per image or per cell.
 """
 
 from __future__ import annotations
@@ -202,30 +201,25 @@ def _reduced(num: "dict[tuple[int, ...], int]", den: int) -> FockVector:
     return out
 
 
-def _weighted_sum(terms, den: int = 1) -> FockVector:
-    """The sum of c * vec over (c, vec) pairs with int c, divided by den.
-    The numerators are summed over the lcm of the denominators and
-    reduced once, with no vector built per term; voa's cell tables sum
-    their weighted mode images with it."""
-    terms = [(c, vec) for c, vec in terms if c and vec]
-    # a list, not a generator: unpacking a generator resizes the argument
-    # tuple, and freeing a resized tuple grows the tuple free list
-    lcm = math.lcm(*[vec._den for _, vec in terms])
+def _weighted_sum(terms) -> "dict[tuple[int, ...], int]":
+    """The sum of c * num over (int c, numerator dict) pairs, as a
+    numerator dict with zeros dropped; voa builds every cell of its
+    integer tables with it, over a denominator its inputs fix."""
     acc: "dict[tuple[int, ...], int]" = {}
-    for c, vec in terms:
-        c *= lcm // vec._den
-        for p, x in vec._num.items():
+    for c, num in terms:
+        for p, x in num.items():
             acc[p] = acc.get(p, 0) + c * x
-    return FockVector.from_ints({p: x for p, x in acc.items() if x}, den * lcm)
+    return {p: x for p, x in acc.items() if x}
 
 
-def _fraction_sum(terms) -> FockVector:
-    """The sum of c * vec over (c, vec) pairs with Fraction c and vec a
-    FockVector or None for zero: one _weighted_sum of the numerators
-    over the common denominator of the weights."""
+def _fraction_sum(terms, den: int) -> FockVector:
+    """The vector sum of c * num / den over (Fraction c, numerator dict)
+    pairs: the numerators are summed over den times the lcm of the
+    weights' denominators and reduced once."""
     terms = list(terms)
-    den = math.lcm(*[c.denominator for c, _ in terms])
-    return _weighted_sum(((c.numerator * (den // c.denominator), vec) for c, vec in terms), den)
+    lcm = math.lcm(*[c.denominator for c, _ in terms])
+    acc = _weighted_sum((c.numerator * (lcm // c.denominator), num) for c, num in terms)
+    return FockVector.from_ints(acc, den * lcm)
 
 
 def _exact(c: object) -> Fraction:
@@ -346,12 +340,19 @@ def basis_up_to(w_cap: int) -> list[FockVector]:
     return out
 
 
+def _components(num: "dict[tuple[int, ...], int]") -> list:
+    """Split numerators {partition: int} into homogeneous pieces
+    (weight, numerators), ascending in weight; the numerators are not
+    reduced, so each piece stays over the whole vector's denominator."""
+    buckets: dict[int, dict[tuple[int, ...], int]] = {}
+    for part, x in num.items():
+        buckets.setdefault(sum(part), {})[part] = x
+    return sorted(buckets.items())
+
+
 def weight_components(v: FockVector) -> list[tuple[int, FockVector]]:
     """Split ``v`` into homogeneous pieces, ascending in weight."""
-    buckets: dict[int, dict[tuple[int, ...], int]] = {}
-    for part, x in v._num.items():
-        buckets.setdefault(sum(part), {})[part] = x
-    return [(w, FockVector.from_ints(buckets[w], v._den)) for w in sorted(buckets)]
+    return [(w, FockVector.from_ints(num, v._den)) for w, num in _components(v._num)]
 
 
 # partition counts p(0), p(1), ..., extended on demand by graded_dim

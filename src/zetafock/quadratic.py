@@ -36,7 +36,7 @@ from operator import mul
 from typing import Iterable
 
 from .fock import _PARTS, FockVector, basis_up_to, h_apply, partitions_of
-from .reports import cell_diffs, note_diff
+from .reports import cell_diffs, note_diff, over_lcm
 from .scalars import bernoulli_list, binom, todd_coeffs, u_mul
 
 F = Fraction
@@ -725,7 +725,8 @@ def theorem1_diffs(params: dict, mismatches: list) -> None:
     of the two pair modes annihilate more weight than any state it meets
     has.  The right side is the operator sector (_dilated_rhs) plus the
     scalar sector v.scaled(c) on the diagonal cells e1 + e2 = 0.  One
-    cell_diffs walk compares them, e1 and e2 descending (n1 and n2
+    cell_diffs walk compares them, each side brought to the lcm of its
+    denominators (over_lcm), e1 and e2 descending (n1 and n2
     ascending) and the dilation orders row-major.  Each (e1, e2) cell of
     either side is homogeneous of weight wt(v) + e1 + e2, so note_diff
     lists a cell's partitions in (weight, parts) order, which is plain
@@ -742,7 +743,7 @@ def theorem1_diffs(params: dict, mismatches: list) -> None:
             for mono, c in scal.items():
                 cell = (e1, -e1) + mono
                 rhs[cell] = rhs.get(cell, FockVector.zero()) + v.scaled(c)
-        for cell, va, vb in cell_diffs(lhs, rhs, ranges):
+        for cell, va, vb in cell_diffs(*over_lcm(lhs), *over_lcm(rhs), ranges):
             note_diff(mismatches, cell, va, vb, v)
         # ---- zero-order slice against the mode-level bracket engine
         for n1 in range(-N, N + 1):

@@ -3,10 +3,15 @@
 Every catalog check returns a CheckReport: the check id, the parameter
 block it ran with, a status (pass or fail), and the list of
 coefficient mismatches (empty on success).  Every mismatch entry comes
-from note_diff, and every compared table is a cell table, a dict from
-exponent tuples to FockVector where an absent cell is zero, walked by
-cell_diffs; a scalar is compared as a multiple of the vacuum.  Reports serialize to
-json-lines for machine use and to an aligned-column table for humans.
+from note_diff, which compares two FockVectors; a scalar is compared as
+a multiple of the vacuum.  Every compared table is an integer cell
+table: a dict from exponent tuples to numerator dicts {partition: int},
+all over one denominator per table, where an absent cell is zero.
+cell_diffs is the one walk over two such tables: it compares numerators,
+cross-multiplied only when the denominators differ, and builds vectors
+only for a differing cell; over_lcm brings a table of FockVectors to that
+form.  Reports serialize to json-lines for machine use and to an
+aligned-column table for humans.
 The json-lines form is byte-identical across reruns with the same
 configuration, so volatile fields (elapsed time) stay out of it.
 """
@@ -15,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import time
 from fractions import Fraction
 from typing import Any, Callable, Mapping, Sequence
@@ -80,15 +86,34 @@ def note_diff(
         )
 
 
-def cell_diffs(lhs, rhs, ranges):
+def cell_diffs(lhs, lhs_den, rhs, rhs_den, ranges):
     """(cell, lhs cell, rhs cell) at every cell of the product of ranges
-    where two cell tables differ, walked row-major with the first range
-    outermost.  Cells off the ranges are never read."""
-    zero = FockVector.zero()
+    where two integer cell tables differ, walked row-major with the first
+    range outermost.  Cells off the ranges are never read.
+
+    A table's cells are numerator dicts {partition: int} with no zero
+    value, all over the table's one denominator, and an absent cell is
+    empty.  Over equal denominators two cells agree when their dicts are
+    equal; over different ones, when the cross-multiplied numerators are.
+    Only a differing cell is turned into its two FockVectors."""
+    empty: "dict[tuple[int, ...], int]" = {}
+    same = lhs_den == rhs_den
     for cell in itertools.product(*ranges):
-        va, vb = lhs.get(cell, zero), rhs.get(cell, zero)
-        if va != vb:
-            yield cell, va, vb
+        a, b = lhs.get(cell, empty), rhs.get(cell, empty)
+        if same:
+            if a == b:
+                continue
+        elif a.keys() == b.keys() and all(x * rhs_den == b[p] * lhs_den for p, x in a.items()):
+            continue
+        yield cell, FockVector.from_ints(dict(a), lhs_den), FockVector.from_ints(dict(b), rhs_den)
+
+
+def over_lcm(table):
+    """A table {key: FockVector} as (cells, den) for cell_diffs: the
+    vectors' numerators brought to den, the lcm of their denominators."""
+    den = math.lcm(*[vec._den for vec in table.values()])
+    scaled = ((key, den // vec._den, vec._num) for key, vec in table.items())
+    return {key: {p: x * k for p, x in num.items()} for key, k, num in scaled}, den
 
 
 class CheckReport:

@@ -18,26 +18,35 @@ to a target vector, exactly over Fraction.  The *_diffs functions are
 check bodies: they append mismatch entries, and catalog.run_check turns
 them into reports.
 
+The layer is integer from the kernel to the comparison.  The kernel
+caches each image as its integer coefficients {partition: int}, and
+_mode_sum is the one mode sum: it takes vectors as numerator dicts and
+returns the image over the product of their denominators.  vertex_mode
+and x_mode make that sum a FockVector for the public interface and for
+AXIOMS, which compares single vectors; the checks built on cell tables
+never call them.  Every builder below takes numerator dicts and
+builds a cell table {cell: {partition: int}} whose one denominator is
+fixed by its inputs, the product of the input vectors' denominators,
+never reduced; so both sides of a vertex identity share a denominator
+(_sides) and reports.cell_diffs compares them by dict equality,
+building vectors only for a differing cell.
+
 Each right side is Y(W, x2) applied to the target, with W built from u
 and v alone.  So the right sides are built once per (u, v, window),
-before any target, as small tables of target-independent vectors
+before any target, as small tables of target-independent numerators
 (_jacobi_inner, _newjacobi_rhs, _comm_rhs, _fourterm_table), and each
-cell is read off with one or a few modes of those vectors on the
-target.  FOURTERM's table sums nested bracket images (images of images
-from _bracket_images) with scalar weights, Laurent polynomials in the
-two bracket variables on plain Fraction dicts.  The left sides are
-built per target, as the inner field acts on the target first; tabling
-it before the target would need the identity being checked.  The
-three-delta left sides are closed-form sums of mode images weighted by
-the binomial kernel (_delta_cells).  Those builders, the right-side
-tables and the bracket slices sum their weighted images with
-fock._weighted_sum (fock._fraction_sum for Fraction weights), which
-adds numerators over a common denominator and reduces once.
-
-Every compared side is a cell table (see reports), walked by
-reports.cell_diffs over the check's exponent ranges.  No side goes
-through the Series ring: y_bracket_apply returns its y-slices as a
-plain dict too.
+cell is read off with one or a few modes of those on the target.
+FOURTERM's table sums nested bracket images (images of images from
+_bracket_images) with scalar weights, Laurent polynomials in the two
+bracket variables on plain Fraction dicts, into FockVector cells, which
+reports.over_lcm brings to one denominator per table.  The left sides
+are built per target, as the inner field acts on the target first;
+tabling it before the target would need the identity being checked.
+The three-delta left sides are closed-form sums of mode images weighted
+by the binomial kernel (_delta_cells).  Integer weights are summed with
+fock._weighted_sum and Fraction weights with fock._fraction_sum.  No
+side goes through the Series ring: y_bracket_apply returns its y-slices
+as a plain dict too.
 """
 
 from __future__ import annotations
@@ -45,21 +54,21 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from .fock import (
     _PARTS,
     FockVector,
     _annihilated,
+    _components,
     _created,
     _fraction_sum,
     _weighted_sum,
     basis_up_to,
     weight,
-    weight_components,
 )
 from .quadratic import _dilated_lhs_blocks, _resummation, gen_quadratic_coeff
-from .reports import cell_diffs, note_diff
+from .reports import cell_diffs, note_diff, over_lcm
 from .scalars import binom, em1_unit, u_mul, u_pow
 
 F = Fraction
@@ -74,8 +83,13 @@ def _omega() -> FockVector:
     return FockVector.basis((1, 1)).scaled(F(1, 2))
 
 
-def _wt_max(v: FockVector) -> int:
-    return max(map(weight, v._num), default=0)
+def _wt_max(v) -> int:
+    return max(map(weight, v), default=0)
+
+
+def _window(w: int) -> range:
+    """The exponents -w, ..., w of a window of half-width w."""
+    return range(-w, w + 1)
 
 
 # ----------------------------------------------------------------------
@@ -85,7 +99,7 @@ def _wt_max(v: FockVector) -> int:
 @lru_cache(maxsize=None)
 def _mode_on_basis(
     u_parts: "tuple[int, ...]", n: int, v_parts: "tuple[int, ...]"
-) -> FockVector:
+) -> "dict[tuple[int, ...], int]":
     """Mode n of the field of one basis monomial, applied to another,
     both descending partitions.
 
@@ -132,11 +146,13 @@ def _mode_on_basis(
 
     Every step is exact integer arithmetic, so the image is the sum over
     tuples term for term.  The created weight a - total is >= 0 and
-    a <= wt(v), so the image is zero when total > wt(v)."""
+    a <= wt(v), so the image is zero when total > wt(v).  It is cached
+    as its integer coefficients {partition: int}, zeros dropped, and
+    callers never mutate it."""
     if not u_parts:
-        return FockVector.basis(v_parts) if n == -1 else FockVector.zero()
+        return {v_parts: 1} if n == -1 else {}
     total = n + 1 - sum(u_parts)
-    out: "dict[tuple[int, ...], int]" = {}
+    out = {}
     if total <= sum(v_parts):
         for c_parts, split, states in _annihilated(u_parts, v_parts):
             floor = total + sum(c_parts)
@@ -147,29 +163,31 @@ def _mode_on_basis(
                     key = tuple(sorted(rest + q, reverse=True))
                     out[key] = out.get(key, 0) + split * x * y
     intern = _PARTS.setdefault
-    return FockVector.from_ints({intern(p, p): c for p, c in out.items() if c})
+    return {intern(p, p): c for p, c in out.items() if c}
 
 
-def _mode_sum(u: FockVector, v: FockVector, mode_of) -> FockVector:
-    """Sum of the basis images _mode_on_basis(up, mode_of(up), vp) over
-    the terms of u and v.  The images are integral, so the numerators
-    are summed over u's denominator times v's and reduced once."""
-    acc: "dict[tuple[int, ...], int]" = {}
-    v_items = v._num.items()
-    for up, cu in u._num.items():
-        n = mode_of(up)
+def _mode_sum(u, n, v, shifted=False):
+    """Mode n of the field of u applied to v, in numerators: u and v are
+    numerator dicts {partition: int} and the image, zeros dropped, is
+    over u's denominator times v's.  It sums the basis images
+    _mode_on_basis(up, m, vp), m = n, or m = n - 1 + wt(up) for the
+    weight-shifted field (shifted, see x_mode)."""
+    acc = {}
+    v_items = v.items()
+    for up, cu in u.items():
+        m = n - 1 + sum(up) if shifted else n
         for vp, cv in v_items:
-            w = _mode_on_basis(up, n, vp)
+            w = _mode_on_basis(up, m, vp)
             if w:
                 c = cu * cv
-                for p, x in w._num.items():
+                for p, x in w.items():
                     acc[p] = acc.get(p, 0) + c * x
-    return FockVector.from_ints({p: x for p, x in acc.items() if x}, u._den * v._den)
+    return {p: x for p, x in acc.items() if x}
 
 
 def vertex_mode(u: FockVector, n: int, v: FockVector) -> FockVector:
     """Coefficient of x^(-n-1) in the field of u, applied to v."""
-    return _mode_sum(u, v, lambda up: n)
+    return FockVector.from_ints(_mode_sum(u._num, n, v._num), u._den * v._den)
 
 
 def x_mode(u: FockVector, n: int, v: FockVector) -> FockVector:
@@ -177,22 +195,23 @@ def x_mode(u: FockVector, n: int, v: FockVector) -> FockVector:
 
     Shifting by the weight of each homogeneous component makes the mode
     lower weights by exactly n."""
-    return _mode_sum(u, v, lambda up: n - 1 + weight(up))
+    return FockVector.from_ints(_mode_sum(u._num, n, v._num, True), u._den * v._den)
 
 
-def _commutator_cells(u, v, target, w) -> "dict[tuple[int, int], FockVector]":
+def _commutator_cells(u, v, target, w):
     """The commutator of the weight-shifted fields of u and v on target,
-    keyed (b, c) on the square [-w, w]^2: x_mode(u, -b, x_mode(v, -c, t))
-    - x_mode(v, -c, x_mode(u, -b, t)), nonzero cells only.  The inner
-    images of target are computed once per b and once per c."""
-    u_on = {b: x_mode(u, -b, target) for b in range(-w, w + 1)}
-    v_on = {c: x_mode(v, -c, target) for c in range(-w, w + 1)}
+    numerator dicts all three, keyed (b, c) on the square [-w, w]^2:
+    x_mode(u, -b, x_mode(v, -c, t)) - x_mode(v, -c, x_mode(u, -b, t)),
+    nonzero cells only, over the product of the three denominators.  The
+    inner images of target are computed once per b and once per c."""
+    rng = _window(w)
+    u_on = {b: _mode_sum(u, -b, target, True) for b in rng}
+    v_on = {c: _mode_sum(v, -c, target, True) for c in rng}
     cells = {}
-    for b in range(-w, w + 1):
-        for c in range(-w, w + 1):
-            vec = x_mode(u, -b, v_on[c]) - x_mode(v, -c, u_on[b])
-            if vec:
-                cells[(b, c)] = vec
+    for b, c in itertools.product(rng, rng):
+        x, y = _mode_sum(u, -b, v_on[c], True), _mode_sum(v, -c, u_on[b], True)
+        if (x or y) and (num := _weighted_sum(((1, x), (-1, y)))):
+            cells[(b, c)] = num
     return cells
 
 
@@ -217,19 +236,20 @@ def _kappa(e: int, w: int, order: int) -> "dict[int, Fraction]":
     return u_mul(_em1_power(e, order), ew, order)
 
 
-def _bracket_images(u: FockVector, v: FockVector, e_hi: int) -> list:
+def _bracket_images(u, v, e_hi: int) -> list:
     """(w, e, I^w_e) for the nonzero x^e coefficients I^w_e =
     vertex_mode(u_w, -e - 1, v), e <= e_hi, of the weight-w components
-    u_w of u.  I^w_e has weight w + wt(v) + e, so none is dropped below
+    u_w of u, in numerators: u and v are numerator dicts, and u_w keeps
+    u's numerators unreduced, so every image is over u's denominator
+    times v's.  I^w_e has weight w + wt(v) + e, so none is dropped below
     e = -(w + wt(v))."""
     wt_v = _wt_max(v)
-    out = []
-    for w, comp in weight_components(u):
-        for e in range(-(w + wt_v), e_hi + 1):
-            img = vertex_mode(comp, -e - 1, v)
-            if img:
-                out.append((w, e, img))
-    return out
+    return [
+        (w, e, img)
+        for w, comp in _components(u)
+        for e in range(-(w + wt_v), e_hi + 1)
+        if (img := _mode_sum(comp, -e - 1, v))
+    ]
 
 
 def y_bracket_apply(u: FockVector, v: FockVector, y_order: int) -> "dict[int, FockVector]":
@@ -244,12 +264,11 @@ def y_bracket_apply(u: FockVector, v: FockVector, y_order: int) -> "dict[int, Fo
     slice is one _fraction_sum of its kappa weights."""
     if y_order < 0:
         raise ValueError("bracket order must be >= 0")
-    cells: "dict[int, list]" = {}
-    for w, e, img in _bracket_images(u, v, y_order):
+    cells = {}
+    for w, e, img in _bracket_images(u._num, v._num, y_order):
         for j, c in _kappa(e, w, y_order - e).items():
             cells.setdefault(e + j, []).append((c, img))
-    slices = ((q, _fraction_sum(cells[q])) for q in sorted(cells))
-    return {q: vec for q, vec in slices if vec}
+    return {q: vec for q in sorted(cells) if (vec := _fraction_sum(cells[q], u._den * v._den))}
 
 
 # ----------------------------------------------------------------------
@@ -277,7 +296,7 @@ def axioms_diffs(params: dict, mismatches: list) -> None:
         if axiom == "lower-truncation":
             for u in states:
                 for v in states:
-                    bound = _wt_max(u) + _wt_max(v) - 1
+                    bound = _wt_max(u._num) + _wt_max(v._num) - 1
                     for n in range(bound + 1, bound + window + 1):
                         note_diff(mismatches, [n], vertex_mode(u, n, v), zero, v)
         elif axiom == "vacuum":
@@ -300,7 +319,7 @@ def axioms_diffs(params: dict, mismatches: list) -> None:
                         note_diff(mismatches, [n], lhs, rhs, t)
         elif axiom == "L(0)-grading":
             for v in states:
-                note_diff(mismatches, [], vertex_mode(omega, 1, v), v.scaled(_wt_max(v)), v)
+                note_diff(mismatches, [], vertex_mode(omega, 1, v), v.scaled(_wt_max(v._num)), v)
         else:
             raise ValueError(f"unknown axiom {axiom!r}")
 
@@ -309,36 +328,47 @@ def axioms_diffs(params: dict, mismatches: list) -> None:
 # Classical three-delta identity
 
 
+def _sides(build, u, v, target, *args):
+    """The first four arguments of cell_diffs for the tables (lhs, rhs) =
+    build(u, v, target, *args) of the numerators of the vectors u, v and
+    target: both sides are over the product of their denominators."""
+    den = u._den * v._den * target._den
+    lhs, rhs = build(u._num, v._num, target._num, *args)
+    return lhs, den, rhs, den
+
+
 def jacobi_diffs(mismatches, prefix, u, v, targets, w) -> None:
     """Mismatches of the three-delta identity applied to each target on
     the cube [-w, w]^3 of x0/x1/x2 exponents, monomial prefix + (target
     index, x0, x1, x2).  The left side is built per target; the right
     side's inner field is built once (see _jacobi_inner)."""
-    inner = _jacobi_inner(u, v, w)
+    inner = _jacobi_inner(u._num, v._num, w)
     for ti, target in enumerate(targets):
-        lhs, rhs = _jacobi_sides(u, v, target, w, inner)
-        for cell, va, vb in cell_diffs(lhs, rhs, [range(-w, w + 1)] * 3):
+        sides = _sides(_jacobi_sides, u, v, target, w, inner)
+        for cell, va, vb in cell_diffs(*sides, [_window(w)] * 3):
             note_diff(mismatches, [*prefix, ti, *cell], va, vb, target)
 
 
 def _jacobi_sides(u, v, target, w, inner):
     """Both sides of the three-delta identity applied to target, as
-    (lhs, rhs) cell tables over x0, x1, x2 on the cube [-w, w]^3.  The
+    (lhs, rhs) cell tables over x0, x1, x2 on the cube [-w, w]^3, u, v
+    and target numerator dicts.  The
     left side takes plain modes, and an inner image vertex_mode(x, -e - 1,
     target) has weight wt(x) + wt(target) + e, so it vanishes below
     e = -(wt(x) + wt(target)); the right side is read off inner, which
     _jacobi_inner(u, v, w) built once for every target."""
     wt_t = _wt_max(target)
     lhs = _delta_lhs(
-        u, v, target, w, lambda x, e, vec: vertex_mode(x, -e - 1, vec),
+        u, v, target, w, lambda x, e, vec: _mode_sum(x, -e - 1, vec),
         -(_wt_max(v) + wt_t), -(_wt_max(u) + wt_t),
     )
     return lhs, _jacobi_rhs_cells(inner, target, w)
 
 
-def _jacobi_inner(u: FockVector, v: FockVector, w: int) -> "dict[int, FockVector]":
+def _jacobi_inner(u, v, w: int):
     """The x0-slices I_e = vertex_mode(u, -e - 1, v), e <= w, of the inner
-    field on the three-delta right side; they do not involve the target.
+    field on the three-delta right side, in numerators over u's
+    denominator times v's; they do not involve the target.
 
     The right side is x2^-1 delta((x1 - x0)/x2) Y(Y(u, x0)v, x2) target.
     Its kernel term C(n, k) (-1)^k x2^(-n-1) x1^(n-k) x0^k meets I_e x0^e
@@ -356,38 +386,29 @@ def _jacobi_inner(u: FockVector, v: FockVector, w: int) -> "dict[int, FockVector
     stored slice at a - k, each as one mode of that slice on the target,
     so no window is read from the target."""
     wt_uv = _wt_max(u) + _wt_max(v)
-    slices = {e: vertex_mode(u, -e - 1, v) for e in range(-wt_uv, w + 1)}
-    return {e: vec for e, vec in slices.items() if vec}
+    return {e: num for e in range(-wt_uv, w + 1) if (num := _mode_sum(u, -e - 1, v))}
 
 
-def _jacobi_rhs_cells(inner, target, w) -> "dict[tuple[int, int, int], FockVector]":
+def _jacobi_rhs_cells(inner, target, w):
     """The three-delta right side on the cube [-w, w]^3 (see _jacobi_inner),
     one mode of one inner slice per term, with the integer kernel
-    C(b + k, k) (-1)^k built once per (a, b).  Terms with a zero kernel
-    entry or a zero mode are skipped, and so is a cell with no term."""
-    modes: "dict[tuple[int, int], FockVector]" = {}
+    C(b + k, k) (-1)^k built once per (a, b) and each mode computed
+    once; a cell is one _weighted_sum of its nonzero terms, over the
+    denominator of the slices times the target's, skipped when it has
+    none (an absent cell is zero)."""
+    mode = cache(lambda e, m: _mode_sum(inner[e], m, target))
+    rng = _window(w)
     data = {}
-    for a in range(-w, w + 1):
-        for b in range(-w, w + 1):
-            kernel = [
-                (a - e, kw, e, ie)
-                for e, ie in inner.items()
-                if e <= a and (kw := int(binom(b + a - e, a - e)) * (-1) ** (a - e))
-            ]
-            for c in range(-w, w + 1):
-                terms = []
-                for k, kw, e, ie in kernel:
-                    m = -(b + c + k + 2)
-                    img = modes.get((e, m))
-                    if img is None:
-                        img = modes[(e, m)] = vertex_mode(ie, m, target)
-                    if img:
-                        terms.append((kw, img))
-                if not terms:
-                    continue
-                vec = _weighted_sum(terms)
-                if vec:
-                    data[(a, b, c)] = vec
+    for a, b in itertools.product(rng, rng):
+        kernel = [
+            (a - e, kw, e)
+            for e in inner
+            if e <= a and (kw := int(binom(b + a - e, a - e)) * (-1) ** (a - e))
+        ]
+        for c in rng:
+            terms = [(kw, img) for k, kw, e in kernel if (img := mode(e, -(b + c + k + 2)))]
+            if terms:
+                data[(a, b, c)] = _weighted_sum(terms)
     return data
 
 
@@ -396,8 +417,10 @@ def _delta_cells(outer, inner, target, w, mode, floor, n_sign):
     x0^-1 delta(n_sign (xo - xi)/x0), as a table keyed (a, p, q) for the
     cell x0^a xo^p xi^q of the cube [-w, w]^3.
 
-    mode(x, e, vec) is the x^e coefficient of the field of x applied to
-    vec, and the inner images I_e = mode(inner, e, target) vanish below
+    outer, inner and target are numerator dicts, and mode(x, e, vec) is
+    the x^e coefficient of the field of x applied to vec, in numerators
+    (see _mode_sum), so every cell is over the product of the three
+    denominators.  The inner images I_e = mode(inner, e, target) vanish below
     e = floor.  The kernel term C(n, k) (-1)^k n_sign^n x0^(-n-1)
     xo^(n-k) xi^k, k >= 0, meets the pair coefficient
     mode(outer, e, I_f) xo^e xi^f at the cell exactly when n = -a - 1,
@@ -408,35 +431,26 @@ def _delta_cells(outer, inner, target, w, mode, floor, n_sign):
 
     The sum is exact: a larger k reads an inner image below the floor.
     For n >= 0 C(n, k) vanishes when k > n, so those terms are skipped.
-    The kernel coefficients are integers, built once per a, and each cell
-    is one _weighted_sum of its nonzero images, skipped when it has none;
-    n_sign^n is taken from the parity of n, since a negative power of an
-    int is a float."""
+    The kernel coefficients are integers, built once per a, each pair
+    coefficient is computed once, and each cell is one _weighted_sum of
+    its nonzero images, skipped when it has none; n_sign^n is taken from
+    the parity of n, since a negative power of an int is a float."""
     images = {e: mode(inner, e, target) for e in range(floor, w + 1)}
-    outer_on: "dict[tuple[int, int], FockVector]" = {}
+    outer_on = cache(lambda e, f: mode(outer, e, images[f]))
+    rng = _window(w)
     cells = {}
-    for a in range(-w, w + 1):
+    for a in rng:
         n = -a - 1
         sign = n_sign if n % 2 else 1
         kernel = [int(sign * (-1) ** k * binom(n, k)) for k in range(w - floor + 1)]
-        for p in range(-w, w + 1):
-            for q in range(-w, w + 1):
-                terms = []
-                for k in range(q - floor + 1):
-                    ivec = images[q - k]
-                    if not (kernel[k] and ivec):
-                        continue
-                    key = (p - n + k, q - k)
-                    img = outer_on.get(key)
-                    if img is None:
-                        img = outer_on[key] = mode(outer, key[0], ivec)
-                    if img:
-                        terms.append((kernel[k], img))
-                if not terms:
-                    continue
-                vec = _weighted_sum(terms)
-                if vec:
-                    cells[(a, p, q)] = vec
+        for p, q in itertools.product(rng, rng):
+            terms = [
+                (kernel[k], img)
+                for k in range(q - floor + 1)
+                if kernel[k] and images[q - k] and (img := outer_on(p - n + k, q - k))
+            ]
+            if terms:
+                cells[(a, p, q)] = _weighted_sum(terms)
     return cells
 
 
@@ -448,20 +462,21 @@ def _delta_lhs(u, v, target, w, mode, floor_v, floor_u):
     first(a, b, c) - second(a, c, b).  floor_v and floor_u are the floors
     of the inner images of v and of u."""
     lhs = _delta_cells(u, v, target, w, mode, floor_v, 1)
-    for (a, c, b), vec in _delta_cells(v, u, target, w, mode, floor_u, -1).items():
-        lhs[(a, b, c)] = lhs.get((a, b, c), FockVector.zero()) - vec
-    return {cell: vec for cell, vec in lhs.items() if vec}
+    for (a, c, b), num in _delta_cells(v, u, target, w, mode, floor_u, -1).items():
+        lhs[(a, b, c)] = _weighted_sum(((1, lhs.get((a, b, c), {})), (-1, num)))
+    return {cell: num for cell, num in lhs.items() if num}
 
 
 # ----------------------------------------------------------------------
 # Exponential-substitution identities
 
 
-def _newjacobi_rhs(u, v, win) -> "dict[tuple[int, int], FockVector]":
+def _newjacobi_rhs(u, v, win):
     """Right side of the exponential-delta identity before the target:
     the vectors H(a, n) whose x-mode -(n + c + 1) on a target is the
     x0^a x1^(n-a) x2^c cell, for a <= win and n = a + b, b in
-    [-win, win].
+    [-win, win], in numerators over u's denominator times v's (u and v
+    numerator dicts).
 
     With W(s) the bracket field after y = -log(1 - s), the right side
     is the sum over n of (1 - s)^n x1^n x2^(-n-1) times Y_x(W(s), x2)
@@ -482,45 +497,44 @@ def _newjacobi_rhs(u, v, win) -> "dict[tuple[int, int], FockVector]":
     target."""
     images = _bracket_images(u, v, win)
     lowest = min((e for _, e, _ in images), default=win + 1)
-    table = {}
-    for a in range(max(-win, lowest), win + 1):
-        for n in range(a - win, a + win + 1):
-            h = _weighted_sum(
-                (int(binom(n - e - w, a - e)) * (-1) ** (a - e), img)
-                for w, e, img in images
-                if e <= a
-            )
-            if h:
-                table[(a, n)] = h
-    return table
+    return {
+        (a, n): h
+        for a in range(max(-win, lowest), win + 1)
+        for n in range(a - win, a + win + 1)
+        if (h := _weighted_sum(
+            (int(binom(n - e - w, a - e)) * (-1) ** (a - e), img) for w, e, img in images if e <= a
+        ))
+    }
 
 
 def _newjacobi_sides(u, v, target, win, table):
     """Both sides of the exponential-delta identity applied to target.
 
     Returns (lhs, rhs) cell tables over x0, x1, x2 on the cube of side
-    2*win.  The left side takes weight-shifted modes, and an inner image
+    2*win, u, v and target numerator dicts.  The left side takes
+    weight-shifted modes, and an inner image
     x_mode(x, -e, target) has weight wt(target) + e, so it vanishes
     below e = -wt(target); the right side is read off table, which
     _newjacobi_rhs(u, v, win) built once for every target."""
     w = win
     wt_t = _wt_max(target)
     lhs = _delta_lhs(
-        u, v, target, w, lambda x, e, vec: x_mode(x, -e, vec), -wt_t, -wt_t
+        u, v, target, w, lambda x, e, vec: _mode_sum(x, -e, vec, True), -wt_t, -wt_t
     )
-    data = {}
-    for (a, n), h in table.items():
-        for c in range(-w, w + 1):
-            img = x_mode(h, -(n + c + 1), target)
-            if img:
-                data[(a, n - a, c)] = img
+    data = {
+        (a, n - a, c): img
+        for (a, n), h in table.items()
+        for c in _window(w)
+        if (img := _mode_sum(h, -(n + c + 1), target, True))
+    }
     return lhs, data
 
 
-def _comm_rhs(u, v, win) -> "dict[int, FockVector]":
+def _comm_rhs(u, v, win):
     """Right side of the commutator identity before the target: the
     vectors R_b whose x-mode -(b + c) on a target is the x1^b x2^c cell,
-    for b in [-win, win].
+    for b in [-win, win], in numerators over u's denominator times v's
+    (u and v numerator dicts).
 
     The right side is the y-residue of the sum over n of x1^n x2^(-n)
     e^(-n y) times Y_x(Y[u, y]v, x2) target, whose x1^b x2^c cell has
@@ -537,25 +551,22 @@ def _comm_rhs(u, v, win) -> "dict[int, FockVector]":
     every image the sum meets.  Each x2 exponent is one mode of R_b on
     the target, so no window is read from the target."""
     images = _bracket_images(u, v, -1)
-    table = {}
-    for b in range(-win, win + 1):
-        table[b] = _weighted_sum(
-            (int(binom(w - b - 1, -e - 1)), img) for w, e, img in images
-        )
-    return table
+    return {
+        b: _weighted_sum((int(binom(w - b - 1, -e - 1)), img) for w, e, img in images)
+        for b in _window(win)
+    }
 
 
 def _comm_sides(u, v, target, win, table):
     """Commutator of the weight-shifted fields vs the residue form, as
-    (lhs, rhs) cell tables on the square [-win, win]^2 of x1/x2 exponents.
-    The left side is _commutator_cells; the right side is read off
-    table, which _comm_rhs(u, v, win) built once for every target."""
-    rhs = {}
-    for b in range(-win, win + 1):
-        for c in range(-win, win + 1):
-            img = x_mode(table[b], -(b + c), target)
-            if img:
-                rhs[(b, c)] = img
+    (lhs, rhs) cell tables on the square [-win, win]^2 of x1/x2 exponents,
+    u, v and target numerator dicts.  The left side is
+    _commutator_cells; the right side is read off table, which
+    _comm_rhs(u, v, win) built once for every target."""
+    rng = _window(win)
+    rhs = {
+        (b, c): img for b in rng for c in rng if (img := _mode_sum(table[b], -b - c, target, True))
+    }
     return _commutator_cells(u, v, target, win), rhs
 
 
@@ -572,24 +583,27 @@ def residue_link_diffs(params: dict, mismatches: list) -> None:
     x0^(-1) slice itself; calculus tests pin that closed form.
 
     Not a catalog entry (registering it would change verify all); the
-    acceptance gate runs it on params u, v, targets and x-window."""
+    acceptance gate runs it on params u, v, targets and x-window.  The
+    three comparisons are one walk over cells (b, c, comparison)."""
     u, v, win = params["u"], params["v"], params["x-window"]
     if win < 1:
         raise ValueError(f"x-window must be at least 1, got {win}")
-    nj_table = _newjacobi_rhs(u, v, win)
-    c_table = _comm_rhs(u, v, win)
+    nj_table = _newjacobi_rhs(u._num, v._num, win)
+    c_table = _comm_rhs(u._num, v._num, win)
+    square = [_window(win)] * 2
     for target in params["targets"]:
-        nj_lhs, nj_rhs = _newjacobi_sides(u, v, target, win, nj_table)
-        c_lhs, c_rhs = _comm_sides(u, v, target, win, c_table)
-        for b in range(-win, win + 1):
-            for c in range(-win, win + 1):
-                direct = nj_rhs.get((-1, b, c))
-                comm = c_rhs.get((b, c))
-                left_slice = nj_lhs.get((-1, b, c))
-                left_comm = c_lhs.get((b, c))
-                note_diff(mismatches, [b, c, 1], direct, comm, target)
-                note_diff(mismatches, [b, c, 2], left_slice, left_comm, target)
-                note_diff(mismatches, [b, c, 3], left_slice, direct, target)
+        nj_lhs, den, nj_rhs, _ = _sides(_newjacobi_sides, u, v, target, win, nj_table)
+        c_lhs, _, c_rhs, _ = _sides(_comm_sides, u, v, target, win, c_table)
+        direct, left = (
+            {(b, c): x for (a, b, c), x in t.items() if a == -1} for t in (nj_rhs, nj_lhs)
+        )
+        pairs = ((direct, c_rhs), (left, c_lhs), (left, direct))
+        lhs, rhs = (
+            {(*bc, i): x for i, pair in enumerate(pairs, 1) for bc, x in pair[j].items()}
+            for j in (0, 1)
+        )
+        for cell, va, vb in cell_diffs(lhs, den, rhs, den, square + [range(1, 4)]):
+            note_diff(mismatches, cell, va, vb, target)
 
 
 # ----------------------------------------------------------------------
@@ -608,10 +622,10 @@ def _pair_diffs(params, mismatches, sides, nvars, pairs, orders=((),)) -> None:
     and x2 exponents, so a bare mismatch is listed once per g with a
     nonzero factor; the empty g, the only one by default, has factor 1."""
     w = params["x-window"]
-    cube = [range(-w, w + 1)] * nvars
+    cube = [_window(w)] * nvars
     for target in basis_up_to(params["weight-cap"]):
         for prefix, u, v, table in pairs:
-            for cell, va, vb in cell_diffs(*sides(u, v, target, w, table), cube):
+            for cell, va, vb in cell_diffs(*_sides(sides, u, v, target, w, table), cube):
                 for g in orders:
                     fac = math.prod(F(x**k, math.factorial(k)) for x, k in zip(cell[-2:], g))
                     if fac:
@@ -629,7 +643,7 @@ def _slice_pairs(params, build) -> list:
     uslices = y_bracket_apply(params["u1"], params["v1"], o1)
     vslices = y_bracket_apply(params["u2"], params["v2"], o2)
     return [
-        ([alpha, beta], ua, vb, build(ua, vb, w))
+        ([alpha, beta], ua, vb, build(ua._num, vb._num, w))
         for alpha, ua in uslices.items()
         for beta, vb in vslices.items()
     ]
@@ -642,13 +656,13 @@ def _dilation_orders(params) -> list:
 
 def newjacobi_diffs(params: dict, mismatches: list) -> None:
     u, v = params["u"], params["v"]
-    pairs = [([], u, v, _newjacobi_rhs(u, v, params["x-window"]))]
+    pairs = [([], u, v, _newjacobi_rhs(u._num, v._num, params["x-window"]))]
     _pair_diffs(params, mismatches, _newjacobi_sides, 3, pairs)
 
 
 def comm_diffs(params: dict, mismatches: list) -> None:
     u, v = params["u"], params["v"]
-    pairs = [([], u, v, _comm_rhs(u, v, params["x-window"]))]
+    pairs = [([], u, v, _comm_rhs(u._num, v._num, params["x-window"]))]
     _pair_diffs(params, mismatches, _comm_sides, 2, pairs)
 
 
@@ -705,18 +719,22 @@ def _fourterm_table(u1, v1, u2, v2, box, win) -> "dict[int, dict[tuple[int, int]
     exponents >= e2 + l, so l <= o1 - e2 and e1 <= o2 + top + o1 - e2.
     Each kappa reaches exponent o1 or o2 (i <= o1 + k - e2 for the
     shifted f2 of a and b, and so on), so every cell on box is exact, and
-    cells below box are never read.  A cell sums its images over the
-    common denominator of their weights and is reduced once."""
-    cells: "dict[tuple[int, int, int], list]" = {}
+    cells below box are never read.  Each input enters every nested image
+    once, so the images are numerators over the product of the four
+    inputs' denominators, and a cell is one _fraction_sum of its images
+    with their weights, reduced once."""
+    den = u1._den * v1._den * u2._den * v2._den
+    nums = u1._num, v1._num, u2._num, v2._num
+    cells = {}
     for key, sign in (("a", 1), ("b", 1), ("c", -1), ("d", -1)):
-        for levels, img in _fourterm_images(key, u1, v1, u2, v2, box["y1"][1], box["y2"][1]):
-            for b in range(-win, win + 1):
+        for levels, img in _fourterm_images(key, *nums, box["y1"][1], box["y2"][1]):
+            for b in _window(win):
                 for (p, q), c in _fourterm_weight(key, b, levels, box).items():
                     if c:
                         cells.setdefault((b, p, q), []).append((sign * c, img))
-    table: "dict[int, dict[tuple[int, int], FockVector]]" = {b: {} for b in range(-win, win + 1)}
+    table = {b: {} for b in _window(win)}
     for (b, p, q), terms in cells.items():
-        vec = _fraction_sum(terms)
+        vec = _fraction_sum(terms, den)
         if vec:
             table[b][(p, q)] = vec
     return table
@@ -726,7 +744,8 @@ def _fourterm_images(key, u1, v1, u2, v2, o1, o2):
     """(levels, I1) for each nested image I1 of the right-side term key
     that can meet a cell with p <= o1 and q <= o2, levels = ((e3, w3),
     (e2, w2), (e1, w1)) from the innermost bracket out; each level is one
-    _bracket_images call per image of the level inside it."""
+    _bracket_images call per image of the level inside it, on numerator
+    dicts."""
     inner = {"a": (v1, v2), "b": (u1, v2), "c": (u2, v1), "d": (u2, u1)}[key]
     for w3, e3, i3 in _bracket_images(*inner, -1):
         top = -1 - e3
@@ -791,35 +810,38 @@ def _fourterm_weight(key, b, levels, box) -> "dict[tuple[int, int], Fraction]":
 def fourterm_diffs(params: dict, mismatches: list) -> None:
     """Commutator of two bracket fields against the four-term right side
     on every (target, b, c) cell.  The left side is one _commutator_cells
-    table per pair of bracket slices and target.  The right side depends
-    on the target and on c only through the mode x_mode(., -b - c,
-    target), so its table is built once, before any target (see
-    _fourterm_table), and mapped per cell."""
+    table per pair of bracket slices and target; the slices of each
+    bracket are brought to the lcm of their denominators first
+    (reports.over_lcm), so every left-side cell is over one
+    denominator.  The right side depends on the target and on c only
+    through the mode x_mode(., -b - c, target), so its table is built
+    once, before any target (see _fourterm_table), brought to one
+    denominator per b, and mapped per cell."""
     u1, v1, u2, v2 = params["u1"], params["v1"], params["u2"], params["v2"]
     o1, o2 = params["y-orders"]
     w = params["x-window"]
-    d1 = _wt_max(u1) + _wt_max(v1)
-    d2 = _wt_max(u2) + _wt_max(v2)
-    uslices = y_bracket_apply(u1, v1, o1)
-    vslices = y_bracket_apply(u2, v2, o2)
+    d1 = _wt_max(u1._num) + _wt_max(v1._num)
+    d2 = _wt_max(u2._num) + _wt_max(v2._num)
+    uslices, du = over_lcm(y_bracket_apply(u1, v1, o1))
+    vslices, dv = over_lcm(y_bracket_apply(u2, v2, o2))
     box = {"y1": (-d1, o1), "y2": (-d2, o2)}
-    table = _fourterm_table(u1, v1, u2, v2, box, w)
+    table = {b: over_lcm(cells) for b, cells in _fourterm_table(u1, v1, u2, v2, box, w).items()}
     ranges = [range(-d1, o1 + 1), range(-d2, o2 + 1)]
     for target in basis_up_to(params["weight-cap"]):
         comms = {
-            (alpha, beta): _commutator_cells(ua, vb, target, w)
+            (alpha, beta): _commutator_cells(ua, vb, target._num, w)
             for alpha, ua in uslices.items()
             for beta, vb in vslices.items()
         }
-        for b in range(-w, w + 1):
-            for c in range(-w, w + 1):
-                data = {ab: cells[(b, c)] for ab, cells in comms.items() if (b, c) in cells}
-                rhs = {}
-                for cell, vec in table[b].items():
-                    img = x_mode(vec, -b - c, target)
-                    if img:
-                        rhs[cell] = img
-                for cell, va, vb in cell_diffs(data, rhs, ranges):
+        for b in _window(w):
+            nums, den = table[b]
+            for c in _window(w):
+                data = {ab: cells.get((b, c), {}) for ab, cells in comms.items()}
+                rhs = {
+                    cell: _mode_sum(num, -b - c, target._num, True) for cell, num in nums.items()
+                }
+                lden = du * dv * target._den
+                for cell, va, vb in cell_diffs(data, lden, rhs, den * target._den, ranges):
                     note_diff(mismatches, [b, c, *cell], va, vb, target)
 
 
@@ -830,10 +852,10 @@ def bridge_diffs(params: dict, mismatches: list) -> None:
     w_cap = params["w-order"]
     n_rng = params["mode-range"]
     g = generator()
-    slices = y_bracket_apply(g, g, y_cap + w_cap)
+    slices, den = over_lcm(y_bracket_apply(g, g, y_cap + w_cap))
     for target in basis_up_to(params["weight-cap"]):
         for n in range(-n_rng, n_rng + 1):
-            xw = {q: x_mode(vec, n, target) for q, vec in slices.items()}
+            xw = {q: _mode_sum(num, n, target._num, True) for q, num in slices.items()}
             for a in range(-2, y_cap + 1):
                 for bb in range(w_cap + 1):
                     if a >= 0:
@@ -843,14 +865,12 @@ def bridge_diffs(params: dict, mismatches: list) -> None:
                         # the pole part of minus the derivative of the kernel
                         # 1/(1 - e^(-y)) = 1/y + 1/2 + O(y) is y^-2
                         lhs = target.scaled(int(a == -2 and n == 0 and bb == 0))
-                    rhs = _fraction_sum(
-                        (
-                            binom(a + k, k) * (-1) ** k
-                            * F((-n) ** (bb - k), math.factorial(bb - k)),
-                            xw.get(a + k),
-                        )
+                    terms = (
+                        (binom(a + k, k) * (-1) ** k * F((-n) ** (bb - k), math.factorial(bb - k)),
+                         xw.get(a + k, {}))
                         for k in range(bb + 1)
                     )
+                    rhs = _fraction_sum(terms, den * target._den)
                     note_diff(mismatches, [a, bb, n], lhs, rhs, target)
 
 
@@ -866,9 +886,16 @@ def specialize_diffs(params: dict, mismatches: list) -> None:
     transport factor.  The table cell T is the block entry N_a of
     _dilated_lhs_blocks over 4 a!, a! = a1! a2! a3! a4!, so with D the
     lcm of the a! that side is acc / D, acc = sum of C C (D / a!) N_a
-    (quadratic._resummation).  With lv = L / l in lowest terms, the cell
-    agrees exactly when L b^g1 c^g2 D = g1! g2! l acc on every
-    partition; only a failing cell builds the two vectors for note_diff."""
+    (quadratic._resummation).
+
+    Both comparisons are cell_diffs walks over integer tables.  The
+    commutator side lv = N / l is over l, the product of the slices' and
+    the target's denominators.  The transport walk runs over cells (b,
+    c, g1, g2), so a cell's entries keep their (b, c)-major order, and
+    both its sides are over L, the lcm of l G, G = ow1! ow2!, and of the
+    D of every (g1, g2): the transported side is N b^g1 c^g2 (L / l) /
+    (g1! g2!), an integer since g1! g2! divides G, and the predicted
+    side is acc L / D."""
     oy1, ow1, oy2, ow2 = params["y-orders"]
     w = params["x-window"]
     caps = (oy1 + ow1, ow1, oy2 + ow2, ow2)
@@ -876,33 +903,30 @@ def specialize_diffs(params: dict, mismatches: list) -> None:
     # GENCOMM's slice pairs with the generator in all four slots
     gencomm = {"u1": g, "v1": g, "u2": g, "v2": g, "x-window": w, "y-orders": (oy1, oy2)}
     pairs = _slice_pairs(gencomm, _comm_rhs)
-    square = [range(-w, w + 1)] * 2
-    orders = list(itertools.product(range(ow1 + 1), range(ow2 + 1)))
+    square = [_window(w)] * 2
+    ranges = square + [range(ow1 + 1), range(ow2 + 1)]
+    G = math.factorial(ow1) * math.factorial(ow2)
     for target in basis_up_to(params["weight-cap"]):
         blocks = _dilated_lhs_blocks(target, w, caps)
         for (alpha, beta), ua, vb, rhs_table in pairs:
-            lhs, rhs = _comm_sides(ua, vb, target, w, rhs_table)
-            for cell, va, vv in cell_diffs(lhs, rhs, square):
+            lhs, den, rhs, _ = _sides(_comm_sides, ua, vb, target, w, rhs_table)
+            for cell, va, vv in cell_diffs(lhs, den, rhs, den, square):
                 note_diff(mismatches, [alpha, beta, *cell], va, vv, target)
             if alpha < 0 or beta < 0:
                 # scalar slices commute; the bracket engine has no
                 # monomials there, so both sides must vanish
-                for b, c in itertools.product(*square):
-                    note_diff(mismatches, [alpha, beta, b, c], lhs.get((b, c)), None, target)
+                for cell, va, vv in cell_diffs(lhs, den, {}, 1, square):
+                    note_diff(mismatches, [alpha, beta, *cell], va, vv, target)
                 continue
-            sums = [(g1, g2, *_resummation(caps, alpha, beta, g1, g2)) for g1, g2 in orders]
-            for b, c in itertools.product(*square):
-                lv = lhs.get((b, c), FockVector.zero())
-                for g1, g2, D, terms in sums:
-                    acc: dict[tuple[int, ...], int] = {}
-                    for i, wgt in terms:
-                        for p, x in (blocks[(b, c)][i] or {}).items():
-                            acc[p] = acc.get(p, 0) + wgt * x
-                    top, bottom = b**g1 * c**g2, math.factorial(g1) * math.factorial(g2)
-                    diff = {p: x * top * D for p, x in lv._num.items()}
-                    for p, x in acc.items():
-                        diff[p] = diff.get(p, 0) - bottom * lv._den * x
-                    if any(diff.values()):
-                        pred = FockVector.from_ints({p: x for p, x in acc.items() if x}, D)
-                        mono = [alpha, g1, beta, g2, b, c]
-                        note_diff(mismatches, mono, lv.scaled(F(top, bottom)), pred, target)
+            sums = {g: _resummation(caps, alpha, beta, *g) for g in itertools.product(*ranges[2:])}
+            L = math.lcm(den * G, *[D for D, _ in sums.values()])
+            moved, pred = {}, {}
+            for b, c, g1, g2 in itertools.product(*ranges):
+                D, terms = sums[(g1, g2)]
+                top = b**g1 * c**g2 * (L // den // (math.factorial(g1) * math.factorial(g2)))
+                moved[(b, c, g1, g2)] = {p: x * top for p, x in lhs.get((b, c), {}).items() if top}
+                block = blocks[(b, c)]
+                if parts := [(wgt * (L // D), block[i]) for i, wgt in terms if block[i]]:
+                    pred[(b, c, g1, g2)] = _weighted_sum(parts)
+            for (b, c, g1, g2), va, vv in cell_diffs(moved, L, pred, L, ranges):
+                note_diff(mismatches, [alpha, g1, beta, g2, b, c], va, vv, target)

@@ -102,6 +102,31 @@ def test_mode_grid_bytes_are_pinned(argv, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == MODE_GRID_SHA256[argv[0]]
 
 
+# sha256 of the stdout of vertex checks beyond their default and golden
+# flags, written by the FockVector cell tables that preceded the integer
+# ones; the integer walk must report the same bytes at these scales
+VERTEX_BEYOND_SHA256 = [
+    (["JACOBI", "--weight-cap", "3", "--x-window", "3"],
+     "aea3ab84aaf82234c4f4856b9173a2d6f10b65951271abe9607b49348051b3db"),
+    (["GENJACOBI", "--weight-cap", "4"],
+     "9c89832c602ac031565d8151274444ff75f6efb70854d8fc6e247d09fc600f50"),
+    (["NEWJACOBI", "--weight-cap", "4", "--x-window", "3"],
+     "fe53f608b47d6dd6a6d3a87bb87256ee0b3ee7f0d531e4a3aa307dc521d900ab"),
+    (["GENCOMM", "--weight-cap", "4"],
+     "5dacc97c20fd4258ce0a1f31ab7311f9e0a8f354d9dfd77ce560fc07dffe93e2"),
+    (["FOURTERM", "--y-order", "2", "--y-order", "2"],
+     "12b3e5321c0bd48f23236df51ef604c66c26aa7b7fb859af0437e4ed89b9ba22"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, sha", VERTEX_BEYOND_SHA256, ids=[" ".join(argv) for argv, _ in VERTEX_BEYOND_SHA256]
+)
+def test_vertex_bytes_beyond_golden_flags_are_pinned(argv, sha, capsys):
+    assert cli.main(["verify"] + argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha
+
+
 def test_bloch_monomial_passes_at_mode_range_12():
     # the law m^(2T+3) B(T+2, T+3) for r, s <= 2 at every m <= 12
     rep = catalog.run_check("BLOCH-MONOMIAL", {"mode-range": 12})

@@ -229,7 +229,7 @@ def _ref_mode(a: dict, n: int, b: dict, shifted: bool) -> dict:
     for up, cu in a.items():
         m = n - 1 + sum(up) if shifted else n
         for vp, cv in b.items():
-            for p, c in voa._mode_on_basis(up, m, vp).terms():
+            for p, c in voa._mode_on_basis(up, m, vp).items():
                 out[p] = out.get(p, F(0)) + cu * cv * c
     return _ref_clean(out)
 

@@ -32,7 +32,7 @@ from zetafock.series import (
     diff_on_box,
     mul,
 )
-from zetafock.voa import _wt_max, x_mode, y_bracket_apply
+from zetafock.voa import x_mode, y_bracket_apply
 
 F = Fraction
 
@@ -41,6 +41,11 @@ OMEGA = voa._omega()
 VAC = FockVector.vacuum()
 # weights 0, 1 and 2, with Fraction coefficients
 MIXED = GEN - FockVector.basis((2,)).scaled(F(3, 2)) + VAC.scaled(F(1, 3))
+
+
+def _wt_max(v: FockVector) -> int:
+    return voa._wt_max(v._num)
+
 
 # ----------------------------------------------------------------------
 # The series route

@@ -54,7 +54,8 @@ THEOREM1_WIDE = ["THEOREM1", "--x-window", "2", "--weight-cap", "1"] + [
 
 
 def _doubled_images(real):
-    return lambda *a: [(w, e, img.scaled(2)) for w, e, img in real(*a)]
+    # each image is a numerator dict {partition: int}
+    return lambda *a: [(w, e, {p: 2 * x for p, x in img.items()}) for w, e, img in real(*a)]
 
 
 def _doubled_scalars(real):

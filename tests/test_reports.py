@@ -83,3 +83,76 @@ def test_failure_rows_are_rendered(monkeypatch):
     assert rep.status == "fail"
     text = rp.render_table([rep])
     assert "lhs=" in text and "rhs=" in text
+
+
+# ----------------------------------------------------------------------
+# the integer cell walk
+
+
+class _RecordingTable(dict):
+    """A cell table that records every cell the walk reads."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = []
+
+    def get(self, key, default=None):
+        self.read.append(key)
+        return super().get(key, default)
+
+
+def test_cell_walk_equal_rationals_over_different_denominators():
+    # 1/2 |1> - 3/4 |2,1> over 4 and over 12, and a cell that is zero
+    # in both; no cell differs, whichever side has the larger denominator
+    lhs = {(0,): {(1,): 2, (2, 1): -3}, (1,): {}}
+    rhs = {(0,): {(1,): 6, (2, 1): -9}}
+    assert list(rp.cell_diffs(lhs, 4, rhs, 12, [range(-1, 2)])) == []
+    assert list(rp.cell_diffs(rhs, 12, lhs, 4, [range(-1, 2)])) == []
+
+
+def test_cell_walk_lists_exactly_the_cell_off_by_one():
+    lhs = {(0, 0): {(1,): 2}, (0, 1): {(2,): 5, (1, 1): 1}, (1, 0): {(): 7}}
+    for den in (3, 6):
+        k = den // 3
+        rhs = {cell: {p: x * k for p, x in num.items()} for cell, num in lhs.items()}
+        rhs[(0, 1)] = {(2,): 5 * k, (1, 1): k + 1}
+        got = list(rp.cell_diffs(lhs, 3, rhs, den, [range(2), range(2)]))
+        assert [cell for cell, _, _ in got] == [(0, 1)]
+        _, va, vb = got[0]
+        assert va == FockVector.from_ints({(2,): 5, (1, 1): 1}, 3)
+        assert vb == FockVector.from_ints({(2,): 5 * k, (1, 1): k + 1}, den)
+        assert va == FockVector({(2,): F(5, 3), (1, 1): F(1, 3)})
+        assert vb - va == FockVector({(1, 1): F(1, den)})
+
+
+def test_cell_walk_absent_cell_equals_an_empty_one():
+    ranges = [range(3)]
+    for den in (1, 5):
+        assert list(rp.cell_diffs({(1,): {}}, 1, {}, den, ranges)) == []
+        assert list(rp.cell_diffs({}, den, {(2,): {}}, 1, ranges)) == []
+    got = list(rp.cell_diffs({}, 2, {(1,): {(3,): 1}}, 5, ranges))
+    assert got == [((1,), FockVector.zero(), FockVector({(3,): F(1, 5)}))]
+
+
+def test_cell_walk_never_reads_cells_off_the_ranges():
+    # cells just off the box differ wildly; the walk reads every cell of
+    # the box once, in row-major order, and nothing else
+    ranges = [range(-1, 1), range(0, 2)]
+    box = [(-1, 0), (-1, 1), (0, 0), (0, 1)]
+    lhs = _RecordingTable({(1, 0): {(1,): 1}, (-2, 1): {(2,): 3}, (0, 1): {(1,): 4}})
+    rhs = _RecordingTable({(0, -1): {(1,): 9}, (0, 2): {(): 1}, (0, 1): {(1,): 8}})
+    assert [c for c, _, _ in rp.cell_diffs(lhs, 1, rhs, 2, ranges)] == []
+    assert lhs.read == box
+    assert rhs.read == box
+
+
+def test_over_lcm_keeps_every_vector():
+    table = {
+        (0,): FockVector({(1,): F(1, 4), (2,): F(3, 2)}),
+        (1,): FockVector({(): F(5, 6)}),
+        (2,): FockVector.zero(),
+    }
+    cells, den = rp.over_lcm(table)
+    assert den == 12
+    assert cells == {(0,): {(1,): 3, (2,): 18}, (1,): {(): 10}, (2,): {}}
+    assert {key: FockVector.from_ints(dict(num), den) for key, num in cells.items()} == table

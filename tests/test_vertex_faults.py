@@ -39,6 +39,7 @@ from pathlib import Path
 import pytest
 
 from zetafock import cli, voa
+from zetafock.fock import FockVector
 
 from test_catalog import RUNS
 
@@ -72,8 +73,14 @@ def faulty_run(check_id: str, names, monkeypatch, capsys) -> str:
 
 
 def doubled(value):
+    # y_bracket_apply returns FockVector slices; every other doubled
+    # function an integer cell table {key: {partition: int}}, whose
+    # denominator its callers fix from its inputs
     if isinstance(value, dict):
-        return {key: vec.scaled(2) for key, vec in value.items()}
+        return {
+            key: vec.scaled(2) if isinstance(vec, FockVector) else {p: 2 * x for p, x in vec.items()}
+            for key, vec in value.items()
+        }
     return value.scale(2)
 
 

@@ -32,7 +32,7 @@ from zetafock.fock import (
     weight,
     weight_components,
 )
-from zetafock.reports import cell_diffs, note_diff
+from zetafock.reports import cell_diffs, note_diff, over_lcm
 
 from test_fourterm import _series_table
 from zetafock.series import (
@@ -49,6 +49,11 @@ F = Fraction
 VAC = FockVector.vacuum()
 GEN = voa.generator()
 OMEGA = FockVector.basis((1, 1)).scaled(F(1, 2))
+
+
+def _vectors(table, den):
+    """An integer cell table over den as a table of FockVectors."""
+    return {key: FockVector.from_ints(dict(num), den) for key, num in table.items()}
 
 
 def rand_vec(rng: random.Random, wcap: int) -> FockVector:
@@ -134,7 +139,7 @@ def _factor_state_mode(u_parts, n, v_parts):
     of the target, with weight (-1)^k C(m+k, k) * m * multiplicity, or
     creating a part p >= n_i, with weight C(p-1, k), k = n_i - 1."""
     if not u_parts:
-        return FockVector.basis(v_parts) if n == -1 else FockVector.zero()
+        return {tuple(v_parts): 1} if n == -1 else {}
     total = n + 1 - sum(u_parts)
     # created weight = annihilated weight - total <= weight(v) - total
     room = sum(v_parts) - total
@@ -159,7 +164,7 @@ def _factor_state_mode(u_parts, n, v_parts):
         if s == total:
             key = make_partition(rest + made)
             out[key] = out.get(key, 0) + c
-    return FockVector.from_ints({key: c for key, c in out.items() if c})
+    return {key: c for key, c in out.items() if c}
 
 
 def test_mode_kernel_matches_factor_state_oracle_seeded():
@@ -385,9 +390,10 @@ def _specialize_oracle(params):
     for target in basis_up_to(params["weight-cap"]):
         table = q.dilated_bracket_lhs(target, w, caps)
         for (alpha, beta), ua, vb, rhs_table in pairs:
-            lhs, rhs = voa._comm_sides(ua, vb, target, w, rhs_table)
-            for cell, va, vv in cell_diffs(lhs, rhs, square):
-                note_diff(want, [alpha, beta, *cell], va, vv, target)
+            sides = voa._comm_sides(ua._num, vb._num, target._num, w, rhs_table)
+            lhs, rhs = (_vectors(side, ua._den * vb._den * target._den) for side in sides)
+            for b, c in itertools.product(*square):
+                note_diff(want, [alpha, beta, b, c], lhs.get((b, c)), rhs.get((b, c)), target)
             for b, c in itertools.product(*square):
                 lv = lhs.get((b, c), zero)
                 if alpha < 0 or beta < 0:
@@ -430,6 +436,141 @@ def test_specialize_sees_one_wrong_block_coefficient(monkeypatch):
     assert got == want
 
 
+# ----------------------------------------------------------------------
+# the integer vertex tables against FockVector arithmetic, under one
+# wrong mode-kernel coefficient
+
+
+def _bump_mode_kernel(monkeypatch, key):
+    """Serve the cached image of _mode_on_basis at key with its first
+    coefficient one larger, leaving the cache itself untouched."""
+    real = voa._mode_on_basis
+
+    def bumped(u_parts, n, v_parts):
+        image = real(u_parts, n, v_parts)
+        if (u_parts, n, v_parts) == key:
+            image = dict(image)
+            image[next(iter(image))] += 1
+        return image
+
+    monkeypatch.setattr(voa, "_mode_on_basis", bumped)
+
+
+def _wt(x):
+    return voa._wt_max(x._num)
+
+
+def _vector_delta_lhs(u, v, target, w, mode, floor_v, floor_u):
+    """The three-delta left side on the cube [-w, w]^3 as FockVectors:
+    the term sum over k of n_sign^n C(n, k) (-1)^k mode(outer, p - n + k,
+    I_(q-k)), n = -a - 1, of (u, v) at (a, b, c) minus that of (v, u)
+    under n_sign -1 at (a, c, b)."""
+
+    def term(outer, inner, floor, n_sign):
+        images = {e: mode(inner, e, target) for e in range(floor, w + 1)}
+        out = {}
+        for a, p, qq in itertools.product(range(-w, w + 1), repeat=3):
+            n = -a - 1
+            sign = n_sign if n % 2 else 1
+            vec = FockVector.zero()
+            for k in range(qq - floor + 1):
+                weight_k = sign * (-1) ** k * ca.binom(n, k)
+                vec = vec + mode(outer, p - n + k, images[qq - k]).scaled(weight_k)
+            out[(a, p, qq)] = vec
+        return out
+
+    first, second = term(u, v, floor_v, 1), term(v, u, floor_u, -1)
+    return {(a, b, c): first[(a, b, c)] - second[(a, c, b)] for a, b, c in first}
+
+
+def _jacobi_oracle(targets, w):
+    # JACOBI's entries from vertex_mode vectors: the three-delta right
+    # side is the sum over k of C(b + k, k) (-1)^k times the mode
+    # -(b + c + k + 2) of the inner slice I_(a-k) = vertex_mode(u, k - a - 1, v)
+    plain = lambda x, e, vec: voa.vertex_mode(x, -e - 1, vec)
+    want = []
+    for (ui, u), (vi, v) in itertools.product(enumerate([GEN, OMEGA]), repeat=2):
+        inner = {e: voa.vertex_mode(u, -e - 1, v) for e in range(-_wt(u) - _wt(v), w + 1)}
+        for ti, t in enumerate(targets):
+            lhs = _vector_delta_lhs(u, v, t, w, plain, -_wt(v) - _wt(t), -_wt(u) - _wt(t))
+            for a, b, c in itertools.product(range(-w, w + 1), repeat=3):
+                rhs = FockVector.zero()
+                for e, ie in inner.items():
+                    if e <= a:
+                        k = a - e
+                        rhs = rhs + voa.vertex_mode(ie, -(b + c + k + 2), t).scaled(
+                            ca.binom(b + k, k) * (-1) ** k
+                        )
+                note_diff(want, [ui, vi, ti, a, b, c], lhs[(a, b, c)], rhs, t)
+    return want
+
+
+def _genjacobi_oracle(params):
+    # GENJACOBI's entries from x_mode vectors: per pair of bracket slices,
+    # the exponential-delta right side x_mode(H(a, a + b), -(a + b + c + 1),
+    # t) with H(a, n) the sum over w, e <= a of (-1)^(a-e) C(n - e - w,
+    # a - e) vertex_mode(u_w, -e - 1, v), and every differing cell listed
+    # once per dilation order with a nonzero transport factor
+    (o1, o2), (g1, g2), w = params["y-orders"], params["w-orders"], params["x-window"]
+    uslices = voa.y_bracket_apply(params["u1"], params["v1"], o1)
+    vslices = voa.y_bracket_apply(params["u2"], params["v2"], o2)
+    shifted = lambda x, e, vec: voa.x_mode(x, -e, vec)
+    cube = list(itertools.product(range(-w, w + 1), repeat=3))
+    want = []
+    for t in basis_up_to(params["weight-cap"]):
+        for (alpha, ua), (beta, vb) in itertools.product(uslices.items(), vslices.items()):
+            lhs = _vector_delta_lhs(ua, vb, t, w, shifted, -_wt(t), -_wt(t))
+            images = [
+                (wu, e, voa.vertex_mode(comp, -e - 1, vb))
+                for wu, comp in weight_components(ua)
+                for e in range(-wu - _wt(vb), w + 1)
+            ]
+            for a, b, c in cube:
+                h = FockVector.zero()
+                for wu, e, img in images:
+                    if e <= a:
+                        h = h + img.scaled(ca.binom(a + b - e - wu, a - e) * (-1) ** (a - e))
+                rhs = voa.x_mode(h, -(a + b + c + 1), t)
+                if lhs[(a, b, c)] == rhs:
+                    continue
+                for g in itertools.product(range(g1 + 1), range(g2 + 1)):
+                    fac = math.prod(F(x**k, math.factorial(k)) for x, k in zip((b, c), g))
+                    if fac:
+                        mono = [alpha, beta, *g, a, b, c]
+                        note_diff(want, mono, lhs[(a, b, c)].scaled(fac), rhs.scaled(fac), t)
+    return want
+
+
+# mode 1 of the field of |1,1> (twice L(0), the conformal vector's
+# weight-shifted mode 0) on |1,1>: both sides of both identities read it
+_KERNEL_KEY = ((1, 1), 1, (1, 1))
+
+
+def test_jacobi_sees_one_wrong_mode_coefficient(monkeypatch):
+    _bump_mode_kernel(monkeypatch, _KERNEL_KEY)
+    # a target with a denominator: the entries' values carry it
+    targets = basis_up_to(1) + [MIXED]
+    got = []
+    for (ui, u), (vi, v) in itertools.product(enumerate([GEN, OMEGA]), repeat=2):
+        voa.jacobi_diffs(got, [ui, vi], u, v, targets, 1)
+    want = _jacobi_oracle(targets, 1)
+    assert want
+    assert got == want
+
+
+def test_genjacobi_sees_one_wrong_mode_coefficient(monkeypatch):
+    _bump_mode_kernel(monkeypatch, _KERNEL_KEY)
+    params = {
+        "u1": GEN, "v1": GEN, "u2": GEN, "v2": GEN,
+        "w-orders": [1, 1], "weight-cap": 1, "x-window": 1, "y-orders": [1, 1],
+    }
+    got = []
+    voa.genjacobi_diffs(params, got)
+    want = _genjacobi_oracle(params)
+    assert want
+    assert got == want
+
+
 def test_residue_link_small():
     mismatches = []
     params = {"u": GEN, "v": GEN, "targets": [FockVector.basis((1, 1))], "x-window": 2}
@@ -452,7 +593,11 @@ def test_residue_link_fails_on_a_doubled_bracket(monkeypatch):
     for name in ("_newjacobi_rhs", "_comm_rhs"):
         real = getattr(voa, name)
         monkeypatch.setattr(
-            voa, name, lambda *a, real=real: {k: vec.scaled(2) for k, vec in real(*a).items()}
+            voa,
+            name,
+            lambda *a, real=real: {
+                k: {p: 2 * x for p, x in num.items()} for k, num in real(*a).items()
+            },
         )
     mismatches = []
     params = {"u": GEN, "v": GEN, "targets": [VAC, GEN], "x-window": 1}
@@ -476,11 +621,13 @@ def test_identities_on_a_mixed_weight_target(u):
     mismatches = []
     voa.jacobi_diffs(mismatches, [], u, GEN, [MIXED], w)
     assert mismatches == []
-    table = voa._newjacobi_rhs(u, GEN, w)
-    lhs, rhs = voa._newjacobi_sides(u, GEN, MIXED, w, table)
+    # both sides are over the one denominator of u, GEN and MIXED
+    u, v, t = u._num, GEN._num, MIXED._num
+    table = voa._newjacobi_rhs(u, v, w)
+    lhs, rhs = voa._newjacobi_sides(u, v, t, w, table)
     assert len(rhs) > 0
     assert lhs == rhs
-    lhs, rhs = voa._comm_sides(u, GEN, MIXED, w, voa._comm_rhs(u, GEN, w))
+    lhs, rhs = voa._comm_sides(u, v, t, w, voa._comm_rhs(u, v, w))
     assert len(rhs) > 0
     assert lhs == rhs
 
@@ -494,7 +641,7 @@ def _pair_series(outer, ovar, inner, ivar, target, w, plain):
     windows the three-delta left sides used before they became cell
     tables: plain modes vertex_mode(x, -e - 1, .) (JACOBI) or weight-shifted
     modes x_mode(x, -e, .) (NEWJACOBI, GENJACOBI, RES-LINK)."""
-    wt_i, wt_o, wt_t = voa._wt_max(inner), voa._wt_max(outer), voa._wt_max(target)
+    wt_i, wt_o, wt_t = (voa._wt_max(x._num) for x in (inner, outer, target))
     if plain:
         mode = lambda x, e, vec: voa.vertex_mode(x, -e - 1, vec)
         depth, i_floor, o_floor = wt_o + wt_i + wt_t, wt_i + wt_t, wt_o + wt_i + wt_t
@@ -539,10 +686,9 @@ def test_delta_lhs_equals_pair_series_pipeline_seeded():
         inputs = list(itertools.product(fields, fields, targets))
         for u, v, target in rng.sample(inputs, k=18) + [(mixed_uv, OMEGA, MIXED)]:
             want = _pipeline_lhs(u, v, target, w, plain)
-            if plain:
-                got = voa._jacobi_sides(u, v, target, w, {})[0]
-            else:
-                got = voa._newjacobi_sides(u, v, target, w, {})[0]
+            sides = voa._jacobi_sides if plain else voa._newjacobi_sides
+            got = sides(u._num, v._num, target._num, w, {})[0]
+            got = _vectors(got, u._den * v._den * target._den)
             assert want
             assert got == want, (u, v, target, w, plain)
 
@@ -555,7 +701,7 @@ def _series_bracket(u, v, y_order):
     """Y[u, y]v through the series ring: per weight component, x = e^y - 1
     by substitute_valuation, then the factor e^(y wt), summed with the
     variables aligned."""
-    wt_v = voa._wt_max(v)
+    wt_v = voa._wt_max(v._num)
     terms = []
     for wu, comp in weight_components(u):
         lo = -(wu + wt_v)
@@ -576,7 +722,7 @@ def _series_bracket(u, v, y_order):
 
 def _series_newjacobi_rhs(u, v, win):
     """H(a, n) from the series bracket after y = -log(1 - s)."""
-    s_cap = win + voa._wt_max(u) + voa._wt_max(v)
+    s_cap = win + voa._wt_max(u._num) + voa._wt_max(v._num)
     unit = lambda order: {j: F(1, j + 1) for j in range(order + 1)}
     wser = ca.substitute_valuation(_series_bracket(u, v, s_cap), "y", "s", unit, s_cap)
     slices = {i: vec for (i,), vec in wser.terms()}
@@ -624,9 +770,9 @@ def test_bracket_and_right_sides_equal_series_route_seeded():
             trial, u, v, y_order,
         )
         assert (want.window("y").low, want.window("y").high) == (NEG_INF, y_order)
-        table = voa._newjacobi_rhs(u, v, win)
+        table = _vectors(voa._newjacobi_rhs(u._num, v._num, win), u._den * v._den)
         assert table == _series_newjacobi_rhs(u, v, win), (trial, u, v, win)
-        comm = voa._comm_rhs(u, v, win)
+        comm = _vectors(voa._comm_rhs(u._num, v._num, win), u._den * v._den)
         assert comm == _series_comm_rhs(u, v, win, y_order), (trial, u, v, win)
         seen_rhs += bool(table) and any(comm.values())
     assert seen_rhs >= 20
@@ -677,7 +823,7 @@ def test_cell_diffs_match_diff_on_box_seeded():
             for nm, (lo, hi) in zip(sorted(box), spans)
         ]
         oracle = diff_on_box(Series(wins, lt), Series(wins, rt), box)
-        got = list(cell_diffs(lt, rt, [range(lo, hi + 1) for lo, hi in spans]))
+        got = list(cell_diffs(*over_lcm(lt), *over_lcm(rt), [range(lo, hi + 1) for lo, hi in spans]))
         assert [c for c, _, _ in got] == [tuple(exps.values()) for exps, _, _ in oracle]
         zero = FockVector.zero()
         assert [(va, vb) for _, va, vb in got] == [
