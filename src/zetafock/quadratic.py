@@ -30,13 +30,14 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from operator import mul, neg
 from typing import Iterable
 
 from .fock import _PARTS, FockVector, basis_up_to, h_apply, partitions_of
-from .reports import cell_diffs, note_diff, over_lcm
+from .reports import cell_diffs, note_diff
 from .scalars import bernoulli_list, binom, todd_coeffs, u_mul
 
 F = Fraction
@@ -106,7 +107,9 @@ def _pair_step(j: int, k: int, parts: tuple[int, ...]) -> "tuple[tuple[int, ...]
     factor, or None when the pair annihilates the state.  h(m) sends a
     basis state to at most one basis state: m < 0 appends the part -m,
     and m > 0 removes one of the count copies of the part m, times
-    m * count (so h(0) annihilates every state)."""
+    m * count (so h(0) annihilates every state).  pair_apply and the
+    dilated-pair builders take it; _quad_on_basis does not, so it is an
+    independent oracle for that kernel."""
     x = 1
     for m in (j, k) if j >= k else (k, j):
         if m < 0:
@@ -149,31 +152,53 @@ def _quad_on_basis(
     """Twice the unregularized quadratic operator on one basis state.
 
     Returns the image sum_j j^r_left (n-j)^r_right :h(j)h(n-j): |parts>
-    as (partition, integer coefficient) pairs with zeros dropped.  A pair
-    term is one _pair_step, and only the j that can act are visited:
+    as (partition, integer coefficient) pairs with zeros dropped, by
+    cases on the distinct parts j of the state, k = n - j, with m_j the
+    multiplicity of j:
 
-    * j in parts, or j = n - p with p in parts;
-    * j in (n, 0) when n < 0.
+    * two annihilators (k > 0 a part too): the image drops j and k, with
+      factor j m_j k m'_k, m'_k the multiplicity of k once j is gone;
+    * one of each (k < 0): the image drops j and inserts -k, with factor
+      j m_j times j^r_left k^r_right + k^r_left j^r_right, the terms of
+      both orderings (j, k) and (k, j) of the one pair;
+    * two creators, for n < 0 only: every n < j < 0, factor 1, the image
+      inserts -j and -k.
 
-    No nonzero term is lost.  Take j, k = n - j, both nonzero; the larger
-    of the two acts first.  If j > 0, h(j) annihilates, and a nonzero term
-    needs j in parts (if k > j, k acts first and leaves j among the
-    remaining parts, still a part of parts).  If j < 0 and k > 0, h(k)
-    acts first and needs k in parts, so j = n - k is a candidate.  If
-    both are negative, both create, the term is never zero, and n < j < 0.
-    Every candidate has |j| <= weight + |n|, so the full mode sum over
-    that window adds exactly the same nonzero terms."""
-    cands = set(parts)
-    cands.update(n - p for p in parts)
-    if n < 0:
-        cands.update(range(n + 1, 0))
+    No nonzero term is lost.  A term with j = 0 or k = 0 holds h(0),
+    which annihilates.  h(m) with m > 0 removes a part m, and the larger
+    index acts first, so a term with two positive indices needs both
+    among the parts (two copies when j = k), and is visited once, from
+    its j.  A term with one positive and one negative index is nonzero
+    exactly when the positive one is a part, and it is visited once,
+    from that part, with the weights of both orderings.  Two negative
+    indices both create, so every such term is nonzero.  Orders must be
+    nonnegative: a negative one would make the weights fractions, so it
+    is refused before anything is cached."""
+    if r_left < 0 or r_right < 0:
+        raise ValueError("orders must be nonnegative")
     acc: dict[tuple[int, ...], int] = {}
-    for j in cands:
+    for j in set(parts):
         k = n - j
-        step = _pair_step(j, k, parts)
-        if step:
-            p2, x = step
-            acc[p2] = acc.get(p2, 0) + j**r_left * k**r_right * x
+        if not k:
+            continue
+        i = parts.index(j)
+        rest = parts[:i] + parts[i + 1 :]
+        x = j * parts.count(j)
+        if k > 0:
+            if k not in rest:
+                continue
+            i = rest.index(k)
+            p2 = rest[:i] + rest[i + 1 :]
+            x *= k * rest.count(k) * j**r_left * k**r_right
+        else:
+            i = bisect_left(rest, k, key=neg)  # the first part <= -k
+            p2 = rest[:i] + (-k,) + rest[i:]
+            x *= j**r_left * k**r_right + k**r_left * j**r_right
+        acc[p2] = acc.get(p2, 0) + x
+    for j in range(n + 1, 0):
+        k = n - j
+        p2 = tuple(sorted(parts + (-j, -k), reverse=True))
+        acc[p2] = acc.get(p2, 0) + j**r_left * k**r_right
     return tuple((_PARTS.setdefault(p, p), x) for p, x in acc.items() if x)
 
 
@@ -184,10 +209,11 @@ def quad_apply(
 
     r_left and r_right are the polynomial weights on the two mode
     indices; they coincide for the named graded operators and differ
-    only for generating-function coefficients.  Per basis component the
-    mode sum visits only the j for which :h(j)h(n-j): can act (the
-    parts, n minus a part, and the two-creator range n < j < 0);
-    `_quad_on_basis` shows that every other term annihilates.
+    only for generating-function coefficients.  Each basis component's
+    image is the cached `_quad_on_basis`, which builds the nonzero terms
+    of the mode sum by cases on the state's distinct parts (two
+    annihilators, one of each, and the two-creator range n < j < 0) and
+    shows that every other term annihilates; it takes no pair step.
     Coefficients are summed as integer numerators over twice the
     denominator of v.  The regularizing constant enters only at n = 0
     with r_left = r_right."""
@@ -404,6 +430,8 @@ def central_term(r: int, s: int, m: int) -> Fraction:
     row over the fit's common denominator."""
     if m == 0:
         raise ValueError("mode must be nonzero")
+    if r < 0 or s < 0:
+        raise ValueError("orders must be nonnegative")
     states, inverse = _central_fit(r + s)
     kvs = {parts: _bracket(r, s, m, parts) for parts, _ in states}
     vals = [kvs[(k,)].coeff((k,)) for k in range(1, len(inverse) + 1)]
@@ -503,7 +531,8 @@ def wick_diffs(params: dict, mismatches: list) -> None:
 # shared denominator 4 a1! a2! a3! a4!, summed from pair steps on basis
 # states (_pair_image) and weighted by one loop (_add_weighted).
 # SPECIALIZE reads the left side's blocks (_dilated_lhs_blocks) as they
-# are; THEOREM1 compares both sides as flat vector tables.
+# are; THEOREM1 flattens both sides' blocks to integer cell tables
+# (_flat_cells) and compares them in one walk.
 # The scalar sector is the multinomial expansion of the entire kernel
 #   Phi_n(u) = g''(u)(e^(nu) - 1) + n g'(u)(1 + e^(nu)),
 # g(u) = 1/(1 - e^(-u)), whose pole parts cancel identically.
@@ -642,20 +671,19 @@ def _dilated_lhs_blocks(v: FockVector, N: int, caps: "tuple[int, int, int, int]"
     return blocks
 
 
-def _block_vectors(blocks: dict, caps: "tuple[int, int, int, int]") -> dict:
+def _flat_cells(blocks: dict, caps: "tuple[int, int, int, int]", den: int) -> dict:
     """Integer blocks {(e1, e2): block} (see _dilated_lhs_blocks) as the
-    flat cell table {(e1, e2, a1, a2, a3, a4): FockVector}, with the
-    1 / (4 * a1! * a2! * a3! * a4!) normalization folded in and zero
-    entries dropped."""
+    flat cell table {(e1, e2, a1, a2, a3, a4): numerators} over den, a
+    multiple of 4 a! = 4 a1! a2! a3! a4! for every monomial a <= caps:
+    the entry N_a over 4 a! becomes N_a den / (4 a!), with zero
+    numerators and empty cells dropped."""
     monos = list(itertools.product(*(range(c + 1) for c in caps)))
-    denom = [4 * math.prod(map(_fact, mono)) for mono in monos]
+    scales = [den // (4 * math.prod(map(_fact, mono))) for mono in monos]
     out: dict = {}
     for key, block in blocks.items():
-        for mono, den, d in zip(monos, denom, block):
-            if d:
-                vec = FockVector.from_ints({p: c for p, c in d.items() if c}, den)
-                if vec:
-                    out[key + mono] = vec
+        for mono, s, d in zip(monos, scales, block):
+            if d and (num := {p: x * s for p, x in d.items() if x}):
+                out[key + mono] = num
     return out
 
 
@@ -680,12 +708,15 @@ def dilated_bracket_lhs(v: FockVector, N: int, caps: "tuple[int, int, int, int]"
     """Commutator of two dilated normal-ordered pairs applied to v, as
     the flat cell table {(e1, e2, a1, a2, a3, a4): FockVector} of the
     integer blocks of _dilated_lhs_blocks, zero entries dropped."""
-    return _block_vectors(_dilated_lhs_blocks(v, N, caps), caps)
+    den = 4 * math.prod(map(_fact, caps))
+    cells = _flat_cells(_dilated_lhs_blocks(v, N, caps), caps, den)
+    return {cell: FockVector.from_ints(num, den) for cell, num in cells.items()}
 
 
 def _dilated_rhs(v: FockVector, N: int, caps: "tuple[int, int, int, int]") -> dict:
-    """Operator sector of the closed bracket form applied to v, in the
-    flat format of dilated_bracket_lhs.  At (e1, e2) = (-n1, -n2) it sums
+    """Operator sector of the closed bracket form applied to v, as
+    integer blocks in the format of _dilated_lhs_blocks.  At
+    (e1, e2) = (-n1, -n2) it sums
     the pairs h(jp) h(kp), jp + kp = n1 + n2; a pair index beyond
     wt(v) + |n1 + n2| acts as zero: the pair's larger index then
     annihilates a part above wt(v).
@@ -704,7 +735,7 @@ def _dilated_rhs(v: FockVector, N: int, caps: "tuple[int, int, int, int]") -> di
             P, Q, B = jp - n1, -jp, -kp
             factor_sets = ((P, Q, -P, B), (Q, P, -P, B), (P, Q, B, -P), (Q, P, B, -P))
             _add_weighted(block, caps, factor_sets, -P, _pair_terms(jp, kp, v._num))
-    return _block_vectors(blocks, caps)
+    return blocks
 
 
 def theorem1_diffs(params: dict, mismatches: list) -> None:
@@ -714,41 +745,52 @@ def theorem1_diffs(params: dict, mismatches: list) -> None:
     every coefficient with x1 and x2 exponents in [-x-window, x-window]
     and dilation-variable orders up to y-orders.  The zero-order
     dilation slice is additionally cross-checked against the shifted
-    Virasoro bracket computed by quad_apply, so a transcription error in
-    either engine cannot hide; a cell failing both comparisons is listed
-    twice, the second time against the mode-level bracket.
+    Virasoro bracket computed by quad_apply, whose kernel
+    (_quad_on_basis) shares no step with the pair kernel (_pair_step)
+    behind the blocks, so a transcription error in either engine cannot
+    hide; a cell failing both comparisons is listed twice, the second
+    time against the mode-level bracket.
 
-    The left side is dilated_bracket_lhs, the vector form of the
-    integer blocks that SPECIALIZE reads (_dilated_lhs_blocks).
-    Both sides bound their pair indices by wt(v), which drops only pair
-    terms that act as zero: an index beyond wt(v) + |n1| + |n2| makes one
-    of the two pair modes annihilate more weight than any state it meets
-    has.  The right side is the operator sector (_dilated_rhs) plus the
-    scalar sector v.scaled(c) on the diagonal cells e1 + e2 = 0.  One
-    cell_diffs walk compares them, each side brought to the lcm of its
-    denominators (over_lcm), e1 and e2 descending (n1 and n2
-    ascending) and the dilation orders row-major.  Each (e1, e2) cell of
-    either side is homogeneous of weight wt(v) + e1 + e2, so note_diff
-    lists a cell's partitions in (weight, parts) order, which is plain
-    parts order."""
+    The left side is the integer blocks that SPECIALIZE reads
+    (_dilated_lhs_blocks), the right side the blocks of its operator
+    sector (_dilated_rhs).  Both bound their pair indices by wt(v),
+    which drops only pair terms that act as zero: an index beyond
+    wt(v) + |n1| + |n2| makes one of the two pair modes annihilate more
+    weight than any state it meets has.  Both sides are flattened to
+    integer cell tables (_flat_cells): the left over 4 D, D = a1! a2!
+    a3! a4! at a = y-orders (the lcm of every a!), the right over R, the
+    lcm of 4 D and the denominators of the scalar sector, whose values
+    are added to the diagonal cells e1 + e2 = 0 as numerators.  One
+    cell_diffs walk compares them, cross-multiplied, e1 and e2
+    descending (n1 and n2 ascending) and the dilation orders row-major.
+    Each (e1, e2) cell of either side is homogeneous of weight
+    wt(v) + e1 + e2, so note_diff lists a cell's partitions in
+    (weight, parts) order, which is plain parts order."""
     caps = tuple(params["y-orders"])
     N, W = params["x-window"], params["weight-cap"]
-    scalar_cache = {e1: _scalar_sector(e1, caps) for e1 in range(-N, N + 1)}
+    scalars = {
+        (e1, -e1) + mono: c for e1 in range(-N, N + 1) for mono, c in _scalar_sector(e1, caps).items()
+    }
+    lden = 4 * math.prod(map(_fact, caps))
+    rden = math.lcm(lden, *[c.denominator for c in scalars.values()])
     ranges = [range(N, -N - 1, -1)] * 2 + [range(c + 1) for c in caps]
 
     for v in basis_up_to(W):
-        lhs = dilated_bracket_lhs(v, N, caps)
-        rhs = _dilated_rhs(v, N, caps)
-        for e1, scal in scalar_cache.items():
-            for mono, c in scal.items():
-                cell = (e1, -e1) + mono
-                rhs[cell] = rhs.get(cell, FockVector.zero()) + v.scaled(c)
-        for cell, va, vb in cell_diffs(*over_lcm(lhs), *over_lcm(rhs), ranges):
+        (parts,) = v._num
+        lhs = _flat_cells(_dilated_lhs_blocks(v, N, caps), caps, lden)
+        rhs = _flat_cells(_dilated_rhs(v, N, caps), caps, rden)
+        for cell, c in scalars.items():
+            num = rhs.setdefault(cell, {})
+            if x := num.get(parts, 0) + c.numerator * (rden // c.denominator):
+                num[parts] = x
+            else:
+                del num[parts]
+        for cell, va, vb in cell_diffs(lhs, lden, rhs, rden, ranges):
             note_diff(mismatches, cell, va, vb, v)
         # ---- zero-order slice against the mode-level bracket engine
         for n1 in range(-N, N + 1):
             for n2 in range(-N, N + 1):
-                slice_vec = lhs.get((-n1, -n2, 0, 0, 0, 0))
+                slice_vec = FockVector.from_ints(lhs.get((-n1, -n2, 0, 0, 0, 0), {}), lden)
                 expect = lbar_mode(n1 + n2, v).scaled(n1 - n2)
                 if n1 + n2 == 0:
                     expect = expect + v.scaled(F(n1**3, 12))

@@ -138,26 +138,61 @@ def test_regularized_flag_only_touches_mode_zero_diagonal():
 
 def test_quad_apply_against_the_full_mode_window():
     # oracle: the whole window |j| <= weight + |n| through pair_apply,
-    # not the candidate set of quad_apply; both take the same pair step,
-    # which test_pair_apply_matches_composition checks against h_apply
-    orders = [(r1, r2) for r1 in range(3) for r2 in range(3)]
-    for v in basis_up_to(6):
-        ((parts, _),) = v.terms()
+    # not the case split of quad_apply's kernel (_quad_on_basis), which
+    # takes no pair step: pair_apply's step is the separate pair kernel
+    # that test_pair_apply_matches_composition checks against h_apply
+    orders = list(itertools.product(range(3), repeat=2))
+    for v in basis_up_to(8):
+        (parts,) = v._num
         wt = sum(parts)
-        for n in range(-5, 6):
+        for n in range(-8, 9):
             bound = wt + abs(n)
-            want = {rr: FockVector.zero() for rr in orders}
+            want = {rr: {} for rr in orders}
             for j in range(-bound, bound + 1):
                 k = n - j
                 if j == 0 or k == 0:
                     continue
-                pv = q.pair_apply(j, k, v)
-                if pv:
-                    for r1, r2 in orders:
-                        want[(r1, r2)] += pv.scaled(F(j**r1 * k**r2, 2))
-            for r1, r2 in orders:
+                for p, x in q.pair_apply(j, k, v)._num.items():
+                    for (r1, r2), acc in want.items():
+                        acc[p] = acc.get(p, 0) + j**r1 * k**r2 * x
+            for (r1, r2), acc in want.items():
                 got = q.quad_apply(r1, r2, n, v, False)
-                assert got == want[(r1, r2)], (v, n, r1, r2)
+                assert got == FockVector.from_ints({p: x for p, x in acc.items() if x}, 2), (v, n, r1, r2)
+
+
+def test_quad_apply_case_split_hand_values():
+    # two annihilators with k = j: h(1)h(1)|1,1,1> = 1*3 * 1*2 |1>, halved,
+    # whatever the orders, since j^r1 k^r2 = 1
+    for r1, r2 in itertools.product(range(3), repeat=2):
+        assert q.quad_apply(r1, r2, 2, FockVector.basis((1, 1, 1))) == FockVector.basis((1,)).scaled(3)
+    # one of each, r1 != r2: at n = 1 on |2>, j = 2, k = -1 and the other
+    # ordering give 2 * (2 * 1 + (-1) * 4) |1> = -4 |1>, halved
+    assert q.quad_apply(1, 2, 1, FockVector.basis((2,))) == FockVector.basis((1,)).scaled(-2)
+    # at n = -1 on |3,1>: j = 3 inserts 4 in front, 3 * (9 * -4 + 16 * 3)
+    # = 36, and j = 1 inserts 2 in the middle, 1 * (1 * -2 + 4 * 1) = 2
+    want = FockVector.basis((4, 1)).scaled(18) + FockVector.basis((3, 2))
+    assert q.quad_apply(2, 1, -1, FockVector.basis((3, 1))) == want
+
+
+def test_negative_orders_are_refused_before_any_cache_entry():
+    # a negative order would make the kernel's weights fractions: every
+    # reader refuses it, with gen_quadratic_coeff's message, and neither
+    # the kernel nor central_term's fit caches anything for it
+    v = FockVector.basis((2, 1))
+    calls = [
+        lambda: q.quad_apply(-1, 0, 1, v),
+        lambda: q.quad_apply(0, -2, -3, v),
+        lambda: q.lbar_r(-1, 0, v),
+        lambda: q.lbar_r(-1, -2, v),
+        lambda: q.central_term(-1, 0, 1),
+        lambda: q.central_term(0, -1, 1),
+        lambda: q.gen_quadratic_coeff(-1, 0, 1, v),
+    ]
+    sizes = q._quad_on_basis.cache_info().currsize, q._central_fit.cache_info().currsize
+    for call in calls:
+        with pytest.raises(ValueError, match="orders must be nonnegative"):
+            call()
+    assert (q._quad_on_basis.cache_info().currsize, q._central_fit.cache_info().currsize) == sizes
 
 
 def test_quad_on_basis_images_hold_interned_partitions():
@@ -481,7 +516,7 @@ def test_theorem1_compares_cells_that_only_the_scalar_sector_fills(monkeypatch):
     # on the vacuum the operator sector vanishes on the diagonal, so with
     # an empty left side the cells at (e1, e2) = (2, -2) hold only the
     # scalar sector, and each of them must still be compared
-    monkeypatch.setattr(q, "dilated_bracket_lhs", lambda *a: {})
+    monkeypatch.setattr(q, "_dilated_lhs_blocks", lambda v, N, caps: q._empty_blocks(v, N, caps)[0])
     mismatches = []
     params = {"y-orders": [1, 0, 1, 0], "x-window": 2, "weight-cap": 0}
     q.theorem1_diffs(params, mismatches)
